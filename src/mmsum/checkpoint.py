@@ -49,21 +49,42 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
     return directory
 
 
+def _read_json(path: Path, expect: type, what: str):
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {what} {path}: {exc}") from exc
+    if not isinstance(value, expect):
+        raise CheckpointError(f"checkpoint {what} {path} holds a JSON "
+                              f"{type(value).__name__}, not a {expect.__name__}")
+    return value
+
+
 def load_checkpoint(directory):
     directory = Path(directory)
     index_path = directory / INDEX_FILE
     if not index_path.is_file():
         raise CheckpointError(f"no checkpoint index at {index_path}")
-    index = json.loads(index_path.read_text(encoding="utf-8"))
+    tensors = _read_json(index_path, dict, "index").get("tensors")
+    if not isinstance(tensors, dict):
+        raise CheckpointError(f"checkpoint index {index_path} has no 'tensors' table")
     params = {}
-    for name, meta in index["tensors"].items():
-        arr = read_feature_file(directory / meta["file"]).astype(np.float64)
-        shape = tuple(meta["shape"])
-        if int(np.prod(shape)) != arr.size:
+    for name, meta in tensors.items():
+        try:
+            arr = read_feature_file(directory / meta["file"]).astype(np.float64)
+            shape = tuple(meta["shape"])
+            size = int(np.prod(shape))
+        except (OSError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"cannot read checkpoint tensor '{name}': "
+                                  f"{exc!r}") from exc
+        if size != arr.size:
             raise CheckpointError(f"tensor '{name}' shape {shape} does not "
                                   f"match stored size {arr.size}")
         params[name] = arr.reshape(shape)
-    cfg = config_from_dict(json.loads((directory / CONFIG_FILE).read_text()))
-    tokens = json.loads((directory / VOCAB_FILE).read_text())
+    cfg = config_from_dict(_read_json(directory / CONFIG_FILE, dict, "config"))
+    tokens = _read_json(directory / VOCAB_FILE, list, "vocabulary")
+    if not all(isinstance(tok, str) for tok in tokens):
+        raise CheckpointError(f"checkpoint vocabulary {directory / VOCAB_FILE} "
+                              f"holds a token that is not a string")
     vocab = {tok: i for i, tok in enumerate(tokens)}
     return params, cfg, vocab

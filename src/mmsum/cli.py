@@ -27,6 +27,7 @@ ABLATE_STRATEGIES = ("ce", "+video-loss", "+weighted")
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
+    """Every flag's dest is the RunConfig field it overrides."""
     p.add_argument("--config", help="JSON config file mirroring RunConfig fields")
     p.add_argument("--seed", type=int)
     p.add_argument("--attention", choices=ATTENTION_MODES)
@@ -47,38 +48,21 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--k-frames", dest="k_frames", type=int)
     p.add_argument("--label-cap", dest="label_cap", type=int)
     p.add_argument("--min-frames", dest="min_frames", type=int)
-    p.add_argument("--no-frames", action="store_true", default=None)
-    p.add_argument("--no-transcript", action="store_true", default=None)
-    p.add_argument("--no-bistream", action="store_true", default=None)
-    p.add_argument("--sum-pool", action="store_true", default=None)
-    p.add_argument("--late-plus-prose", action="store_true", default=None)
+    p.add_argument("--no-frames", dest="use_frames", action="store_false", default=None)
+    p.add_argument("--no-transcript", dest="use_transcript", action="store_false",
+                   default=None)
+    p.add_argument("--no-bistream", dest="use_bistream", action="store_false",
+                   default=None)
+    p.add_argument("--sum-pool", dest="sum_pool", action="store_true", default=None)
+    p.add_argument("--late-plus-prose", dest="late_plus_prose", action="store_true",
+                   default=None)
 
 
 def _overrides_from_args(args) -> dict:
-    overrides = {}
-    passthrough = ("seed", "attention", "fusion", "beta", "alpha_ts", "alpha_vs",
-                   "lr", "epochs", "patience", "hidden", "embed_dim", "attn_dim",
-                   "fusion_dim", "feature_dim", "fps_group", "k_sentences",
-                   "k_frames", "label_cap", "min_frames")
-    for name in passthrough:
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    if getattr(args, "no_frames", None):
-        overrides["use_frames"] = False
-    if getattr(args, "no_transcript", None):
-        overrides["use_transcript"] = False
-    if getattr(args, "no_bistream", None):
-        overrides["use_bistream"] = False
-    if getattr(args, "sum_pool", None):
-        overrides["sum_pool"] = True
-    if getattr(args, "late_plus_prose", None):
-        overrides["late_plus_prose"] = True
-    if getattr(args, "manifest", None):
-        overrides["manifest"] = args.manifest
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    return overrides
+    """The RunConfig fields given on the command line; --out sets out_dir."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    values["out_dir"] = getattr(args, "out", None)
+    return {name: val for name, val in values.items() if val is not None}
 
 
 def _load_split(cfg: RunConfig):

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,7 +69,29 @@ class RunConfig:
     ablate_epochs: int = 10
 
 
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _type_ok(value, hint) -> bool:
+    """Whether `value` fits the annotation `hint`: an int is a float, a bool
+    is not an int."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    numeric = {int: numbers.Integral, float: numbers.Real}
+    return isinstance(value, tuple(numeric.get(t, t) for t in allowed))
+
+
 def validate_config(cfg: RunConfig) -> RunConfig:
+    if cfg.seed is None:
+        raise ConfigError("seed must be set; unseeded runs are not allowed")
+    for name, hint in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if not _type_ok(value, hint):
+            raise ConfigError(f"{name} must be of type "
+                              f"{getattr(hint, '__name__', hint)}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if cfg.attention not in ATTENTION_MODES:
         raise ConfigError(f"attention must be one of {ATTENTION_MODES}, "
                           f"got '{cfg.attention}'")
@@ -76,12 +101,15 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"beta must be >= 0, got {cfg.beta}")
     if cfg.alpha_ts < 0 or cfg.alpha_vs < 0:
         raise ConfigError("alpha_ts and alpha_vs must be >= 0")
+    if cfg.lr < 0:
+        raise ConfigError(f"lr must be >= 0, got {cfg.lr}")
+    if cfg.patience < 0:
+        raise ConfigError(f"patience must be >= 0, got {cfg.patience}")
     for name in ("embed_dim", "hidden", "attn_dim", "fusion_dim", "feature_dim",
-                 "fps_group", "k_sentences", "k_frames", "label_cap"):
+                 "fps_group", "k_sentences", "k_frames", "label_cap", "epochs",
+                 "ablate_epochs"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if cfg.seed is None:
-        raise ConfigError("seed must be set; unseeded runs are not allowed")
     return cfg
 
 

@@ -56,12 +56,18 @@ class TranscriptStates:
     states: Tensor               # (NT, 2h)
 
 
+def open_forget_gate(b: np.ndarray, hidden: int) -> np.ndarray:
+    """Set the forget-gate slice of an LSTM bias to 1.0 (in place) so memory
+    is open early in training."""
+    b[hidden:2 * hidden] = 1.0
+    return b
+
+
 def init_lstm_direction(rng, input_dim: int, hidden: int, scale: float = INIT_SCALE):
-    """Uniform init; forget-gate bias starts at 1.0 so memory is open early."""
+    """Uniform init of one direction, then the forget-gate opening."""
     w = rng.uniform(-scale, scale, size=(input_dim + hidden, 4 * hidden))
     b = rng.uniform(-scale, scale, size=(4 * hidden,))
-    b[hidden:2 * hidden] = 1.0
-    return w, b
+    return w, open_forget_gate(b, hidden)
 
 
 def lstm_states(X: Tensor, W: Tensor, b: Tensor, hidden: int,

@@ -1,18 +1,21 @@
-"""Parameter construction and the full forward pass: encoders -> alignment ->
+"""Parameter layout and the full forward pass: encoders -> alignment ->
 fusion, yielding per-sentence and per-frame extraction probabilities."""
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import attention, autodiff as ad, encoders, fusion
+from . import attention, encoders, fusion
 from .attention import AttentionContext, AttentionParams, AttnSet
 from .autodiff import Tensor
 from .config import RunConfig
 from .encoders import BiLSTM, EncoderParams
 from .errors import CheckpointError
 from .fusion import FusionHead, ScorerParams
+
+ATTN_SETS = ("sent_query", "frame_query", "tr_over_frames", "tr_over_sents")
 
 
 @dataclass
@@ -21,82 +24,68 @@ class ForwardResult:
     frame_probs: Tensor | None              # (NM,) when the frame branch is on
     sent_states: Tensor                     # (NS, 2h)
     frame_states: Tensor | None             # (NM, 2h)
-    sent_unimodal: tuple | None             # (f-values, g-values) for late modes
-    frame_unimodal: tuple | None
     sent_attn: AttentionContext | None
     frame_attn: AttentionContext | None
 
 
-def _needs_transcript(cfg: RunConfig) -> bool:
-    return cfg.use_frames and cfg.use_transcript and cfg.attention == "bihop"
+def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter the configuration needs, in allocation
+    order. This is the one statement of the parameter layout: the init, the
+    shape check and the typed views of SummarizerModel are derived from it."""
+    h, da, df = cfg.hidden, cfg.attn_dim, cfg.fusion_dim
+    d2 = 2 * h
+    spec = {"encoders/embedding": (vocab_size, cfg.embed_dim)}
+
+    def add(prefix, **shapes):
+        spec.update({f"{prefix}/{field}": shape for field, shape in shapes.items()})
+
+    def lstm(name, input_dim):
+        for d in ("fw", "bw"):
+            spec[f"encoders/{name}/{d}_W"] = (input_dim + h, 4 * h)
+            spec[f"encoders/{name}/{d}_b"] = (4 * h,)
+
+    def scorer(name, input_dim):
+        add(f"fusion/{name}", W1=(input_dim, df), b1=(df,), w2=(df,), b2=(1,))
+
+    lstm("word", cfg.embed_dim)
+    lstm("sentence", d2)
+    if not cfg.use_frames:
+        scorer("text/f", d2)
+        return spec
+
+    lstm("frame", cfg.feature_dim)
+    if cfg.use_transcript and cfg.attention == "bihop":
+        lstm("transcript", cfg.embed_dim)
+    if cfg.attention != "none":
+        # bihop uses four bilinear sets; the single-hop modes use the first two
+        for name in ATTN_SETS[:4 if cfg.attention == "bihop" else 2]:
+            add(f"attention/{name}", W_q=(d2, da), W_k=(d2, da), V=(da,))
+            if cfg.attention == "concat_product":
+                add(f"attention/{name}", b_joint=(da,))
+            else:
+                add(f"attention/{name}", b_q=(da,), b_k=(da,))
+    for side in ("text", "frame"):
+        if cfg.fusion == "early":
+            scorer(f"{side}/joint", 2 * d2)
+        elif cfg.fusion == "tensor":
+            scorer(f"{side}/joint", (d2 + 1) ** 2)
+        else:
+            scorer(f"{side}/f", d2)
+            scorer(f"{side}/g", d2)
+            scorer(f"{side}/F", 2)
+    return spec
 
 
 def build_parameters(cfg: RunConfig, vocab_size: int, rng,
                      init_scale: float = encoders.INIT_SCALE) -> dict[str, np.ndarray]:
-    """Allocate every parameter the configuration needs, as named arrays.
-    Allocation order is fixed, so a given seed always yields the same init."""
-    h, e, da, df = cfg.hidden, cfg.embed_dim, cfg.attn_dim, cfg.fusion_dim
-    params: dict[str, np.ndarray] = {}
-
-    def uniform(shape):
-        return rng.uniform(-init_scale, init_scale, size=shape)
-
-    def add_lstm(name, input_dim):
-        fw_w, fw_b = encoders.init_lstm_direction(rng, input_dim, h, init_scale)
-        bw_w, bw_b = encoders.init_lstm_direction(rng, input_dim, h, init_scale)
-        params[f"encoders/{name}/fw_W"] = fw_w
-        params[f"encoders/{name}/fw_b"] = fw_b
-        params[f"encoders/{name}/bw_W"] = bw_w
-        params[f"encoders/{name}/bw_b"] = bw_b
-
-    def add_attn_set(name, query_dim, key_dim, mode):
-        params[f"attention/{name}/W_q"] = uniform((query_dim, da))
-        params[f"attention/{name}/W_k"] = uniform((key_dim, da))
-        params[f"attention/{name}/V"] = uniform((da,))
-        if mode == "concat_product":
-            params[f"attention/{name}/b_joint"] = uniform((da,))
-        else:
-            params[f"attention/{name}/b_q"] = uniform((da,))
-            params[f"attention/{name}/b_k"] = uniform((da,))
-
-    def add_scorer(name, input_dim):
-        params[f"fusion/{name}/W1"] = uniform((input_dim, df))
-        params[f"fusion/{name}/b1"] = uniform((df,))
-        params[f"fusion/{name}/w2"] = uniform((df,))
-        params[f"fusion/{name}/b2"] = uniform((1,))
-
-    def add_head(side, state_dim, ctx_dim):
-        if cfg.fusion == "early":
-            add_scorer(f"{side}/joint", state_dim + ctx_dim)
-        elif cfg.fusion == "tensor":
-            add_scorer(f"{side}/joint", (state_dim + 1) * (ctx_dim + 1))
-        else:
-            add_scorer(f"{side}/f", state_dim)
-            add_scorer(f"{side}/g", ctx_dim)
-            add_scorer(f"{side}/F", 2)
-
-    params["encoders/embedding"] = uniform((vocab_size, e))
-    add_lstm("word", e)
-    add_lstm("sentence", 2 * h)
-
-    if cfg.use_frames:
-        add_lstm("frame", cfg.feature_dim)
-        if _needs_transcript(cfg):
-            add_lstm("transcript", e)
-        d2 = 2 * h
-        if cfg.attention in ("concat_product", "bilinear"):
-            add_attn_set("sent_query", d2, d2, cfg.attention)
-            add_attn_set("frame_query", d2, d2, cfg.attention)
-        elif cfg.attention == "bihop":
-            add_attn_set("sent_query", d2, d2, "bilinear")
-            add_attn_set("frame_query", d2, d2, "bilinear")
-            add_attn_set("tr_over_frames", d2, d2, "bilinear")
-            add_attn_set("tr_over_sents", d2, d2, "bilinear")
-        add_head("text", d2, d2)
-        add_head("frame", d2, d2)
-    else:
-        add_scorer("text/f", 2 * h)
-
+    """Draw every parameter of `parameter_spec` uniformly in spec order, so a
+    given seed always yields the same init; LSTM biases then get their
+    forget-gate opening."""
+    params = {name: rng.uniform(-init_scale, init_scale, size=shape)
+              for name, shape in parameter_spec(cfg, vocab_size).items()}
+    for name, arr in params.items():
+        if name.startswith("encoders/") and name.endswith("_b"):
+            encoders.open_forget_gate(arr, cfg.hidden)
     return params
 
 
@@ -110,17 +99,8 @@ class SummarizerModel:
             name: (arr if isinstance(arr, Tensor) else Tensor(arr, requires_grad=True))
             for name, arr in params.items()
         }
-        self._check_shapes()
-        self.encoder = self._encoder_view()
-        self.attn = self._attention_view()
-        self.text_head = self._head_view("text")
-        self.frame_head = self._head_view("frame") if cfg.use_frames else None
-
-    def _check_shapes(self):
-        probe_rng = np.random.default_rng(0)
-        expected = build_parameters(self.cfg, self.vocab_size, probe_rng)
         mine = {k: v.data.shape for k, v in self.params.items()}
-        want = {k: v.shape for k, v in expected.items()}
+        want = parameter_spec(cfg, vocab_size)
         if mine != want:
             missing = sorted(set(want) - set(mine))
             extra = sorted(set(mine) - set(want))
@@ -129,76 +109,41 @@ class SummarizerModel:
                 f"parameters do not match the configuration "
                 f"(missing={missing}, unexpected={extra}, wrong_shape={wrong})")
 
-    def _lstm_view(self, name) -> BiLSTM:
-        p = self.params
-        return BiLSTM(fw_W=p[f"encoders/{name}/fw_W"], fw_b=p[f"encoders/{name}/fw_b"],
-                      bw_W=p[f"encoders/{name}/bw_W"], bw_b=p[f"encoders/{name}/bw_b"],
-                      hidden=self.cfg.hidden)
-
-    def _encoder_view(self) -> EncoderParams:
-        cfg = self.cfg
-        return EncoderParams(
+        self.encoder = EncoderParams(
             embedding=self.params["encoders/embedding"],
-            word=self._lstm_view("word"),
-            sentence=self._lstm_view("sentence"),
-            frame=self._lstm_view("frame") if cfg.use_frames else None,
-            transcript=self._lstm_view("transcript") if _needs_transcript(cfg) else None,
-            hidden=cfg.hidden,
-            sum_pool=cfg.sum_pool,
-        )
+            **{name: self._group(BiLSTM, f"encoders/{name}", hidden=cfg.hidden)
+               for name in ("word", "sentence", "frame", "transcript")},
+            hidden=cfg.hidden, sum_pool=cfg.sum_pool)
+        self.attn = AttentionParams(
+            mode=cfg.attention,
+            **{name: self._group(AttnSet, f"attention/{name}") for name in ATTN_SETS})
+        self.text_head, self.frame_head = (
+            FusionHead(mode=cfg.fusion, beta=cfg.beta, prose_weights=cfg.late_plus_prose,
+                       **{part: self._group(ScorerParams, f"fusion/{side}/{part}")
+                          for part in ("joint", "f", "g", "F")})
+            for side in ("text", "frame"))
 
-    def _attn_set_view(self, name) -> AttnSet | None:
-        p = self.params
-        if f"attention/{name}/W_q" not in p:
+    def _group(self, cls, prefix: str, **fixed):
+        """Fill the params dataclass `cls` from the `prefix/<field>` entries;
+        None when the configuration has no such group."""
+        fields = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+        if f"{prefix}/{fields[0]}" not in self.params:
             return None
-        return AttnSet(
-            W_q=p[f"attention/{name}/W_q"], W_k=p[f"attention/{name}/W_k"],
-            V=p[f"attention/{name}/V"],
-            b_q=p.get(f"attention/{name}/b_q"), b_k=p.get(f"attention/{name}/b_k"),
-            b_joint=p.get(f"attention/{name}/b_joint"),
-        )
-
-    def _attention_view(self) -> AttentionParams:
-        return AttentionParams(
-            mode=self.cfg.attention,
-            sent_query=self._attn_set_view("sent_query"),
-            frame_query=self._attn_set_view("frame_query"),
-            tr_over_frames=self._attn_set_view("tr_over_frames"),
-            tr_over_sents=self._attn_set_view("tr_over_sents"),
-        )
-
-    def _scorer_view(self, name) -> ScorerParams | None:
-        p = self.params
-        if f"fusion/{name}/W1" not in p:
-            return None
-        return ScorerParams(W1=p[f"fusion/{name}/W1"], b1=p[f"fusion/{name}/b1"],
-                            w2=p[f"fusion/{name}/w2"], b2=p[f"fusion/{name}/b2"])
-
-    def _head_view(self, side) -> FusionHead:
-        return FusionHead(
-            mode=self.cfg.fusion, beta=self.cfg.beta,
-            joint=self._scorer_view(f"{side}/joint"),
-            f=self._scorer_view(f"{side}/f"),
-            g=self._scorer_view(f"{side}/g"),
-            F=self._scorer_view(f"{side}/F"),
-            prose_weights=self.cfg.late_plus_prose,
-        )
+        return cls(**{f: self.params.get(f"{prefix}/{f}") for f in fields}, **fixed)
 
     def forward(self, sample) -> ForwardResult:
-        cfg = self.cfg
-        sent = encoders.encode_sentences(sample.document, self.encoder)
-        if not cfg.use_frames:
+        enc = self.encoder
+        sent = encoders.encode_sentences(sample.document, enc)
+        if enc.frame is None:
             probs = fusion.text_only_prob(sent.states, self.text_head.f)
             return ForwardResult(sent_probs=probs, frame_probs=None,
                                  sent_states=sent.states, frame_states=None,
-                                 sent_unimodal=None, frame_unimodal=None,
                                  sent_attn=None, frame_attn=None)
 
-        frames = encoders.encode_frames(sample.video.frames, self.encoder)
+        frames = encoders.encode_frames(sample.video.frames, enc)
         t_states = None
-        if _needs_transcript(cfg):
-            t_states = encoders.encode_transcript(sample.transcript.tokens,
-                                                  self.encoder).states
+        if enc.transcript is not None:
+            t_states = encoders.encode_transcript(sample.transcript.tokens, enc).states
 
         sent_attn = attention.sentence_context(self.attn, sent.states,
                                                frames.states, t_states)
@@ -207,18 +152,8 @@ class SummarizerModel:
 
         sent_probs = fusion.fuse(sent.states, sent_attn.contexts, self.text_head)
         frame_probs = fusion.fuse(frames.states, frame_attn.contexts, self.frame_head)
-
-        sent_uni = frame_uni = None
-        if cfg.fusion in ("late", "late_plus"):
-            with ad.no_grad():
-                sent_uni = fusion.unimodal_decisions(sent.states, sent_attn.contexts,
-                                                     self.text_head)
-                frame_uni = fusion.unimodal_decisions(frames.states, frame_attn.contexts,
-                                                      self.frame_head)
-
         return ForwardResult(sent_probs=sent_probs, frame_probs=frame_probs,
                              sent_states=sent.states, frame_states=frames.states,
-                             sent_unimodal=sent_uni, frame_unimodal=frame_uni,
                              sent_attn=sent_attn, frame_attn=frame_attn)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:

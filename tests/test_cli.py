@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -148,6 +149,56 @@ def test_unknown_config_key_rejected(tmp_path):
         resolve_config(cfg_file, {})
 
 
+@pytest.mark.parametrize("bad", [
+    {"hidden": "abc"}, {"hidden": True}, {"hidden": 2.5}, {"beta": "0.3"},
+    {"use_frames": "no"}, {"seed": "1"}, {"epochs": 0}, {"patience": -1},
+    {"lr": -0.1}, {"lr": float("nan")}, {"beta": float("inf")},
+])
+def test_bad_config_value_is_config_error(cli_corpus, tmp_path, capsys, bad):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps(bad))
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), "--config", str(cfg_file)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG" and next(iter(bad)) in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [("--epochs", "0"), ("--patience", "-1"),
+                                   ("--lr", "-0.001"), ("--lr", "nan")])
+def test_bad_flag_value_is_config_error(cli_corpus, tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), *TINY_TRAIN, *flags) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG" and flags[0][2:] in err["message"]
+    assert not out.exists()
+
+
+def test_model_flags_map_to_config_fields():
+    args = cli.build_parser().parse_args(
+        ["train", "--out", "o", "--manifest", "m", "--seed", "0", "--alpha-ts", "2",
+         "--no-frames", "--no-transcript", "--no-bistream", "--sum-pool",
+         "--late-plus-prose"])
+    assert cli._overrides_from_args(args) == {
+        "out_dir": "o", "manifest": "m", "seed": 0, "alpha_ts": 2.0,
+        "use_frames": False, "use_transcript": False, "use_bistream": False,
+        "sum_pool": True, "late_plus_prose": True}
+    assert cli._overrides_from_args(cli.build_parser().parse_args(["train"])) == {}
+
+
+def test_int_accepted_for_float_field(tmp_path):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"beta": 1, "lr": 0}))
+    cfg = resolve_config(cfg_file, {})
+    assert cfg.beta == 1 and cfg.lr == 0
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -187,6 +238,17 @@ def test_eval_dim_override_mismatch_is_checkpoint_error(cli_corpus, trained_run,
                    "--out", str(tmp_path / "ev"), "--hidden", "64") == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "CHECKPOINT"
+
+
+def test_eval_corrupt_checkpoint_index_is_checkpoint_error(cli_corpus, trained_run,
+                                                          tmp_path, capsys):
+    ck = shutil.copytree(trained_run / "checkpoint", tmp_path / "checkpoint")
+    (ck / "index.json").write_text("{not json", encoding="utf-8")
+    assert run_cli("eval", "--checkpoint", str(ck),
+                   "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(tmp_path / "ev")) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "CHECKPOINT"
 
 
 def test_eval_missing_refs_omits_cos(cli_corpus, trained_run, tmp_path):

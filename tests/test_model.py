@@ -1,12 +1,19 @@
+import hashlib
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import tiny_config
-from mmsum import checkpoint
+from mmsum import checkpoint, model
+from mmsum.config import RunConfig
 from mmsum.errors import CheckpointError
-from mmsum.model import SummarizerModel, build_parameters
+from mmsum.model import SummarizerModel, build_parameters, parameter_spec
 from mmsum.training import make_check_sample
+
+# distinct sizes, so a dimension used in the wrong place changes some shape
+ODD_DIMS = dict(hidden=3, embed_dim=4, attn_dim=5, fusion_dim=6, feature_dim=7)
 
 
 def test_parameter_allocation_matches_configuration():
@@ -38,6 +45,57 @@ def test_parameter_allocation_matches_configuration():
     assert "fusion/text/f/W1" not in early
 
 
+@pytest.mark.parametrize("attention", ["none", "concat_product", "bilinear", "bihop"])
+@pytest.mark.parametrize("fusion_mode", ["early", "tensor", "late", "late_plus"])
+def test_parameter_spec_is_the_layout_build_parameters_draws(attention, fusion_mode):
+    for use_frames, use_transcript in itertools.product((True, False), repeat=2):
+        cfg = tiny_config(**ODD_DIMS, attention=attention, fusion=fusion_mode,
+                          use_frames=use_frames, use_transcript=use_transcript)
+        params = build_parameters(cfg, 11, np.random.default_rng(0))
+        assert list(parameter_spec(cfg, 11).items()) == \
+            [(k, v.shape) for k, v in params.items()]
+
+
+def _digest(params):
+    h = hashlib.sha256()
+    for name, arr in params.items():
+        h.update(name.encode())
+        h.update(repr(arr.shape).encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# (attention, fusion, use_frames, use_transcript) -> digest of the init
+PINNED_INIT = {
+    ("bihop", "late_plus", True, True):
+        "7d1191da314c20b944165b9f1ed8d72ce30816b2aabf50d1f727438c368bb4ee",
+    ("concat_product", "tensor", True, True):
+        "3592c0cf10bd5b571e06585b634b1bf502c795e9c8dc5930c101d801559d8cb7",
+    ("bilinear", "early", True, False):
+        "23d2c72db0c7753d1fc0382fff6859a0a8ee8869322017bc9b49502b67cf81cd",
+    ("none", "late", True, True):
+        "ae74887615bc98104ccb89fcf2ed5581b4cf2315d5bd244b51c997c88828cbad",
+    ("bihop", "late_plus", False, True):
+        "b49bb7ed6b4607c3e44b3372314758e2a9359be5912c24be24b53d6242f4649a",
+    ("bihop", "late", True, False):
+        "2a4dcccfa184b8a9cb7a07da3d86e7384680930e123867bb21b8f00bd3ca57a8",
+}
+
+
+def test_initialization_is_pinned():
+    """Names, order and values of the init; fails if the draw order or the
+    init rule ever changes."""
+    for (attention, fusion_mode, use_frames, use_transcript), want in PINNED_INIT.items():
+        cfg = RunConfig(**ODD_DIMS, attention=attention, fusion=fusion_mode,
+                        use_frames=use_frames, use_transcript=use_transcript)
+        assert _digest(build_parameters(cfg, 11, np.random.default_rng(7))) == want
+    assert _digest(build_parameters(RunConfig(**ODD_DIMS), 11, np.random.default_rng(0),
+                                    init_scale=0.5)) == \
+        "12d1e8dba9a9a299c1a0efff683c83eaf0ef189758f901a9c96c664d49f417e2"
+    assert _digest(build_parameters(RunConfig(), 50, np.random.default_rng(0))) == \
+        "f5d87ce3f4cffe9bfd123251ebce0933e53679f23e678dfcc35d90a4fd5e1180"
+
+
 def test_same_seed_same_initialization():
     cfg = tiny_config()
     a = build_parameters(cfg, 7, np.random.default_rng(5))
@@ -50,11 +108,25 @@ def test_same_seed_same_initialization():
 def test_model_rejects_mismatched_parameters():
     cfg = tiny_config()
     params = build_parameters(cfg, 7, np.random.default_rng(0))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=r"wrong_shape=\[[^]]*'encoders/word/fw_W'"):
         SummarizerModel(params, tiny_config(hidden=3), 7)
+    with pytest.raises(CheckpointError, match=r"unexpected=\['encoders/transcript/bw_W'"):
+        SummarizerModel(params, tiny_config(use_transcript=False), 7)
     params.pop("encoders/embedding")
-    with pytest.raises(CheckpointError, match="missing"):
+    with pytest.raises(CheckpointError, match=r"missing=\['encoders/embedding'\]"):
         SummarizerModel(params, cfg, 7)
+
+
+def test_model_binding_draws_no_random_numbers(monkeypatch):
+    cfg = tiny_config()
+    params = build_parameters(cfg, 7, np.random.default_rng(0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("model construction must not draw an init")
+
+    monkeypatch.setattr(model, "build_parameters", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    SummarizerModel(params, cfg, 7)
 
 
 @pytest.mark.parametrize("attention", ["none", "concat_product", "bilinear", "bihop"])
@@ -100,17 +172,6 @@ def test_text_only_forward_has_no_frame_outputs():
     assert out.frame_probs is None and out.frame_states is None
 
 
-def test_late_modes_expose_unimodal_decisions():
-    cfg = tiny_config(fusion="late_plus")
-    rng = np.random.default_rng(3)
-    sample = make_check_sample(cfg, rng)
-    model = SummarizerModel(build_parameters(cfg, 7, rng), cfg, 7)
-    out = model.forward(sample)
-    f_vals, g_vals = out.sent_unimodal
-    assert f_vals.shape == out.sent_probs.shape
-    assert np.all((g_vals.data > 0) & (g_vals.data < 1))
-
-
 def test_checkpoint_round_trip(tmp_path):
     cfg = tiny_config()
     params = build_parameters(cfg, 7, np.random.default_rng(4))
@@ -126,3 +187,32 @@ def test_checkpoint_round_trip(tmp_path):
     model = SummarizerModel(loaded, cfg2, len(vocab2))
     sample = make_check_sample(cfg2, np.random.default_rng(0))
     assert model.forward(sample).sent_probs.shape == (2,)
+
+
+@pytest.mark.parametrize("filename,content", [
+    ("index.json", "{not json"),
+    ("index.json", "{}"),
+    ("index.json", "[]"),
+    ("index.json", '{"tensors": {"encoders/embedding": {}}}'),
+    ("index.json", '{"tensors": {"encoders/embedding": '
+                   '{"file": "encoders__embedding.bin", "shape": ["a"]}}}'),
+    ("config.json", "{not json"),
+    ("config.json", "[1, 2]"),
+    ("config.json", None),
+    ("vocab.json", "{not json"),
+    ("vocab.json", "7"),
+    ("vocab.json", "[[1]]"),
+    ("vocab.json", None),
+    ("encoders__embedding.bin", None),
+])
+def test_unreadable_checkpoint_is_checkpoint_error(tmp_path, filename, content):
+    """A corrupt (or, for None, deleted) checkpoint file."""
+    cfg = tiny_config()
+    params = build_parameters(cfg, 3, np.random.default_rng(4))
+    ck = checkpoint.save_checkpoint(tmp_path / "ck", params, cfg, {"<unk>": 0, "a": 1, "b": 2})
+    if content is None:
+        (ck / filename).unlink()
+    else:
+        (ck / filename).write_text(content, encoding="utf-8")
+    with pytest.raises(CheckpointError, match="checkpoint"):
+        checkpoint.load_checkpoint(ck)
