@@ -91,7 +91,7 @@ def last_state_context(values: Tensor, n_queries: int) -> AttentionContext:
     nk = values.shape[0]
     if nk == 0:
         raise AttentionError("cannot attend over zero keys")
-    last = ad.reshape(values[nk - 1], (1, values.shape[1]))
+    last = ad.take_rows(values, [nk - 1])
     contexts = ad.tile_rows(last, n_queries)
     w = np.zeros((n_queries, nk))
     w[:, nk - 1] = 1.0

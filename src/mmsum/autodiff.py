@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Float64 tape with just the operations the summarizer needs: broadcasting
-arithmetic, matmul, activations, row gather/scatter, row softmax, and a few
-shape utilities. Gradients are exact and are cross-checked against central
+arithmetic, matmul, activations, row gather/scatter, row softmax, a few
+shape utilities, and one LSTM direction over a whole padded batch as a
+single node. Gradients are exact and are cross-checked against central
 finite differences by the gradient-check harness and the test suite.
 """
 from __future__ import annotations
@@ -90,11 +91,6 @@ class Tensor:
 
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, (int, np.integer)):
-            return getrow(self, int(idx))
-        raise TypeError("only integer row indexing is supported")
 
 
 def as_tensor(x):
@@ -234,11 +230,15 @@ def tanh(a):
     return _node(out_data, (a,), bw)
 
 
+def _sigmoid(x):
+    """Logistic function that never overflows exp."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out_data = _sigmoid(a.data)
 
     def bw(g):
         if a.requires_grad:
@@ -345,42 +345,6 @@ def concat(parts, axis=0):
     return _node(out_data, tuple(parts), bw)
 
 
-def stack_rows(rows):
-    rows = [as_tensor(r) for r in rows]
-    out_data = np.stack([r.data for r in rows], axis=0)
-
-    def bw(g):
-        for i, r in enumerate(rows):
-            if r.requires_grad:
-                _acc(r, g[i])
-
-    return _node(out_data, tuple(rows), bw)
-
-
-def getrow(a, i):
-    a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[i] += g
-
-    return _node(a.data[i].copy(), (a,), bw)
-
-
-def slice1d(a, start, stop):
-    a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
-
-    return _node(a.data[start:stop].copy(), (a,), bw)
-
-
 def take_rows(a, indices):
     """Row gather (embedding lookup); backward scatter-adds into the table."""
     a = as_tensor(a)
@@ -458,6 +422,82 @@ def softmax_rows(a):
             _acc(a, out_data * (g - dot))
 
     return _node(out_data, (a,), bw)
+
+
+def lstm_sequence(X, W, b, hidden, lengths, reverse=False):
+    """One LSTM direction over a right-padded batch, as a single tape node.
+
+    X is (B, T, D) and sequence k is X[k, :lengths[k]]; W is (D + h, 4h) over
+    [x; h] with gate order i|f|o|g, b is (4h,). Returns the hidden states
+    (B, T, h), zero at padding. A padded step leaves h and c unchanged, so the
+    reverse direction of a short sequence starts from zeros at its own last
+    token. The input GEMM X @ W[:D] runs once for all steps; only h @ W[D:]
+    stays in the recurrence. Backward is hand-written BPTT.
+    """
+    X, W, b = as_tensor(X), as_tensor(W), as_tensor(b)
+    B, T, D = X.data.shape
+    h = hidden
+    lengths = np.asarray(lengths, dtype=np.intp)
+    Wx, Wh = W.data[:D], W.data[D:]
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    ragged = bool(lengths.min() < T)    # full batches (all B = 1 calls) skip masking
+    valid = (np.arange(T) < lengths[:, None])[:, :, None]       # (B, T, 1)
+
+    z_in = (X.data.reshape(B * T, D) @ Wx + b.data).reshape(B, T, 4 * h)
+    acts = np.empty((B, T, 4 * h))      # sigmoid(i|f|o), tanh(g)
+    h_prev = np.empty((B, T, h))
+    c_prev = np.empty((B, T, h))
+    tanh_c = np.empty((B, T, h))
+    out = np.zeros((B, T, h))
+    hs, cs = np.zeros((B, h)), np.zeros((B, h))
+    for t in steps:
+        z = z_in[:, t] + hs @ Wh
+        a = acts[:, t]
+        a[:, :3 * h] = _sigmoid(z[:, :3 * h])
+        a[:, 3 * h:] = np.tanh(z[:, 3 * h:])
+        c = a[:, h:2 * h] * cs + a[:, :h] * a[:, 3 * h:]
+        tc = np.tanh(c)
+        hn = a[:, 2 * h:3 * h] * tc
+        h_prev[:, t], c_prev[:, t], tanh_c[:, t] = hs, cs, tc
+        if ragged:
+            m = valid[:, t]
+            hs, cs = np.where(m, hn, hs), np.where(m, c, cs)
+            hn = np.where(m, hn, 0.0)
+        else:
+            hs, cs = hn, c
+        out[:, t] = hn
+
+    def bw(g):
+        i, f, o, gg = (acts[:, :, k * h:(k + 1) * h] for k in range(4))
+        # dz = [dc, dc, dh, dc] * local, with local the gate derivatives
+        local = np.concatenate([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
+                                tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)], axis=2)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dZ = np.zeros((B, T, 4 * h))
+        dh, dc = np.zeros((B, h)), np.zeros((B, h))
+        for t in reversed(steps):
+            dh_t = dh + g[:, t]
+            dc_t = dc + dh_t * dc_dh[:, t]
+            dz = local[:, t] * np.concatenate((dc_t, dc_t, dh_t, dc_t), axis=1)
+            if ragged:
+                m = valid[:, t]
+                dz = np.where(m, dz, 0.0)
+                dh, dc = np.where(m, dz @ Wh.T, dh), np.where(m, dc_t * f[:, t], dc)
+            else:
+                dh, dc = dz @ Wh.T, dc_t * f[:, t]
+            dZ[:, t] = dz
+        dZ2 = dZ.reshape(B * T, 4 * h)
+        if X.requires_grad:
+            _acc(X, (dZ2 @ Wx.T).reshape(B, T, D))
+        if W.requires_grad:
+            dW = np.empty_like(W.data)
+            np.matmul(X.data.reshape(B * T, D).T, dZ2, out=dW[:D])
+            np.matmul(h_prev.reshape(B * T, h).T, dZ2, out=dW[D:])
+            _acc(W, dW)
+        if b.requires_grad:
+            _acc(b, dZ2.sum(axis=0))
+
+    return _node(out, (X, W, b), bw)
 
 
 def backward(t):

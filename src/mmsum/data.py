@@ -159,13 +159,19 @@ def load_manifest(path) -> DatasetManifest:
         raise SchemaError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "samples" not in doc:
         raise SchemaError(f"manifest {path} missing top-level 'samples'")
+    if not isinstance(doc["samples"], list):
+        raise SchemaError(f"manifest {path}: 'samples' must be a list")
 
     root = path.parent
     entries, seen = [], set()
     for raw in doc["samples"]:
+        if not isinstance(raw, dict):
+            raise SchemaError(f"manifest entry must be an object: {raw!r}")
         for key in ("id", "document", "features", "transcript", "summary"):
-            if key not in raw:
-                raise SchemaError(f"manifest entry missing '{key}': {raw}")
+            if not isinstance(raw.get(key), str):
+                raise SchemaError(f"manifest entry needs a string '{key}': {raw}")
+        if not isinstance(raw.get("ref_features"), (str, type(None))):
+            raise SchemaError(f"manifest entry 'ref_features' must be a string: {raw}")
         if raw["id"] in seen:
             raise SchemaError(f"duplicate sample id '{raw['id']}' in manifest")
         seen.add(raw["id"])
@@ -184,6 +190,8 @@ def load_manifest(path) -> DatasetManifest:
         entries.append(entry)
 
     split = doc.get("split", {})
+    if not isinstance(split, dict):
+        raise SchemaError(f"manifest {path}: 'split' must be an object")
     for sid, name in split.items():
         if name not in ("train", "val", "test"):
             raise SchemaError(f"invalid split name '{name}' for id '{sid}'")

@@ -1,7 +1,9 @@
 """Recurrent encoders: hierarchical article encoder (word then sentence
 level), frame-sequence encoder over precomputed feature vectors, and the
 transcript encoder. All four stacks are parameter-disjoint bidirectional
-LSTMs sharing one embedding table for text."""
+LSTMs sharing one embedding table for text. Each direction is a single
+``autodiff.lstm_sequence`` node; the word encoder runs all sentences of a
+document as one right-padded batch."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -42,7 +44,8 @@ class EncoderParams:
 @dataclass
 class SentenceStates:
     states: Tensor               # (NS, 2h)
-    word_states: list[Tensor]    # per sentence, (N_i, 2h)
+    word_states: Tensor          # (NS, T_max, 2h), zero at padding
+    lengths: np.ndarray          # (NS,) tokens per sentence
     pooled: Tensor               # (NS, 2h)
 
 
@@ -70,50 +73,46 @@ def init_lstm_direction(rng, input_dim: int, hidden: int, scale: float = INIT_SC
     return w, open_forget_gate(b, hidden)
 
 
-def lstm_states(X: Tensor, W: Tensor, b: Tensor, hidden: int,
-                reverse: bool = False) -> list[Tensor]:
-    """Unidirectional pass over the rows of X; returns per-step hidden states
-    in the original row order."""
-    T = X.shape[0]
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    out: list[Tensor] = [None] * T  # type: ignore[list-item]
-    for t in steps:
-        z = ad.concat([X[t], h]) @ W + b
-        i = ad.sigmoid(ad.slice1d(z, 0, hidden))
-        f = ad.sigmoid(ad.slice1d(z, hidden, 2 * hidden))
-        o = ad.sigmoid(ad.slice1d(z, 2 * hidden, 3 * hidden))
-        g = ad.tanh(ad.slice1d(z, 3 * hidden, 4 * hidden))
-        c = f * c + i * g
-        h = o * ad.tanh(c)
-        out[t] = h
-    return out
-
-
-def bilstm(X: Tensor, p: BiLSTM) -> Tensor:
-    """(T, input_dim) -> (T, 2h): forward states beside backward states."""
-    if X.shape[1] != p.input_dim:
-        raise EncodeError(f"input dim {X.shape[1]} does not match encoder "
+def bilstm(X: Tensor, p: BiLSTM, lengths=None) -> Tensor:
+    """(T, input_dim) -> (T, 2h): forward states beside backward states. A
+    right-padded batch (B, T, input_dim) with its sequence lengths maps to
+    (B, T, 2h), zero at padding."""
+    if X.shape[-1] != p.input_dim:
+        raise EncodeError(f"input dim {X.shape[-1]} does not match encoder "
                           f"input dim {p.input_dim}")
-    fw = lstm_states(X, p.fw_W, p.fw_b, p.hidden)
-    bw = lstm_states(X, p.bw_W, p.bw_b, p.hidden, reverse=True)
-    return ad.concat([ad.stack_rows(fw), ad.stack_rows(bw)], axis=1)
+    single = X.ndim == 2
+    if single:
+        lengths = [X.shape[0]]
+        X = ad.reshape(X, (1,) + X.shape)
+    fw = ad.lstm_sequence(X, p.fw_W, p.fw_b, p.hidden, lengths)
+    bw = ad.lstm_sequence(X, p.bw_W, p.bw_b, p.hidden, lengths, reverse=True)
+    out = ad.concat([fw, bw], axis=2)
+    return ad.reshape(out, out.shape[1:]) if single else out
 
 
-def encode_words(sentence_ids, enc: EncoderParams) -> Tensor:
-    if len(sentence_ids) == 0:
+def encode_words(sentences, enc: EncoderParams) -> tuple[Tensor, np.ndarray]:
+    """All sentences of a document as one right-padded batch: the word states
+    (NS, T_max, 2h), zero at padding, and the sentence lengths (NS,)."""
+    lengths = np.array([len(ids) for ids in sentences], dtype=np.intp)
+    if lengths.size == 0:
+        raise EncodeError("cannot encode a document without sentences")
+    if lengths.min() == 0:
         raise EncodeError("cannot encode an empty sentence")
-    emb = ad.take_rows(enc.embedding, sentence_ids)
-    return bilstm(emb, enc.word)
+    ids = np.zeros((lengths.size, lengths.max()), dtype=np.intp)
+    for row, sentence in zip(ids, sentences):
+        row[:len(sentence)] = sentence
+    emb = ad.take_rows(enc.embedding, ids)
+    return bilstm(emb, enc.word, lengths), lengths
 
 
 def encode_sentences(document, enc: EncoderParams) -> SentenceStates:
-    word_states = [encode_words(ids, enc) for ids in document.sentences]
-    pool = ad.tsum if enc.sum_pool else ad.tmean
-    pooled = ad.stack_rows([pool(ws, axis=0) for ws in word_states])
+    word_states, lengths = encode_words(document.sentences, enc)
+    pooled = ad.tsum(word_states, axis=1)       # padding is zero
+    if not enc.sum_pool:
+        pooled = pooled * (1.0 / lengths[:, None])
     states = bilstm(pooled, enc.sentence)
-    return SentenceStates(states=states, word_states=word_states, pooled=pooled)
+    return SentenceStates(states=states, word_states=word_states, lengths=lengths,
+                          pooled=pooled)
 
 
 def encode_frames(frames, enc: EncoderParams) -> FrameStates:

@@ -81,8 +81,12 @@ def fuse_tensor(state, ctx, head: FusionHead) -> Tensor:
     S, C = _rows(state), _rows(ctx)
     if S.shape[0] != C.shape[0]:
         raise FusionError("state and context row counts differ")
-    feats = [ad.reshape(outer_with_bias(S[i], C[i]), (-1,)) for i in range(S.shape[0])]
-    return scorer_prob(ad.stack_rows(feats), head.joint)
+    # row i is outer_with_bias(S[i], C[i]) flattened, as one broadcast product
+    n = S.shape[0]
+    one = Tensor(np.ones((n, 1)))
+    s1 = ad.reshape(ad.concat([S, one], axis=1), (n, -1, 1))
+    c1 = ad.reshape(ad.concat([C, one], axis=1), (n, 1, -1))
+    return scorer_prob(ad.reshape(s1 * c1, (n, -1)), head.joint)
 
 
 def unimodal_decisions(state, ctx, head: FusionHead):

@@ -44,6 +44,25 @@ def test_composite_gradients_match_finite_differences(build, rng):
     npt.assert_allclose(b.grad, numeric_grad(fn, b.data), rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("lengths", [[4, 2, 1], [4, 4, 4]], ids=["ragged", "full"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_gradients_match_finite_differences(rng, reverse, lengths):
+    B, T, D, h = 3, 4, 2, 3
+    X = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
+    W = Tensor(rng.uniform(-0.6, 0.6, size=(D + h, 4 * h)), requires_grad=True)
+    b = Tensor(rng.uniform(-0.6, 0.6, size=4 * h), requires_grad=True)
+    upstream = rng.normal(size=(B, T, h))
+    ad.backward(ad.tsum(ad.lstm_sequence(X, W, b, h, lengths, reverse) * upstream))
+
+    def fn():
+        with ad.no_grad():
+            out = ad.lstm_sequence(X, W, b, h, lengths, reverse)
+            return float((out.data * upstream).sum())
+
+    for t in (X, W, b):
+        npt.assert_allclose(t.grad, numeric_grad(fn, t.data), rtol=1e-6, atol=1e-8)
+
+
 def test_broadcast_add_unbroadcasts_gradient(rng):
     m = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     row = Tensor(rng.normal(size=4), requires_grad=True)

@@ -180,6 +180,32 @@ def test_bad_flag_value_is_config_error(cli_corpus, tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("malform", [
+    lambda e: {"samples": [1]},
+    lambda e: {"samples": [e["id"]]},
+    lambda e: {"samples": [None]},
+    lambda e: {"samples": e["id"]},
+    lambda e: {"samples": e},
+    lambda e: {"samples": [{**e, "id": 5}]},
+    lambda e: {"samples": [{**e, "document": [e["document"]]}]},
+    lambda e: {"samples": [{**e, "features": None}]},
+    lambda e: {"samples": [{**e, "ref_features": 3}]},
+    lambda e: {"samples": [e], "split": ["train"]},
+])
+def test_malformed_manifest_is_schema_error(cli_corpus, tmp_path, capsys, malform):
+    entry = json.loads((cli_corpus / "manifest.json").read_text())["samples"][0]
+    # entry paths resolve against the manifest's directory
+    (tmp_path / "samples").symlink_to(cli_corpus / "samples")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(malform(entry)))
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", str(path), "--out", str(out), *TINY_TRAIN) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SCHEMA"
+    assert not out.exists()
+
+
 def test_model_flags_map_to_config_fields():
     args = cli.build_parser().parse_args(
         ["train", "--out", "o", "--manifest", "m", "--seed", "0", "--alpha-ts", "2",

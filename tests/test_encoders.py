@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mmsum import autodiff as ad
 from mmsum.autodiff import Tensor
 from mmsum.data import Document
 from mmsum.encoders import (BiLSTM, EncoderParams, bilstm, encode_frames,
@@ -43,36 +44,117 @@ def hand_lstm_step(x, h, c, W, b, hidden):
     return o * np.tanh(c_new), c_new
 
 
+def lstm_states_reference(X, W, b, hidden, reverse=False):
+    """The per-step tape composition the encoders used before
+    ``ad.lstm_sequence``, about ten nodes per timestep, over the rows of a
+    (T, D) input; returns (T, h)."""
+    T = X.shape[0]
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    gate = [np.arange(k * hidden, (k + 1) * hidden) for k in range(4)]
+    h = Tensor(np.zeros(hidden))
+    c = Tensor(np.zeros(hidden))
+    out = [None] * T
+    for t in steps:
+        z = ad.concat([ad.take_rows(X, t), h]) @ W + b
+        i = ad.sigmoid(ad.take_rows(z, gate[0]))
+        f = ad.sigmoid(ad.take_rows(z, gate[1]))
+        o = ad.sigmoid(ad.take_rows(z, gate[2]))
+        g = ad.tanh(ad.take_rows(z, gate[3]))
+        c = f * c + i * g
+        h = o * ad.tanh(c)
+        out[t] = ad.reshape(h, (1, hidden))
+    return ad.concat(out, axis=0)
+
+
+@pytest.mark.parametrize("lengths", [[1, 5, 3, 5, 1, 2], [4, 4]], ids=["ragged", "full"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_matches_per_step_reference(rng, reverse, lengths):
+    D, h, T = 3, 4, max(lengths)
+    x = rng.normal(size=(len(lengths), T, D))
+    w_data, b_data = init_lstm_direction(rng, D, h, scale=0.5)
+    upstream = rng.normal(size=(len(lengths), T, h))
+
+    X, W, b = Tensor(x, True), Tensor(w_data, True), Tensor(b_data, True)
+    out = ad.lstm_sequence(X, W, b, h, lengths, reverse=reverse)
+    ad.backward(ad.tsum(out * upstream))
+
+    W_ref, b_ref = Tensor(w_data, True), Tensor(b_data, True)
+    for k, n in enumerate(lengths):
+        X_ref = Tensor(x[k, :n], True)
+        ref = lstm_states_reference(X_ref, W_ref, b_ref, h, reverse=reverse)
+        ad.backward(ad.tsum(ref * upstream[k, :n]))
+        npt.assert_allclose(out.data[k, :n], ref.data, rtol=0, atol=1e-12)
+        npt.assert_allclose(X.grad[k, :n], X_ref.grad, rtol=0, atol=1e-12)
+        # padding: zero output, and no gradient although upstream sends some
+        npt.assert_array_equal(out.data[k, n:], 0.0)
+        npt.assert_array_equal(X.grad[k, n:], 0.0)
+    npt.assert_allclose(W.grad, W_ref.grad, rtol=0, atol=1e-12)
+    npt.assert_allclose(b.grad, b_ref.grad, rtol=0, atol=1e-12)
+
+
+def test_padded_sentences_encode_as_if_alone(rng):
+    enc = make_encoder(rng)
+    sentences = [np.array([1, 2, 3]), np.array([4]), np.array([5, 6])]
+    states, lengths = encode_words(sentences, enc)
+    npt.assert_array_equal(lengths, [3, 1, 2])
+    for k, ids in enumerate(sentences):
+        alone, _ = encode_words([ids], enc)
+        npt.assert_allclose(states.data[k, :len(ids)], alone.data[0], rtol=0, atol=1e-12)
+        npt.assert_array_equal(states.data[k, len(ids):], 0.0)
+
+
+def test_padding_sends_no_gradient_to_the_pad_row(rng):
+    enc = make_encoder(rng)
+    # no sentence uses id 0, the row the padding gathers
+    states, _ = encode_words([np.array([1, 2, 3, 4]), np.array([5]), np.array([6, 7])],
+                             enc)
+    ad.backward(ad.tsum(states * rng.normal(size=states.shape)))
+    npt.assert_array_equal(enc.embedding.grad[0], 0.0)
+    assert np.all(enc.embedding.grad[1:8] != 0.0)
+
+
 def test_word_states_shape_h64(rng):
     enc = make_encoder(rng, hidden=64)
-    out = encode_words(np.array([1, 2, 3, 4, 5]), enc)
-    assert out.shape == (5, 128)
+    out, lengths = encode_words([np.array([1, 2, 3, 4, 5])], enc)
+    assert out.shape == (1, 5, 128)
+    npt.assert_array_equal(lengths, [5])
 
 
 def test_single_token_sentence_uses_same_input_both_directions(rng):
     enc = make_encoder(rng)
-    out = encode_words(np.array([3]), enc)
-    assert out.shape == (1, 2 * enc.hidden)
     h = enc.hidden
     x = enc.embedding.data[3]
     fw, _ = hand_lstm_step(x, np.zeros(h), np.zeros(h),
                            enc.word.fw_W.data, enc.word.fw_b.data, h)
     bw, _ = hand_lstm_step(x, np.zeros(h), np.zeros(h),
                            enc.word.bw_W.data, enc.word.bw_b.data, h)
-    npt.assert_allclose(out.data[0], np.concatenate([fw, bw]), atol=1e-12)
+    out, _ = encode_words([np.array([3])], enc)
+    assert out.shape == (1, 1, 2 * h)
+    npt.assert_allclose(out.data[0, 0], np.concatenate([fw, bw]), atol=1e-12)
+    # padded beside a longer sentence, the backward pass still starts at its token
+    out, _ = encode_words([np.array([1, 2, 4]), np.array([3])], enc)
+    npt.assert_allclose(out.data[1, 0], np.concatenate([fw, bw]), atol=1e-12)
 
 
 def test_zero_parameters_hit_hand_stepped_fixed_point(rng):
     enc = make_encoder(rng, zero_word=True)
-    out = encode_words(np.array([0, 1]), enc)
+    out, _ = encode_words([np.array([0, 1]), np.array([2])], enc)
     # all gates sigmoid(0)=0.5, candidate tanh(0)=0 -> c=0, h=0.5*tanh(0)=0
-    npt.assert_array_equal(out.data, np.zeros((2, 2 * enc.hidden)))
+    npt.assert_array_equal(out.data, np.zeros((2, 2, 2 * enc.hidden)))
 
 
 def test_empty_sentence_raises(rng):
     enc = make_encoder(rng)
     with pytest.raises(EncodeError):
-        encode_words(np.array([], dtype=int), enc)
+        encode_words([np.array([], dtype=int)], enc)
+    with pytest.raises(EncodeError):
+        encode_words([np.array([1, 2]), np.array([], dtype=int)], enc)
+
+
+def test_document_without_sentences_raises(rng):
+    enc = make_encoder(rng)
+    with pytest.raises(EncodeError):
+        encode_sentences(Document(sentences=[], raw_sentences=[], id="x"), enc)
 
 
 def test_sentence_states_shape(rng):
@@ -82,7 +164,8 @@ def test_sentence_states_shape(rng):
     out = encode_sentences(doc, enc)
     assert out.states.shape == (3, 2 * enc.hidden)
     assert out.pooled.shape == (3, 2 * enc.hidden)
-    assert [ws.shape[0] for ws in out.word_states] == [2, 1, 3]
+    assert out.word_states.shape == (3, 3, 2 * enc.hidden)
+    npt.assert_array_equal(out.lengths, [2, 1, 3])
 
 
 def test_identical_sentences_pool_identically(rng):
@@ -94,12 +177,16 @@ def test_identical_sentences_pool_identically(rng):
     npt.assert_array_equal(out.pooled.data[0], out.pooled.data[2])
 
 
+RAGGED_DOC = Document(sentences=[np.array([1, 5, 2, 7]), np.array([3]), np.array([8, 4])],
+                      raw_sentences=["w x y z", "a", "b c"], id="x")
+
+
 def test_mean_pooling_is_word_state_mean(rng):
     enc = make_encoder(rng)
-    doc = Document(sentences=[np.array([1, 5, 2, 7])], raw_sentences=["w"], id="x")
-    out = encode_sentences(doc, enc)
-    npt.assert_allclose(out.pooled.data[0], out.word_states[0].data.mean(axis=0),
-                        atol=1e-12)
+    out = encode_sentences(RAGGED_DOC, enc)
+    for k, n in enumerate(out.lengths):
+        npt.assert_allclose(out.pooled.data[k], out.word_states.data[k, :n].mean(axis=0),
+                            atol=1e-12)
 
 
 def test_mean_pool_is_permutation_invariant_over_rows(rng):
@@ -111,10 +198,10 @@ def test_mean_pool_is_permutation_invariant_over_rows(rng):
 def test_sum_pooling_variant(rng):
     enc = make_encoder(rng)
     enc.sum_pool = True
-    doc = Document(sentences=[np.array([1, 5, 2])], raw_sentences=["w"], id="x")
-    out = encode_sentences(doc, enc)
-    npt.assert_allclose(out.pooled.data[0], out.word_states[0].data.sum(axis=0),
-                        atol=1e-12)
+    out = encode_sentences(RAGGED_DOC, enc)
+    for k, n in enumerate(out.lengths):
+        npt.assert_allclose(out.pooled.data[k], out.word_states.data[k, :n].sum(axis=0),
+                            atol=1e-12)
 
 
 def test_two_sentence_hand_unrolled_bidirectional_recurrence(rng):
@@ -181,7 +268,7 @@ def test_empty_transcript_gives_empty_states(rng):
 def test_transcript_stack_is_parameter_disjoint_from_word_stack(rng):
     enc = make_encoder(rng)
     ids = np.array([1, 2, 3])
-    word = encode_words(ids, enc).data
+    word = encode_words([ids], enc)[0].data[0]
     tr = encode_transcript(ids, enc).states.data
     assert not np.allclose(word, tr)
     enc.transcript = enc.word  # tie the stacks -> identical states

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mmsum import autodiff as ad
 from mmsum import fusion
 from mmsum.autodiff import Tensor
 from mmsum.errors import FusionError
@@ -79,6 +80,28 @@ def test_tensor_feature_length_is_product_of_padded_dims(rng):
     bad_head = FusionHead(mode="tensor", joint=make_scorer(rng, ds * dc))
     with pytest.raises(FusionError):
         fuse_tensor(rng.normal(size=(2, ds)), rng.normal(size=(2, dc)), bad_head)
+
+
+def test_tensor_rows_are_outer_with_bias_per_row(rng):
+    ds, dc, n = 4, 3, 5
+    head = FusionHead(mode="tensor", joint=make_scorer(rng, (ds + 1) * (dc + 1)))
+    s_data, c_data = rng.normal(size=(n, ds)), rng.normal(size=(n, dc))
+    S, C = Tensor(s_data, True), Tensor(c_data, True)
+    p = fuse_tensor(S, C, head)
+    ad.backward(ad.tsum(p))
+
+    S_ref, C_ref = Tensor(s_data, True), Tensor(c_data, True)
+    rows = [ad.reshape(outer_with_bias(ad.take_rows(S_ref, i), ad.take_rows(C_ref, i)),
+                       (1, -1)) for i in range(n)]
+    p_ref = fusion.scorer_prob(ad.concat(rows, axis=0), head.joint)
+    npt.assert_array_equal(p.data, p_ref.data)
+    grads = (S.grad, C.grad) + tuple(t.grad.copy() for t in vars(head.joint).values())
+    for t in vars(head.joint).values():
+        t.grad = None
+    ad.backward(ad.tsum(p_ref))
+    ref_grads = (S_ref.grad, C_ref.grad) + tuple(t.grad for t in vars(head.joint).values())
+    for g, g_ref in zip(grads, ref_grads):
+        npt.assert_allclose(g, g_ref, rtol=0, atol=1e-14)
 
 
 def test_late_tied_scorers_receive_symmetric_pair(rng):
