@@ -59,10 +59,9 @@ def concat_product_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> 
     _check_dims(q_states, aset.W_q, "query")
     _check_dims(k_states, aset.W_k, "key")
     nq, nk = q_states.shape[0], k_states.shape[0]
-    a = q_states @ aset.W_q
-    b = k_states @ aset.W_k
-    joint = ad.tanh(ad.repeat_rows(a, nk) + ad.tile_rows(b, nq) + aset.b_joint)
-    return ad.reshape(joint @ aset.V, (nq, nk))
+    a = ad.reshape(q_states @ aset.W_q, (nq, 1, -1))
+    b = ad.reshape(k_states @ aset.W_k, (1, nk, -1))
+    return ad.tanh(a + b + aset.b_joint) @ aset.V     # (NQ, NK, d_a) @ (d_a,)
 
 
 def bilinear_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> Tensor:
@@ -91,11 +90,10 @@ def last_state_context(values: Tensor, n_queries: int) -> AttentionContext:
     nk = values.shape[0]
     if nk == 0:
         raise AttentionError("cannot attend over zero keys")
-    last = ad.take_rows(values, [nk - 1])
-    contexts = ad.tile_rows(last, n_queries)
     w = np.zeros((n_queries, nk))
     w[:, nk - 1] = 1.0
-    return AttentionContext(contexts=contexts, weights=Tensor(w))
+    return AttentionContext(contexts=ad.take_rows(values, [nk - 1] * n_queries),
+                            weights=Tensor(w))
 
 
 def bihop_context(q_states: Tensor, t_states: Tensor, v_states: Tensor,

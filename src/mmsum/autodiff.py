@@ -54,12 +54,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -79,9 +73,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -164,47 +155,20 @@ def mul(a, b):
     return _node(out_data, (a, b), bw)
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(out_data, (a, b), bw)
-
-
 def matmul(a, b):
+    """a @ b for 1-D and 2-D operands (a may have more leading axes). In
+    backward a 1-D left operand is one row and a 1-D right operand one column."""
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data @ b.data
-    an, bn = a.data.ndim, b.data.ndim
 
     def bw(g):
-        if an == 2 and bn == 2:
-            if a.requires_grad:
-                _acc(a, g @ b.data.T)
-            if b.requires_grad:
-                _acc(b, a.data.T @ g)
-        elif an == 2 and bn == 1:
-            if a.requires_grad:
-                _acc(a, np.outer(g, b.data))
-            if b.requires_grad:
-                _acc(b, a.data.T @ g)
-        elif an == 1 and bn == 2:
-            if a.requires_grad:
-                _acc(a, b.data @ g)
-            if b.requires_grad:
-                _acc(b, np.outer(a.data, g))
-        elif an == 1 and bn == 1:
-            if a.requires_grad:
-                _acc(a, g * b.data)
-            if b.requires_grad:
-                _acc(b, g * a.data)
-        else:  # pragma: no cover - shapes are controlled by callers
-            raise ValueError(f"unsupported matmul ranks {an} @ {bn}")
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        b2 = b.data.reshape(b.data.shape[0], -1)
+        g2 = np.reshape(g, (len(a2), b2.shape[1]))
+        if a.requires_grad:
+            _acc(a, (g2 @ b2.T).reshape(a.data.shape))
+        if b.requires_grad:
+            _acc(b, (a2.T @ g2).reshape(b.data.shape))
 
     return _node(out_data, (a, b), bw)
 
@@ -243,17 +207,6 @@ def sigmoid(a):
     def bw(g):
         if a.requires_grad:
             _acc(a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), bw)
-
-
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g * out_data)
 
     return _node(out_data, (a,), bw)
 
@@ -360,32 +313,6 @@ def take_rows(a, indices):
     return _node(out_data, (a,), bw)
 
 
-def repeat_rows(a, k):
-    """Repeat each row k times: (n, d) -> (n*k, d)."""
-    a = as_tensor(a)
-    out_data = np.repeat(a.data, k, axis=0)
-    n, d = a.data.shape
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g.reshape(n, k, d).sum(axis=1))
-
-    return _node(out_data, (a,), bw)
-
-
-def tile_rows(a, k):
-    """Tile the whole block k times: (n, d) -> (k*n, d)."""
-    a = as_tensor(a)
-    out_data = np.tile(a.data, (k, 1))
-    n, d = a.data.shape
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g.reshape(k, n, d).sum(axis=0))
-
-    return _node(out_data, (a,), bw)
-
-
 def reshape(a, shape):
     a = as_tensor(a)
 
@@ -429,10 +356,17 @@ def lstm_sequence(X, W, b, hidden, lengths, reverse=False):
 
     X is (B, T, D) and sequence k is X[k, :lengths[k]]; W is (D + h, 4h) over
     [x; h] with gate order i|f|o|g, b is (4h,). Returns the hidden states
-    (B, T, h), zero at padding. A padded step leaves h and c unchanged, so the
-    reverse direction of a short sequence starts from zeros at its own last
-    token. The input GEMM X @ W[:D] runs once for all steps; only h @ W[D:]
-    stays in the recurrence. Backward is hand-written BPTT.
+    (B, T, h). Padding contract: at positions t >= lengths[k] the output is
+    zero, X gets zero gradient, and finite values of X change nothing.
+
+    Full and ragged batches run the same loop. The input pre-activations are
+    zeroed at padding, and a step with zero input from h = c = 0 stays at 0,
+    so the reverse direction crosses its leading padding and starts from
+    zeros at each sequence's last token. The forward direction runs on
+    through its trailing padding; zeroing the output, the upstream gradient
+    and dZ there, outside the loop, cuts it off. The input GEMM X @ W[:D]
+    runs once for all steps; only h @ W[D:] stays in the recurrence.
+    Backward is hand-written BPTT.
     """
     X, W, b = as_tensor(X), as_tensor(W), as_tensor(b)
     B, T, D = X.data.shape
@@ -440,15 +374,15 @@ def lstm_sequence(X, W, b, hidden, lengths, reverse=False):
     lengths = np.asarray(lengths, dtype=np.intp)
     Wx, Wh = W.data[:D], W.data[D:]
     steps = range(T - 1, -1, -1) if reverse else range(T)
-    ragged = bool(lengths.min() < T)    # full batches (all B = 1 calls) skip masking
-    valid = (np.arange(T) < lengths[:, None])[:, :, None]       # (B, T, 1)
+    pad = np.arange(T) >= lengths[:, None]      # (B, T)
 
     z_in = (X.data.reshape(B * T, D) @ Wx + b.data).reshape(B, T, 4 * h)
+    z_in[pad] = 0.0     # assignment, not a product, so no inf or nan survives
     acts = np.empty((B, T, 4 * h))      # sigmoid(i|f|o), tanh(g)
     h_prev = np.empty((B, T, h))
     c_prev = np.empty((B, T, h))
     tanh_c = np.empty((B, T, h))
-    out = np.zeros((B, T, h))
+    out = np.empty((B, T, h))
     hs, cs = np.zeros((B, h)), np.zeros((B, h))
     for t in steps:
         z = z_in[:, t] + hs @ Wh
@@ -457,35 +391,27 @@ def lstm_sequence(X, W, b, hidden, lengths, reverse=False):
         a[:, 3 * h:] = np.tanh(z[:, 3 * h:])
         c = a[:, h:2 * h] * cs + a[:, :h] * a[:, 3 * h:]
         tc = np.tanh(c)
-        hn = a[:, 2 * h:3 * h] * tc
         h_prev[:, t], c_prev[:, t], tanh_c[:, t] = hs, cs, tc
-        if ragged:
-            m = valid[:, t]
-            hs, cs = np.where(m, hn, hs), np.where(m, c, cs)
-            hn = np.where(m, hn, 0.0)
-        else:
-            hs, cs = hn, c
-        out[:, t] = hn
+        hs, cs = a[:, 2 * h:3 * h] * tc, c
+        out[:, t] = hs
+    out[pad] = 0.0
 
     def bw(g):
+        g = np.where(pad[:, :, None], 0.0, g)
         i, f, o, gg = (acts[:, :, k * h:(k + 1) * h] for k in range(4))
         # dz = [dc, dc, dh, dc] * local, with local the gate derivatives
         local = np.concatenate([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
                                 tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)], axis=2)
         dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dZ = np.zeros((B, T, 4 * h))
+        dZ = np.empty((B, T, 4 * h))
         dh, dc = np.zeros((B, h)), np.zeros((B, h))
         for t in reversed(steps):
             dh_t = dh + g[:, t]
             dc_t = dc + dh_t * dc_dh[:, t]
             dz = local[:, t] * np.concatenate((dc_t, dc_t, dh_t, dc_t), axis=1)
-            if ragged:
-                m = valid[:, t]
-                dz = np.where(m, dz, 0.0)
-                dh, dc = np.where(m, dz @ Wh.T, dh), np.where(m, dc_t * f[:, t], dc)
-            else:
-                dh, dc = dz @ Wh.T, dc_t * f[:, t]
+            dh, dc = dz @ Wh.T, dc_t * f[:, t]
             dZ[:, t] = dz
+        dZ[pad] = 0.0
         dZ2 = dZ.reshape(B * T, 4 * h)
         if X.requires_grad:
             _acc(X, (dZ2 @ Wx.T).reshape(B, T, D))

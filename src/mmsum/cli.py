@@ -58,11 +58,18 @@ def _add_model_flags(p: argparse.ArgumentParser):
                    default=None)
 
 
+def _given_fields(args, cls) -> dict:
+    """The fields of dataclass ``cls`` whose flags were given on the command line."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return {name: val for name, val in values.items() if val is not None}
+
+
 def _overrides_from_args(args) -> dict:
     """The RunConfig fields given on the command line; --out sets out_dir."""
-    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
-    values["out_dir"] = getattr(args, "out", None)
-    return {name: val for name, val in values.items() if val is not None}
+    overrides = _given_fields(args, RunConfig)
+    if getattr(args, "out", None) is not None:
+        overrides["out_dir"] = args.out
+    return overrides
 
 
 def _load_split(cfg: RunConfig):
@@ -88,13 +95,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError(f"output directory {out} exists; pass --force to overwrite")
-    synth = SynthConfig(
-        n_samples=args.samples, n_sentences=args.sentences,
-        sentence_len=args.sentence_len, n_frames=args.frames,
-        feature_dim=args.feature_dim, vocab_size=args.vocab_size,
-        salience=args.salience, noise=args.noise,
-        transcript_len=args.transcript_len, with_refs=not args.no_refs)
-    manifest = data.synth_generate(synth, cfg.seed, out)
+    manifest = data.synth_generate(SynthConfig(**_given_fields(args, SynthConfig)),
+                                   cfg.seed, out)
     print(f"wrote {len(manifest.entries)} samples to {out}")
     return 0
 
@@ -302,16 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true")
     p.add_argument("--config", help="JSON config file (seed only)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--sentences", type=int, default=10)
-    p.add_argument("--sentence-len", dest="sentence_len", type=int, default=8)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int, default=120)
-    p.add_argument("--salience", type=float, default=0.3)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--transcript-len", dest="transcript_len", type=int, default=24)
-    p.add_argument("--no-refs", action="store_true")
+    # every other flag's dest is the SynthConfig field it overrides
+    p.add_argument("--samples", dest="n_samples", type=int)
+    p.add_argument("--sentences", dest="n_sentences", type=int)
+    p.add_argument("--sentence-len", dest="sentence_len", type=int)
+    p.add_argument("--frames", dest="n_frames", type=int)
+    p.add_argument("--feature-dim", dest="feature_dim", type=int)
+    p.add_argument("--vocab-size", dest="vocab_size", type=int)
+    p.add_argument("--salience", type=float)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--transcript-len", dest="transcript_len", type=int)
+    p.add_argument("--no-refs", dest="with_refs", action="store_false", default=None)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a manifest")

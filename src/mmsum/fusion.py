@@ -24,8 +24,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import FusionError
 
-FUSION_MODES = ("early", "tensor", "late", "late_plus")
-
 
 @dataclass
 class ScorerParams:

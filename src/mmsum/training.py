@@ -9,7 +9,8 @@ so that minimizing the mixed loss maximizes reward.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +49,18 @@ def labeling_score(candidate_tokens, gold_tokens) -> float:
 def greedy_labels(document, gold_summary, cap: int = 4) -> LabelSet:
     """Greedily pick sentences that improve the labeling score against the
     gold summary; stop at no strict improvement or at ``cap`` sentences.
-    Ties go to the lower sentence index."""
+    Ties go to the lower sentence index. The search runs once per distinct
+    (sentence texts, gold summary, cap); every call gets its own labels array."""
+    labels, score = _greedy_search(tuple(document.raw_sentences), tuple(gold_summary), cap)
+    return LabelSet(labels=labels.copy(), score=score)
+
+
+@functools.lru_cache(maxsize=4096)
+def _greedy_search(raw_sentences: tuple, gold_summary: tuple, cap: int):
     gold_tokens = [t for line in gold_summary for t in tokenize(line)]
     if not gold_tokens:
         raise LabelError("gold summary is empty")
-    sent_tokens = [tokenize(s) for s in document.raw_sentences]
+    sent_tokens = [tokenize(s) for s in raw_sentences]
 
     selected: list[int] = []
     best = 0.0
@@ -72,7 +80,7 @@ def greedy_labels(document, gold_summary, cap: int = 4) -> LabelSet:
 
     labels = np.zeros(len(sent_tokens), dtype=np.int64)
     labels[selected] = 1
-    return LabelSet(labels=labels, score=best)
+    return labels, best
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +224,6 @@ class EarlyStopping:
 
 
 @dataclass
-class TrainState:
-    model: SummarizerModel
-    optimizer: Adagrad
-    stopper: EarlyStopping
-    action_rng: np.random.Generator
-    order_rng: np.random.Generator
-    baseline: float = 0.0
-    epoch: int = 0
-    best_params: dict = field(default_factory=dict)
-
-
-@dataclass
 class TrainResult:
     best_params: dict[str, np.ndarray]
     final_params: dict[str, np.ndarray]
@@ -266,20 +262,18 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
 
     params = build_parameters(cfg, vocab_size, init_rng)
     model = SummarizerModel(params, cfg, vocab_size)
-    state = TrainState(model=model,
-                       optimizer=Adagrad(model.params, lr=cfg.lr),
-                       stopper=EarlyStopping(cfg.patience),
-                       action_rng=action_rng, order_rng=order_rng)
-    state.best_params = model.parameter_arrays()
+    optimizer = Adagrad(model.params, lr=cfg.lr)
+    stopper = EarlyStopping(cfg.patience)
+    best_params = model.parameter_arrays()
+    baseline = 0.0
 
     video_on = cfg.use_frames and cfg.use_bistream and cfg.alpha_vs > 0
     metrics: list[dict] = []
     best_val = np.inf
 
     for epoch in range(1, cfg.epochs + 1):
-        state.epoch = epoch
         epoch_losses, epoch_ce, epoch_div, epoch_rep = [], [], [], []
-        for idx in state.order_rng.permutation(len(train_prep)):
+        for idx in order_rng.permutation(len(train_prep)):
             sample, lab = train_prep[idx], train_labels[idx]
             out = model.forward(sample)
             ce = None if lab.exclude_from_ce else ce_loss(out.sent_probs, lab.labels)
@@ -287,9 +281,8 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
                 epoch_ce.append(float(ce.data))
             surrogate = None
             if video_on and out.frame_probs is not None:
-                surrogate, rewards, state.baseline, _ = video_loss(
-                    out.frame_probs, out.frame_states, state.action_rng,
-                    state.baseline)
+                surrogate, rewards, baseline, _ = video_loss(
+                    out.frame_probs, out.frame_states, action_rng, baseline)
                 epoch_div.append(rewards.div)
                 epoch_rep.append(rewards.rep)
             if ce is None and surrogate is None:
@@ -301,15 +294,15 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
                     f"'{sample.document.id}'")
             epoch_losses.append(float(loss.data))
             ad.backward(loss)
-            state.optimizer.step()
+            optimizer.step()
 
         val_loss = _validation_ce(model, val_prep, val_labels)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        improved = state.stopper.update(val_loss)
+        improved = stopper.update(val_loss)
         if improved:
             best_val = val_loss
-            state.best_params = model.parameter_arrays()
+            best_params = model.parameter_arrays()
         metrics.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)) if epoch_losses else 0.0,
@@ -319,10 +312,10 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
             "R_rep": float(np.mean(epoch_rep)) if epoch_rep else 0.0,
             "lr": cfg.lr,
         })
-        if state.stopper.should_stop:
+        if stopper.should_stop:
             break
 
-    return TrainResult(best_params=state.best_params,
+    return TrainResult(best_params=best_params,
                        final_params=model.parameter_arrays(),
                        metrics=metrics, best_val_loss=float(best_val),
                        epochs_run=len(metrics))

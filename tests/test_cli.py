@@ -5,8 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mmsum import checkpoint, cli
+from mmsum import checkpoint, cli, data
 from mmsum.config import SEED_ENV_VAR, resolve_config
+from mmsum.data import SynthConfig
 from mmsum.errors import ConfigError
 
 
@@ -44,6 +45,20 @@ def test_synth_default_writes_twenty_samples(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["samples"]) == 20
     assert set(manifest["split"].values()) == {"train", "val", "test"}
+
+
+@pytest.mark.parametrize("flags,synth", [
+    ((), SynthConfig()),
+    (("--no-refs",), SynthConfig(with_refs=False)),
+    (SMALL_SYNTH + ("--salience", "0.4", "--noise", "0.2"),
+     SynthConfig(n_samples=6, n_sentences=4, sentence_len=5, n_frames=4, feature_dim=8,
+                 vocab_size=40, transcript_len=10, salience=0.4, noise=0.2)),
+], ids=["defaults", "no-refs", "every-flag"])
+def test_synth_flags_map_to_synth_config_fields(tmp_path, monkeypatch, flags, synth):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert run_cli("synth", "--out", str(tmp_path / "cli"), "--seed", "7", *flags) == 0
+    data.synth_generate(synth, 7, tmp_path / "direct")
+    assert read_tree_bytes(tmp_path / "cli") == read_tree_bytes(tmp_path / "direct")
 
 
 def test_synth_same_seed_identical_bytes(tmp_path):

@@ -91,6 +91,28 @@ def test_greedy_is_a_heuristic_known_trap_case():
     assert labels.score < oracle  # (0, 2) scores higher
 
 
+def test_greedy_labels_search_once_per_input_and_return_fresh_arrays(monkeypatch):
+    calls = []
+
+    def counting_score(cand, gold):
+        calls.append(1)
+        return labeling_score(cand, gold)
+
+    monkeypatch.setattr(training, "labeling_score", counting_score)
+    training._greedy_search.cache_clear()
+    doc = make_doc(["memo alpha beta", "memo gamma delta", "memo epsilon"])
+    first = greedy_labels(doc, ["memo gamma delta"], cap=2)
+    n_searched = len(calls)
+    assert n_searched > 0
+    first.labels[:] = 7
+    again = greedy_labels(make_doc(list(doc.raw_sentences)), ["memo gamma delta"], cap=2)
+    assert len(calls) == n_searched
+    npt.assert_array_equal(again.labels, [0, 1, 0])
+    assert again.score == 1.0
+    greedy_labels(doc, ["memo gamma delta"], cap=1)    # another cap is another search
+    assert len(calls) > n_searched
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 
