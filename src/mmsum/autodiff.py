@@ -5,8 +5,14 @@ arithmetic, matmul, activations, row gather/scatter, row softmax, a few
 shape utilities, and one LSTM direction over a whole padded batch as a
 single node. Gradients are exact and are cross-checked against central
 finite differences by the gradient-check harness and the test suite.
+
+Every op but ``take_rows`` and ``lstm_sequence`` records its node through
+``_op``: it gives its forward value and one gradient rule per parent, and the
+builder does the rest of the backward bookkeeping.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -90,12 +96,19 @@ def as_tensor(x):
 
 def _acc(t, g):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, since g may be another node's grad; bit-equal to zeros + g
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def _node(data, parents, bw):
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    req = False
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad:
+                req = True
+                break
     out = Tensor(data, requires_grad=req)
     if req:
         out._parents = parents
@@ -105,8 +118,6 @@ def _node(data, parents, bw):
 
 def _unbroadcast(g, shape):
     """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -116,82 +127,72 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _op(data, parents, *rules):
+    """Record the node with forward value ``data``. Rule k maps the upstream
+    gradient to parent k's gradient; it runs only when that parent requires a
+    gradient, and its result is summed back over broadcast axes and
+    accumulated into the parent."""
+    out = _node(data, parents, None)
+    if out.requires_grad:
+        def bw(g):
+            for p, rule in zip(parents, rules):
+                if p.requires_grad:
+                    gp = rule(g)
+                    if gp.shape != p.data.shape:
+                        gp = _unbroadcast(gp, p.data.shape)
+                    _acc(p, gp)
+
+        out._bw = bw
+    return out
+
+
+def _identity(g):
+    return g
+
+
+_transposed = operator.attrgetter("T")
+
+
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g, b.data.shape))
-
-    return _node(out_data, (a, b), bw)
+    return _op(a.data + b.data, (a, b), _identity, _identity)
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(out_data, (a, b), bw)
+    return _op(a.data - b.data, (a, b), _identity, np.negative)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _acc(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _node(out_data, (a, b), bw)
+    return _op(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def matmul(a, b):
     """a @ b for 1-D and 2-D operands (a may have more leading axes). In
     backward a 1-D left operand is one row and a 1-D right operand one column."""
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
 
-    def bw(g):
-        a2 = a.data.reshape(-1, a.data.shape[-1])
+    def grad_a(g):
         b2 = b.data.reshape(b.data.shape[0], -1)
-        g2 = np.reshape(g, (len(a2), b2.shape[1]))
-        if a.requires_grad:
-            _acc(a, (g2 @ b2.T).reshape(a.data.shape))
-        if b.requires_grad:
-            _acc(b, (a2.T @ g2).reshape(b.data.shape))
+        return (g.reshape(-1, b2.shape[1]) @ b2.T).reshape(a.data.shape)
 
-    return _node(out_data, (a, b), bw)
+    def grad_b(g):
+        a2 = a.data.reshape(-1, a.data.shape[-1])
+        return (a2.T @ g.reshape(len(a2), -1)).reshape(b.data.shape)
+
+    return _op(a.data @ b.data, (a, b), grad_a, grad_b)
 
 
 def transpose(a):
     a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g.T)
-
-    return _node(a.data.T, (a,), bw)
+    return _op(a.data.T, (a,), _transposed)
 
 
 def tanh(a):
     a = as_tensor(a)
     out_data = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g * (1.0 - out_data * out_data))
-
-    return _node(out_data, (a,), bw)
+    return _op(out_data, (a,), lambda g: g * (1.0 - out_data * out_data))
 
 
 def _sigmoid(x):
@@ -203,27 +204,16 @@ def _sigmoid(x):
 def sigmoid(a):
     a = as_tensor(a)
     out_data = _sigmoid(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), bw)
+    return _op(out_data, (a,), lambda g: g * out_data * (1.0 - out_data))
 
 
 def log(a):
     a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g / a.data)
-
-    return _node(out_data, (a,), bw)
+    return _op(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def power(a, exponent):
-    """Elementwise a**p for a constant float p.
+    """Elementwise a**p for a constant float p; a**0 is a constant.
 
     The derivative at a == 0 with 0 < p < 1 is unbounded; it is defined as 0
     here so that saturated fusion weights never poison the tape with inf.
@@ -231,48 +221,33 @@ def power(a, exponent):
     p = float(exponent)
     a = as_tensor(a)
     out_data = np.power(a.data, p)
+    if p == 0.0:
+        return Tensor(out_data)
+    if p == 1.0:
+        return _op(out_data, (a,), _identity)
 
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if p == 0.0:
-            return
-        if p == 1.0:
-            _acc(a, g.copy())
-            return
+    def rule(g):
         nonzero = a.data != 0.0
         base = np.where(nonzero, a.data, 1.0)
-        deriv = np.where(nonzero, p * np.power(base, p - 1.0), 0.0)
-        _acc(a, g * deriv)
+        return g * np.where(nonzero, p * np.power(base, p - 1.0), 0.0)
 
-    return _node(out_data, (a,), bw)
+    return _op(out_data, (a,), rule)
 
 
 def clip(a, lo, hi):
     a = as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-
-    def bw(g):
-        if a.requires_grad:
-            inside = (a.data >= lo) & (a.data <= hi)
-            _acc(a, g * inside)
-
-    return _node(out_data, (a,), bw)
+    return _op(np.clip(a.data, lo, hi), (a,),
+               lambda g: g * ((a.data >= lo) & (a.data <= hi)))
 
 
 def tsum(a, axis=None):
     a = as_tensor(a)
-    out_data = a.data.sum(axis=axis)
 
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            _acc(a, np.full_like(a.data, g))
-        else:
-            _acc(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+    def rule(g):
+        kept = g if axis is None else np.expand_dims(g, axis)
+        return np.broadcast_to(kept, a.data.shape)
 
-    return _node(out_data, (a,), bw)
+    return _op(a.data.sum(axis=axis), (a,), rule)
 
 
 def tmean(a, axis=None):
@@ -282,20 +257,15 @@ def tmean(a, axis=None):
 
 
 def concat(parts, axis=0):
-    parts = [as_tensor(p) for p in parts]
+    parts = tuple([as_tensor(p) for p in parts])
     out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def bw(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offset, offset + size)
-                _acc(p, g[tuple(sl)])
-            offset += size
-
-    return _node(out_data, tuple(parts), bw)
+    lead = (slice(None),) * (axis % out_data.ndim)
+    rules, lo = [], 0
+    for p in parts:
+        hi = lo + p.data.shape[axis]
+        rules.append(operator.itemgetter(lead + (slice(lo, hi),)))
+        lo = hi
+    return _op(out_data, parts, *rules)
 
 
 def take_rows(a, indices):
@@ -304,51 +274,35 @@ def take_rows(a, indices):
     idx = np.asarray(indices, dtype=np.intp)
     out_data = a.data[idx]
 
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
+    def bw(g):      # recorded only when ``a`` requires a gradient
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx, g)
 
     return _node(out_data, (a,), bw)
 
 
 def reshape(a, shape):
     a = as_tensor(a)
-
-    def bw(g):
-        if a.requires_grad:
-            _acc(a, g.reshape(a.data.shape))
-
-    return _node(a.data.reshape(shape), (a,), bw)
+    return _op(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
 
 
 def outer(u, v):
     u, v = as_tensor(u), as_tensor(v)
-    out_data = np.outer(u.data, v.data)
-
-    def bw(g):
-        if u.requires_grad:
-            _acc(u, g @ v.data)
-        if v.requires_grad:
-            _acc(v, u.data @ g)
-
-    return _node(out_data, (u, v), bw)
+    return _op(np.outer(u.data, v.data), (u, v), lambda g: g @ v.data,
+               lambda g: u.data @ g)
 
 
 def softmax_rows(a):
     """Row-wise softmax with max subtraction for numerical stability."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
     out_data = e / e.sum(axis=1, keepdims=True)
 
-    def bw(g):
-        if a.requires_grad:
-            dot = (g * out_data).sum(axis=1, keepdims=True)
-            _acc(a, out_data * (g - dot))
+    def rule(g):
+        return out_data * (g - (g * out_data).sum(axis=1, keepdims=True))
 
-    return _node(out_data, (a,), bw)
+    return _op(out_data, (a,), rule)
 
 
 def lstm_sequence(X, W, b, hidden, lengths, reverse=False):

@@ -2,15 +2,15 @@
 keyed by a JSON index, plus the config snapshot and the vocabulary."""
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict
+from .config import RunConfig, config_from_dict, config_to_json
 from .data import read_feature_file, write_feature_file
-from .errors import CheckpointError
+from .errors import CheckpointError, read_json
 
 INDEX_FILE = "index.json"
 CONFIG_FILE = "config.json"
@@ -38,9 +38,7 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
         index["extra"] = extra
     (directory / INDEX_FILE).write_text(
         json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (directory / CONFIG_FILE).write_text(
-        json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    (directory / CONFIG_FILE).write_text(config_to_json(cfg), encoding="utf-8")
     tokens = [None] * len(vocab)
     for tok, idx in vocab.items():
         tokens[idx] = tok
@@ -49,23 +47,11 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
     return directory
 
 
-def _read_json(path: Path, expect: type, what: str):
-    try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {what} {path}: {exc}") from exc
-    if not isinstance(value, expect):
-        raise CheckpointError(f"checkpoint {what} {path} holds a JSON "
-                              f"{type(value).__name__}, not a {expect.__name__}")
-    return value
-
-
 def load_checkpoint(directory):
     directory = Path(directory)
     index_path = directory / INDEX_FILE
-    if not index_path.is_file():
-        raise CheckpointError(f"no checkpoint index at {index_path}")
-    tensors = _read_json(index_path, dict, "index").get("tensors")
+    index = read_json(index_path, dict, "checkpoint index", CheckpointError)
+    tensors = index.get("tensors")
     if not isinstance(tensors, dict):
         raise CheckpointError(f"checkpoint index {index_path} has no 'tensors' table")
     params = {}
@@ -73,16 +59,20 @@ def load_checkpoint(directory):
         try:
             arr = read_feature_file(directory / meta["file"]).astype(np.float64)
             shape = tuple(meta["shape"])
-            size = int(np.prod(shape))
         except (OSError, KeyError, TypeError) as exc:
             raise CheckpointError(f"cannot read checkpoint tensor '{name}': "
                                   f"{exc!r}") from exc
-        if size != arr.size:
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"checkpoint tensor '{name}' shape {list(shape)} "
+                                  f"must hold non-negative ints")
+        if math.prod(shape) != arr.size:
             raise CheckpointError(f"tensor '{name}' shape {shape} does not "
                                   f"match stored size {arr.size}")
         params[name] = arr.reshape(shape)
-    cfg = config_from_dict(_read_json(directory / CONFIG_FILE, dict, "config"))
-    tokens = _read_json(directory / VOCAB_FILE, list, "vocabulary")
+    cfg = config_from_dict(read_json(directory / CONFIG_FILE, dict, "checkpoint config",
+                                     CheckpointError))
+    tokens = read_json(directory / VOCAB_FILE, list, "checkpoint vocabulary",
+                       CheckpointError)
     if not all(isinstance(tok, str) for tok in tokens):
         raise CheckpointError(f"checkpoint vocabulary {directory / VOCAB_FILE} "
                               f"holds a token that is not a string")

@@ -207,40 +207,23 @@ def cmd_ablate(args) -> int:
     epochs = args.epochs if args.epochs is not None else cfg.ablate_epochs
     base = dataclasses.asdict(cfg)
 
-    cells = []
-    for fusion_mode in FUSION_MODES:
-        for attention_mode in ATTENTION_MODES:
-            for strategy in ABLATE_STRATEGIES:
-                idx = len(cells)
-                cells.append({
-                    "fusion": fusion_mode,
-                    "attention": attention_mode,
-                    "strategy": strategy,
-                    "config": {**_strategy_config(strategy, cfg),
-                               "fusion": fusion_mode, "attention": attention_mode,
-                               "epochs": epochs, "patience": epochs,
-                               "seed": cfg.seed * 10007 + idx},
-                })
+    cells = [{"fusion": fusion_mode, "attention": attention_mode, "strategy": strategy,
+              "config": {**_strategy_config(strategy, cfg), "fusion": fusion_mode,
+                         "attention": attention_mode}}
+             for fusion_mode in FUSION_MODES for attention_mode in ATTENTION_MODES
+             for strategy in ABLATE_STRATEGIES]
     if args.sweep_ratio:
-        for ratio in RATIO_SWEEP:
-            idx = len(cells)
-            cells.append({
-                "fusion": cfg.fusion, "attention": cfg.attention,
-                "strategy": "+weighted", "sweep": "ratio", "alpha_ts": ratio,
-                "config": {"alpha_ts": ratio, "alpha_vs": 1.0,
-                           "use_bistream": True, "epochs": epochs,
-                           "patience": epochs, "seed": cfg.seed * 10007 + idx},
-            })
+        cells += [{"fusion": cfg.fusion, "attention": cfg.attention,
+                   "strategy": "+weighted", "sweep": "ratio", "alpha_ts": ratio,
+                   "config": {"alpha_ts": ratio, "alpha_vs": 1.0, "use_bistream": True}}
+                  for ratio in RATIO_SWEEP]
     if args.sweep_beta:
-        for beta in BETA_SWEEP:
-            idx = len(cells)
-            cells.append({
-                "fusion": "late_plus", "attention": cfg.attention,
-                "strategy": "+weighted", "sweep": "beta", "beta": beta,
-                "config": {"fusion": "late_plus", "beta": beta,
-                           "use_bistream": True, "epochs": epochs,
-                           "patience": epochs, "seed": cfg.seed * 10007 + idx},
-            })
+        cells += [{"fusion": "late_plus", "attention": cfg.attention,
+                   "strategy": "+weighted", "sweep": "beta", "beta": beta,
+                   "config": {"fusion": "late_plus", "beta": beta, "use_bistream": True}}
+                  for beta in BETA_SWEEP]
+    for idx, cell in enumerate(cells):
+        cell["config"].update(epochs=epochs, patience=epochs, seed=cfg.seed * 10007 + idx)
 
     if args.workers and args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

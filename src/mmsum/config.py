@@ -15,7 +15,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 
 ATTENTION_MODES = ("none", "concat_product", "bilinear", "bihop")
 FUSION_MODES = ("early", "tensor", "late", "late_plus")
@@ -117,13 +117,7 @@ def resolve_config(config_file=None, overrides: dict | None = None) -> RunConfig
     values = dataclasses.asdict(RunConfig())
     if config_file is not None:
         path = Path(config_file)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        for key, val in loaded.items():
+        for key, val in read_json(path, dict, "config file", ConfigError).items():
             if key not in values:
                 raise ConfigError(f"unknown config key '{key}' in {path}")
             values[key] = val

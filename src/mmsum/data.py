@@ -18,12 +18,13 @@ import json
 import struct
 import unicodedata
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, IngestionError, SchemaError, SplitError
+from .errors import (ConfigError, FormatError, IngestionError, SchemaError, SplitError,
+                     read_json)
 
 FEATURE_MAGIC = b"M2SMFEAT"
 UNK_TOKEN = "<unk>"
@@ -102,6 +103,9 @@ class ManifestEntry:
     ref_features: str | None = None
 
 
+_ENTRY_FIELDS = fields(ManifestEntry)
+
+
 @dataclass
 class DatasetManifest:
     entries: list[ManifestEntry]
@@ -153,38 +157,26 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "samples" not in doc:
-        raise SchemaError(f"manifest {path} missing top-level 'samples'")
-    if not isinstance(doc["samples"], list):
-        raise SchemaError(f"manifest {path}: 'samples' must be a list")
+    doc = read_json(path, dict, "manifest", SchemaError)
+    if not isinstance(doc.get("samples"), list):
+        raise SchemaError(f"manifest {path}: top-level 'samples' must be a list")
 
     root = path.parent
     entries, seen = [], set()
     for raw in doc["samples"]:
         if not isinstance(raw, dict):
             raise SchemaError(f"manifest entry must be an object: {raw!r}")
-        for key in ("id", "document", "features", "transcript", "summary"):
-            if not isinstance(raw.get(key), str):
-                raise SchemaError(f"manifest entry needs a string '{key}': {raw}")
-        if not isinstance(raw.get("ref_features"), (str, type(None))):
-            raise SchemaError(f"manifest entry 'ref_features' must be a string: {raw}")
-        if raw["id"] in seen:
-            raise SchemaError(f"duplicate sample id '{raw['id']}' in manifest")
-        seen.add(raw["id"])
-        entry = ManifestEntry(
-            id=raw["id"],
-            document=raw["document"],
-            features=raw["features"],
-            transcript=raw["transcript"],
-            summary=raw["summary"],
-            ref_features=raw.get("ref_features"),
-        )
-        for rel in (entry.document, entry.features, entry.transcript, entry.summary,
-                    entry.ref_features):
+        entry = ManifestEntry(**{f.name: raw.get(f.name) for f in _ENTRY_FIELDS})
+        for f in _ENTRY_FIELDS:
+            value = getattr(entry, f.name)
+            optional = f.default is None
+            if not (isinstance(value, str) or (optional and value is None)):
+                raise SchemaError(f"manifest entry '{f.name}' must be a string: {raw}")
+        if entry.id in seen:
+            raise SchemaError(f"duplicate sample id '{entry.id}' in manifest")
+        seen.add(entry.id)
+        for f in _ENTRY_FIELDS[1:]:     # every field after the id is a file path
+            rel = getattr(entry, f.name)
             if rel is not None and not (root / rel).is_file():
                 raise IngestionError(f"missing file referenced by manifest: {root / rel}")
         entries.append(entry)
@@ -202,13 +194,8 @@ def load_manifest(path) -> DatasetManifest:
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
     doc = {
-        "samples": [
-            {k: v for k, v in (
-                ("id", e.id), ("document", e.document), ("features", e.features),
-                ("transcript", e.transcript), ("summary", e.summary),
-                ("ref_features", e.ref_features)) if v is not None}
-            for e in manifest.entries
-        ],
+        "samples": [{k: v for k, v in asdict(e).items() if v is not None}
+                    for e in manifest.entries],
         "split": {sid: manifest.split[sid] for sid in sorted(manifest.split)},
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
@@ -218,9 +205,15 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 # ---------------------------------------------------------------------------
 # sample loading
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"sample file {path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_lines(path) -> list[str]:
-    text = Path(path).read_text(encoding="utf-8")
-    return [line for line in text.splitlines() if line.strip()]
+    return [line for line in _read_text(path).splitlines() if line.strip()]
 
 
 def load_sample(manifest: DatasetManifest, entry: ManifestEntry, vocab,
@@ -243,7 +236,7 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry, vocab,
     if not np.all(np.isfinite(frames)):
         raise IngestionError(f"non-finite frame features in {entry.features}")
 
-    transcript_text = Path(root / entry.transcript).read_text(encoding="utf-8")
+    transcript_text = _read_text(root / entry.transcript)
     transcript_tokens = encode_tokens(tokenize(transcript_text), vocab)
 
     gold = _read_lines(root / entry.summary)
@@ -268,8 +261,8 @@ def load_dataset(manifest: DatasetManifest, vocab=None, min_frames: int = 1):
     if vocab is None:
         texts = []
         for e in manifest.entries:
-            texts.append(Path(manifest.root / e.document).read_text(encoding="utf-8"))
-            texts.append(Path(manifest.root / e.transcript).read_text(encoding="utf-8"))
+            texts.append(_read_text(manifest.root / e.document))
+            texts.append(_read_text(manifest.root / e.transcript))
         vocab = build_vocab(texts)
     samples = [load_sample(manifest, e, vocab, min_frames=min_frames)
                for e in manifest.entries]

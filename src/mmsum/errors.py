@@ -1,6 +1,9 @@
 """Exception taxonomy. Every error carries a machine-readable code that the
 CLI echoes on stderr, so callers can branch on failures without parsing
-messages."""
+messages. ``read_json`` reads every JSON input file into one of them."""
+
+import json
+from pathlib import Path
 
 
 class MMSumError(Exception):
@@ -71,3 +74,17 @@ class CheckpointError(MMSumError):
 
 class CliError(MMSumError):
     code = "CLI"
+
+
+def read_json(path, expect: type, what: str, error: type[MMSumError]):
+    """The value of JSON file ``path``, which must be of type ``expect``. A file
+    that cannot be read, is not UTF-8 or not JSON, or holds another type raises
+    ``error``; ``what`` names the file in the message."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(value, expect):
+        raise error(f"{what} {path} holds a JSON {type(value).__name__}, "
+                    f"not a {expect.__name__}")
+    return value

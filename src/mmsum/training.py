@@ -197,10 +197,6 @@ class Adagrad:
             p.data -= self.lr * g / (np.sqrt(self.acc[name]) + self.eps)
             p.grad = None
 
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
 
 class EarlyStopping:
     """Stop after ``patience`` consecutive epochs without val improvement."""
@@ -269,7 +265,6 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
 
     video_on = cfg.use_frames and cfg.use_bistream and cfg.alpha_vs > 0
     metrics: list[dict] = []
-    best_val = np.inf
 
     for epoch in range(1, cfg.epochs + 1):
         epoch_losses, epoch_ce, epoch_div, epoch_rep = [], [], [], []
@@ -299,9 +294,7 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
         val_loss = _validation_ce(model, val_prep, val_labels)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        improved = stopper.update(val_loss)
-        if improved:
-            best_val = val_loss
+        if stopper.update(val_loss):
             best_params = model.parameter_arrays()
         metrics.append({
             "epoch": epoch,
@@ -317,7 +310,7 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
 
     return TrainResult(best_params=best_params,
                        final_params=model.parameter_arrays(),
-                       metrics=metrics, best_val_loss=float(best_val),
+                       metrics=metrics, best_val_loss=float(stopper.best),
                        epochs_run=len(metrics))
 
 

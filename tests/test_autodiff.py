@@ -28,6 +28,23 @@ def numeric_grad(fn, x, step=1e-6):
     lambda a, b: ad.tsum(ad.concat([a, ad.transpose(b)], axis=0) ** 2.0),
     lambda a, b: ad.tsum(ad.tanh(ad.reshape(a, (3, 1, 4))
                                  + ad.reshape(ad.transpose(b), (1, 3, 4))) @ ad.tsum(b, axis=1)),
+    lambda a, b: ad.tsum(ad.tanh(ad.concat([a, ad.transpose(b)], axis=1)) ** 2.0),
+    lambda a, b: ad.tsum(ad.tanh(ad.concat([ad.reshape(a, (3, 2, 2)),
+                                            ad.reshape(ad.transpose(b), (3, 2, 2))],
+                                           axis=2)) ** 2.0),
+    lambda a, b: ad.tsum(ad.tanh(ad.concat([ad.reshape(a, (3, 2, 2)),
+                                            ad.reshape(ad.transpose(b), (3, 2, 2))],
+                                           axis=-1)) ** 2.0),
+    lambda a, b: ad.tsum(ad.tanh(ad.tsum(a * ad.transpose(b), axis=0)) ** 2.0),
+    lambda a, b: ad.tsum(ad.tanh(a) * ad.tsum(b)),
+    lambda a, b: ad.tsum(ad.tanh(a - ad.tsum(b, axis=1)) ** 2.0),
+    lambda a, b: ad.tsum(ad.tanh(a - ad.reshape(ad.tsum(b, axis=0), (3, 1))) ** 2.0),
+    lambda a, b: ad.tsum(ad.tanh(a * ad.reshape(ad.tsum(b, axis=0), (3, 1)))),
+    lambda a, b: ad.tsum(ad.tanh(a * ad.tsum(b, axis=1))),
+    lambda a, b: ad.tsum(ad.tanh(a) ** 1.0 * ad.transpose(b)),
+    lambda a, b: ad.tsum((ad.sigmoid(a) + 0.5) ** 0.3 * ad.transpose(b)),
+    lambda a, b: ad.tsum(ad.clip(a, -0.5, 0.5) * ad.transpose(b)),
+    lambda a, b: ad.tsum(ad.tanh(ad.outer(ad.tsum(a, axis=1), ad.tsum(b, axis=1)))),
 ])
 def test_composite_gradients_match_finite_differences(build, rng):
     a_data = rng.normal(size=(3, 4))

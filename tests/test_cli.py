@@ -182,6 +182,22 @@ def test_bad_config_value_is_config_error(cli_corpus, tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [b"[1]", b'{"hidden": "\xff"}', b"{not json", None],
+                         ids=["list", "not-utf8", "not-json", "missing"])
+def test_unreadable_config_file_is_config_error(cli_corpus, tmp_path, capsys, content):
+    cfg_file = tmp_path / "c.json"
+    if content is not None:
+        cfg_file.write_bytes(content)
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), "--config", str(cfg_file)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG" and "c.json" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [("--epochs", "0"), ("--patience", "-1"),
                                    ("--lr", "-0.001"), ("--lr", "nan")])
 def test_bad_flag_value_is_config_error(cli_corpus, tmp_path, capsys, flags):
@@ -206,13 +222,15 @@ def test_bad_flag_value_is_config_error(cli_corpus, tmp_path, capsys, flags):
     lambda e: {"samples": [{**e, "features": None}]},
     lambda e: {"samples": [{**e, "ref_features": 3}]},
     lambda e: {"samples": [e], "split": ["train"]},
+    lambda e: b'{"samples": [], "note": "\xff"}',
 ])
 def test_malformed_manifest_is_schema_error(cli_corpus, tmp_path, capsys, malform):
     entry = json.loads((cli_corpus / "manifest.json").read_text())["samples"][0]
     # entry paths resolve against the manifest's directory
     (tmp_path / "samples").symlink_to(cli_corpus / "samples")
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(malform(entry)))
+    doc = malform(entry)
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     out = tmp_path / "run"
     assert run_cli("train", "--manifest", str(path), "--out", str(out), *TINY_TRAIN) == 1
     lines = capsys.readouterr().err.splitlines()

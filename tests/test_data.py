@@ -118,6 +118,16 @@ def test_load_manifest_missing_manifest(tmp_path):
         load_manifest(tmp_path / "nope.json")
 
 
+@pytest.mark.parametrize("part", ["document", "transcript", "summary"])
+def test_non_utf8_sample_text_is_ingestion_error(tmp_path, part):
+    entry = _write_sample_files(tmp_path, "s0")
+    (tmp_path / entry[part]).write_bytes(b"caf\xe9 au lait\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"samples": [entry]}))
+    manifest = load_manifest(tmp_path / "manifest.json")
+    with pytest.raises(IngestionError, match="UTF-8"):
+        data.load_dataset(manifest)
+
+
 def test_min_frames_filter(tmp_path):
     entry = _write_sample_files(tmp_path, "s0")
     (tmp_path / "manifest.json").write_text(json.dumps({"samples": [entry]}))

@@ -196,6 +196,11 @@ def test_checkpoint_round_trip(tmp_path):
     ("index.json", '{"tensors": {"encoders/embedding": {}}}'),
     ("index.json", '{"tensors": {"encoders/embedding": '
                    '{"file": "encoders__embedding.bin", "shape": ["a"]}}}'),
+    ("index.json", '{"tensors": {"encoders/embedding": '
+                   '{"file": "encoders__embedding.bin", "shape": [3.0, 2]}}}'),
+    ("index.json", '{"tensors": {"encoders/embedding": '
+                   '{"file": "encoders__embedding.bin", "shape": [-3, -2]}}}'),
+    ("index.json", None),
     ("config.json", "{not json"),
     ("config.json", "[1, 2]"),
     ("config.json", None),
