@@ -2,15 +2,15 @@
 keyed by a JSON index, plus the config snapshot and the vocabulary."""
 from __future__ import annotations
 
-import json
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, config_to_json
+from .config import RunConfig, config_from_dict
 from .data import read_feature_file, write_feature_file
-from .errors import CheckpointError, read_json
+from .errors import CheckpointError, read_json, write_json
 
 INDEX_FILE = "index.json"
 CONFIG_FILE = "config.json"
@@ -36,14 +36,9 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
         index["sections"].setdefault(section, []).append(name)
     if extra:
         index["extra"] = extra
-    (directory / INDEX_FILE).write_text(
-        json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (directory / CONFIG_FILE).write_text(config_to_json(cfg), encoding="utf-8")
-    tokens = [None] * len(vocab)
-    for tok, idx in vocab.items():
-        tokens[idx] = tok
-    (directory / VOCAB_FILE).write_text(
-        json.dumps(tokens, indent=2) + "\n", encoding="utf-8")
+    write_json(directory / INDEX_FILE, index)
+    write_json(directory / CONFIG_FILE, dataclasses.asdict(cfg))
+    write_json(directory / VOCAB_FILE, sorted(vocab, key=vocab.get))
     return directory
 
 

@@ -18,7 +18,7 @@ from . import checkpoint, data, evaluation, training
 from .config import (ATTENTION_MODES, FUSION_MODES, RunConfig, config_from_dict,
                      resolve_config)
 from .data import SynthConfig
-from .errors import CliError, MMSumError
+from .errors import CliError, ConfigError, MMSumError, write_json, write_json_lines
 from .model import SummarizerModel
 
 RATIO_SWEEP = (1.0, 2.0, 3.33, 5.0)
@@ -80,10 +80,23 @@ def _load_split(cfg: RunConfig):
         manifest = data.split_dataset(
             manifest, (cfg.train_frac, cfg.val_frac, cfg.test_frac), cfg.seed)
     samples, vocab = data.load_dataset(manifest, min_frames=cfg.min_frames)
+    _check_feature_dim(cfg, samples)
     by_id = {s.document.id: s for s in samples}
     splits = {name: [by_id[e.id] for e in manifest.entries_for(name)]
               for name in ("train", "val", "test")}
     return manifest, splits, vocab
+
+
+def _check_feature_dim(cfg: RunConfig, samples) -> None:
+    """Fail before any training or scoring when the frames the model will read
+    are not ``cfg.feature_dim`` wide."""
+    if not cfg.use_frames:
+        return
+    for s in samples:
+        width = s.video.frames.shape[1]
+        if width != cfg.feature_dim:
+            raise ConfigError(f"feature_dim is {cfg.feature_dim} but sample "
+                              f"{s.document.id} has {width}-d frame features")
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +122,10 @@ def cmd_train(args) -> int:
     result = training.train_model(splits["train"], splits["val"], cfg, len(vocab))
 
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     checkpoint.save_checkpoint(out / "checkpoint", result.best_params, cfg, vocab,
                                extra={"best_val_loss": result.best_val_loss,
                                       "epochs_run": result.epochs_run})
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for rec in result.metrics:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_json_lines(out / "metrics.jsonl", result.metrics)
     print(f"trained {result.epochs_run} epochs; best val loss "
           f"{result.best_val_loss:.6f}; checkpoint in {out / 'checkpoint'}")
     return 0
@@ -142,6 +152,7 @@ def cmd_eval(args) -> int:
     if not entries:
         raise CliError(f"no samples in split '{args.split}'")
     samples = [data.load_sample(manifest, e, vocab, cfg.min_frames) for e in entries]
+    _check_feature_dim(cfg, samples)
     prepared = [data.prepare_for_model(s, cfg.fps_group, cfg.seed) for s in samples]
 
     report = evaluation.evaluate_dataset(prepared, model)
@@ -160,7 +171,8 @@ _CELL_DATASET_CACHE: dict = {}
 
 
 def _cell_dataset(manifest_path: str, cfg_dict: dict):
-    key = (manifest_path, cfg_dict["seed"], cfg_dict["min_frames"])
+    """``_load_split`` once per manifest and base config in this process."""
+    key = (manifest_path, tuple(sorted(cfg_dict.items())))
     if key not in _CELL_DATASET_CACHE:
         cfg = config_from_dict(cfg_dict)
         _CELL_DATASET_CACHE[key] = _load_split(cfg)
@@ -206,6 +218,7 @@ def cmd_ablate(args) -> int:
         raise CliError("a dataset manifest is required (--manifest)")
     epochs = args.epochs if args.epochs is not None else cfg.ablate_epochs
     base = dataclasses.asdict(cfg)
+    _cell_dataset(cfg.manifest, base)   # a data or feature_dim error ends the run here
 
     cells = [{"fusion": fusion_mode, "attention": attention_mode, "strategy": strategy,
               "config": {**_strategy_config(strategy, cfg), "fusion": fusion_mode,
@@ -245,8 +258,7 @@ def cmd_ablate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "ablation.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(out / "ablation.json", report)
         print(f"wrote {out / 'ablation.json'}")
     return 0 if n_failed == 0 else 1
 
@@ -267,8 +279,7 @@ def cmd_overlap(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "overlap.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(out / "overlap.json", report)
         print(f"wrote {out / 'overlap.json'}")
     return 0
 

@@ -7,7 +7,6 @@ variable M2SM_SEED, when set, overrides the seed from any source.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 import os
@@ -135,10 +134,6 @@ def resolve_config(config_file=None, overrides: dict | None = None) -> RunConfig
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, "
                               f"got '{env_seed}'") from exc
     return validate_config(RunConfig(**values))
-
-
-def config_to_json(cfg: RunConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def config_from_dict(d: dict) -> RunConfig:

@@ -14,7 +14,7 @@ punctuation stripped from token edges.
 """
 from __future__ import annotations
 
-import json
+import os
 import struct
 import unicodedata
 import zlib
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, FormatError, IngestionError, SchemaError, SplitError,
-                     read_json)
+                     read_json, write_json, write_json_lines)
 
 FEATURE_MAGIC = b"M2SMFEAT"
 UNK_TOKEN = "<unk>"
@@ -155,7 +155,7 @@ def read_feature_file(path) -> np.ndarray:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    if not path.is_file():
+    if not os.path.isfile(path):    # False, not OSError, for a name too long
         raise IngestionError(f"manifest not found: {path}")
     doc = read_json(path, dict, "manifest", SchemaError)
     if not isinstance(doc.get("samples"), list):
@@ -177,7 +177,7 @@ def load_manifest(path) -> DatasetManifest:
         seen.add(entry.id)
         for f in _ENTRY_FIELDS[1:]:     # every field after the id is a file path
             rel = getattr(entry, f.name)
-            if rel is not None and not (root / rel).is_file():
+            if rel is not None and not os.path.isfile(root / rel):
                 raise IngestionError(f"missing file referenced by manifest: {root / rel}")
         entries.append(entry)
 
@@ -193,13 +193,11 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {
+    write_json(path, {
         "samples": [{k: v for k, v in asdict(e).items() if v is not None}
                     for e in manifest.entries],
-        "split": {sid: manifest.split[sid] for sid in sorted(manifest.split)},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+        "split": manifest.split,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +210,19 @@ def _read_text(path) -> str:
         raise IngestionError(f"sample file {path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_lines(path) -> list[str]:
-    return [line for line in _read_text(path).splitlines() if line.strip()]
+def _lines(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.strip()]
 
 
 def load_sample(manifest: DatasetManifest, entry: ManifestEntry, vocab,
                 min_frames: int = 1) -> Sample:
+    return _load_sample(manifest, entry, vocab, min_frames, _read_text)
+
+
+def _load_sample(manifest, entry, vocab, min_frames, read) -> Sample:
+    """``load_sample`` with the text files read by ``read(path)``."""
     root = manifest.root
-    raw_sentences = _read_lines(root / entry.document)
+    raw_sentences = _lines(read(root / entry.document))
     if not raw_sentences:
         raise IngestionError(f"document has no sentences: {entry.document}")
     sentences = []
@@ -236,15 +239,17 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry, vocab,
     if not np.all(np.isfinite(frames)):
         raise IngestionError(f"non-finite frame features in {entry.features}")
 
-    transcript_text = _read_text(root / entry.transcript)
+    transcript_text = read(root / entry.transcript)
     transcript_tokens = encode_tokens(tokenize(transcript_text), vocab)
 
-    gold = _read_lines(root / entry.summary)
+    gold = _lines(read(root / entry.summary))
     refs = read_feature_file(root / entry.ref_features) if entry.ref_features else None
     if refs is not None and refs.shape[1] != frames.shape[1]:
         raise IngestionError(
             f"ref feature dim {refs.shape[1]} != frame feature dim {frames.shape[1]} "
             f"for sample {entry.id}")
+    if refs is not None and not np.all(np.isfinite(refs)):
+        raise IngestionError(f"non-finite reference features in {entry.ref_features}")
 
     return Sample(
         document=Document(sentences=sentences, raw_sentences=raw_sentences, id=entry.id),
@@ -256,15 +261,18 @@ def load_sample(manifest: DatasetManifest, entry: ManifestEntry, vocab,
 
 
 def load_dataset(manifest: DatasetManifest, vocab=None, min_frames: int = 1):
-    """Load all samples. Builds the vocabulary from documents + transcripts
-    when none is supplied (the checkpoint owns it afterwards)."""
+    """Load all samples, reading each text file once. Builds the vocabulary
+    from documents + transcripts when none is supplied (the checkpoint owns it
+    afterwards)."""
+    root, texts = manifest.root, {}
+    for e in manifest.entries:
+        for path in (root / e.document, root / e.transcript, root / e.summary):
+            if path not in texts:
+                texts[path] = _read_text(path)
     if vocab is None:
-        texts = []
-        for e in manifest.entries:
-            texts.append(_read_text(manifest.root / e.document))
-            texts.append(_read_text(manifest.root / e.transcript))
-        vocab = build_vocab(texts)
-    samples = [load_sample(manifest, e, vocab, min_frames=min_frames)
+        vocab = build_vocab(texts[root / rel] for e in manifest.entries
+                            for rel in (e.document, e.transcript))
+    samples = [_load_sample(manifest, e, vocab, min_frames, texts.__getitem__)
                for e in manifest.entries]
     return samples, vocab
 
@@ -453,12 +461,10 @@ def synth_generate(config: SynthConfig, seed: int, out_dir) -> DatasetManifest:
             ref_path = f"samples/{sid}.refs.bin"
             write_feature_file(out_dir / ref_path, frames[sal_frames])
 
-        masks = {
+        write_json_lines(sample_dir / f"{sid}.masks.json", [{
             "salient_sentences": [int(i in sal_idx) for i in range(ns)],
             "salient_frames": [int(j in sal_frames) for j in range(nf)],
-        }
-        (sample_dir / f"{sid}.masks.json").write_text(
-            json.dumps(masks, sort_keys=True) + "\n", encoding="utf-8")
+        }])
 
         entries.append(ManifestEntry(id=sid, document=doc_path, features=feat_path,
                                      transcript=tr_path, summary=sum_path,
@@ -471,5 +477,5 @@ def synth_generate(config: SynthConfig, seed: int, out_dir) -> DatasetManifest:
 
 
 def load_masks(manifest: DatasetManifest, sample_id: str) -> dict:
-    path = manifest.root / "samples" / f"{sample_id}.masks.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    return read_json(manifest.root / "samples" / f"{sample_id}.masks.json", dict,
+                     "masks file", IngestionError)

@@ -8,7 +8,6 @@ no stemming or stopword removal; tokenization matches the data module.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Sample, tokenize
-from .errors import EvalError
+from .errors import EvalError, write_json
 
 
 @dataclass(frozen=True)
@@ -212,11 +211,8 @@ def evaluate_dataset(samples: list[Sample], model, k_sentences=None,
 
 def write_report(report: dict, out_path, fmt: str = "json") -> list[Path]:
     out_path = Path(out_path)
-    written = []
-    json_path = out_path.with_suffix(".json")
-    json_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
-    written.append(json_path)
+    written = [out_path.with_suffix(".json")]
+    write_json(written[0], report)
     if fmt == "csv":
         csv_path = out_path.with_suffix(".csv")
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:

@@ -99,6 +99,7 @@ def test_train_writes_checkpoint_and_metrics(cli_corpus, tmp_path):
     records = [json.loads(line) for line in lines]
     assert [r["epoch"] for r in records] == list(range(1, len(records) + 1))
     assert {"train_loss", "train_ce", "val_loss", "R_div", "R_rep", "lr"} <= set(records[0])
+    assert not list(out.rglob("*.tmp"))
 
 
 def test_train_zero_lr_checkpoint_equals_initialization(cli_corpus, tmp_path):
@@ -223,6 +224,8 @@ def test_bad_flag_value_is_config_error(cli_corpus, tmp_path, capsys, flags):
     lambda e: {"samples": [{**e, "ref_features": 3}]},
     lambda e: {"samples": [e], "split": ["train"]},
     lambda e: b'{"samples": [], "note": "\xff"}',
+    lambda e: b'{"samples": [' + b"9" * 5000 + b"]}",    # past the int digit limit
+    lambda e: b"[" * 100_000 + b"]" * 100_000,            # past the recursion limit
 ])
 def test_malformed_manifest_is_schema_error(cli_corpus, tmp_path, capsys, malform):
     entry = json.loads((cli_corpus / "manifest.json").read_text())["samples"][0]
@@ -325,6 +328,23 @@ def test_eval_missing_refs_omits_cos(cli_corpus, trained_run, tmp_path):
     assert report["corpus_mean"]["cos"] is None
 
 
+def test_eval_non_finite_reference_features_is_ingestion_error(cli_corpus, trained_run,
+                                                              tmp_path, capsys):
+    corpus = shutil.copytree(cli_corpus, tmp_path / "data")
+    manifest = data.load_manifest(corpus / "manifest.json")
+    refs_path = corpus / manifest.entries_for("test")[0].ref_features
+    refs = data.read_feature_file(refs_path)
+    refs[0, 0] = np.nan
+    data.write_feature_file(refs_path, refs)
+    out = tmp_path / "ev"
+    assert run_cli("eval", "--checkpoint", str(trained_run / "checkpoint"),
+                   "--manifest", str(corpus / "manifest.json"), "--out", str(out)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "INGESTION"
+    assert "non-finite reference features" in json.loads(lines[0])["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # overlap
 
@@ -384,3 +404,65 @@ def test_ablate_sweeps_emit_extra_rows(cli_corpus, tmp_path):
     betas = [row["beta"] for row in report["cells"] if row.get("sweep") == "beta"]
     assert betas == [0.0, 0.1, 0.3, 0.5, 1.0]
     assert report["n_failed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# feature_dim against the feature files
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("ran past the feature_dim check")
+
+
+def _assert_feature_dim_error(capsys, configured, found):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG"
+    assert f"feature_dim is {configured}" in err["message"]
+    assert f"{found}-d frame features" in err["message"]
+
+
+def _without_feature_dim(flags):
+    i = flags.index("--feature-dim")
+    return flags[:i] + flags[i + 2:]
+
+
+def test_train_default_feature_dim_on_synth_corpus_is_config_error(cli_corpus, tmp_path,
+                                                                    capsys, monkeypatch):
+    monkeypatch.setattr(cli.training, "train_model", _fail_if_called)
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), *_without_feature_dim(TINY_TRAIN)) == 1
+    _assert_feature_dim_error(capsys, 2048, 8)
+    assert not out.exists()
+
+
+def test_train_without_frames_ignores_feature_dim(cli_corpus, tmp_path):
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(tmp_path / "run"), "--no-frames",
+                   *_without_feature_dim(TINY_TRAIN)) == 0
+
+
+def test_ablate_default_feature_dim_on_synth_corpus_is_config_error(cli_corpus, tmp_path,
+                                                                     capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_ablate_cell", _fail_if_called)
+    out = tmp_path / "ab"
+    assert run_cli("ablate", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), *_without_feature_dim(TINY_ABLATE)) == 1
+    _assert_feature_dim_error(capsys, 2048, 8)
+    assert not out.exists()
+
+
+def test_eval_on_corpus_of_other_feature_width_is_config_error(trained_run, tmp_path,
+                                                               capsys, monkeypatch):
+    wide = tmp_path / "wide"
+    flags = list(SMALL_SYNTH)
+    flags[flags.index("--feature-dim") + 1] = "16"
+    assert run_cli("synth", "--out", str(wide), "--seed", "5", *flags) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli.evaluation, "evaluate_dataset", _fail_if_called)
+    out = tmp_path / "ev"
+    assert run_cli("eval", "--checkpoint", str(trained_run / "checkpoint"),
+                   "--manifest", str(wide / "manifest.json"), "--out", str(out)) == 1
+    _assert_feature_dim_error(capsys, 8, 16)
+    assert not out.exists()

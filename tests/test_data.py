@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -104,6 +106,16 @@ def test_load_manifest_missing_referenced_file(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps({"samples": [entry]}))
     with pytest.raises(IngestionError, match="absent.bin"):
         load_manifest(tmp_path / "manifest.json")
+
+
+def test_path_too_long_for_the_file_system_is_ingestion_error(tmp_path):
+    entry = _write_sample_files(tmp_path, "s0")
+    entry["features"] = "x" * 300 + ".bin"
+    (tmp_path / "manifest.json").write_text(json.dumps({"samples": [entry]}))
+    with pytest.raises(IngestionError, match="missing file"):
+        load_manifest(tmp_path / "manifest.json")
+    with pytest.raises(IngestionError, match="not found"):
+        load_manifest(tmp_path / ("m" * 300 + ".json"))
 
 
 def test_load_manifest_duplicate_id(tmp_path):
@@ -264,3 +276,41 @@ def test_synth_transcript_overlaps_salient_sentences(tmp_path):
         tr = set(tokenize(s.transcript.raw_text))
         gold = set(t for line in s.gold_summary for t in tokenize(line))
         assert tr & gold
+
+
+def test_load_dataset_reads_each_text_file_once(tmp_path, monkeypatch):
+    manifest = synth_generate(SynthConfig(n_samples=6), seed=4, out_dir=tmp_path / "d")
+    # one more entry shares the first sample's document and transcript
+    extra = replace(manifest.entries[0], id="shared", summary=manifest.entries[1].summary)
+    manifest = replace(manifest, entries=manifest.entries + [extra])
+    reads = Counter()
+    read_text = data._read_text
+
+    def counting_read(path):
+        reads[path] += 1
+        return read_text(path)
+
+    monkeypatch.setattr(data, "_read_text", counting_read)
+    samples, vocab = data.load_dataset(manifest)
+    files = {manifest.root / getattr(e, part) for e in manifest.entries
+             for part in ("document", "transcript", "summary")}
+    assert set(reads) == files and len(files) == 18
+    assert set(reads.values()) == {1}
+
+    monkeypatch.setattr(data, "_read_text", read_text)
+    vocab_ref = data.build_vocab((manifest.root / getattr(e, part)).read_text("utf-8")
+                                 for e in manifest.entries
+                                 for part in ("document", "transcript"))
+    assert vocab == vocab_ref
+    for s, e in zip(samples, manifest.entries, strict=True):
+        ref = data.load_sample(manifest, e, vocab_ref)
+        assert (s.document.id, s.document.raw_sentences, s.transcript.raw_text,
+                s.gold_summary) == (ref.document.id, ref.document.raw_sentences,
+                                    ref.transcript.raw_text, ref.gold_summary)
+        for got, want in zip(s.document.sentences + [s.video.frames, s.transcript.tokens,
+                                                     s.ref_image_features],
+                             ref.document.sentences + [ref.video.frames,
+                                                       ref.transcript.tokens,
+                                                       ref.ref_image_features],
+                             strict=True):
+            npt.assert_array_equal(got, want)
