@@ -3,8 +3,7 @@ late+ confidence penalty reshapes the decision as beta grows."""
 import numpy as np
 
 from mmsum.autodiff import Tensor
-from mmsum.fusion import (FusionHead, ScorerParams, fuse, outer_with_bias,
-                          unimodal_decisions)
+from mmsum.fusion import FusionHead, ScorerParams, fuse, unimodal_decisions
 
 rng = np.random.default_rng(1)
 ds = dc = 6
@@ -35,7 +34,7 @@ for name, head in heads.items():
     print(f"{name:10s} -> {float(p.data[0]):.4f}")
 
 print("\n=== tensor feature: [s;1] (x) [c;1] carries all the blocks ===")
-m = outer_with_bias(Tensor([1.0, 2.0]), Tensor([3.0])).data
+m = np.outer([1.0, 2.0, 1.0], [3.0, 1.0])     # s = [1, 2], c = [3]
 print(m, " <- blocks s*c | s | c | 1")
 
 print("\n=== late+ penalty weights across beta ===")

@@ -2,11 +2,15 @@
 
 Float64 tape with just the operations the summarizer needs: broadcasting
 arithmetic, matmul, activations, row gather/scatter, row softmax, a few
-shape utilities, and one LSTM direction over a whole padded batch as a
-single node. Gradients are exact and are cross-checked against central
-finite differences by the gradient-check harness and the test suite.
+shape utilities, and ``bilstm_sequence``, both directions of a BiLSTM over a
+whole right-padded batch as a single node. Its padding contract: the output
+is zero at padded positions, which send no gradient to X and whose values
+change nothing. Both directions share one recurrence loop over time-major
+buffers, the reverse direction stored in its own step order. Gradients are
+exact and are cross-checked against central finite differences by the
+gradient-check harness and the test suite.
 
-Every op but ``take_rows`` and ``lstm_sequence`` records its node through
+Every op but ``take_rows`` and ``bilstm_sequence`` records its node through
 ``_op``: it gives its forward value and one gradient rule per parent, and the
 builder does the rest of the backward bookkeeping.
 """
@@ -287,12 +291,6 @@ def reshape(a, shape):
     return _op(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
 
 
-def outer(u, v):
-    u, v = as_tensor(u), as_tensor(v)
-    return _op(np.outer(u.data, v.data), (u, v), lambda g: g @ v.data,
-               lambda g: u.data @ g)
-
-
 def softmax_rows(a):
     """Row-wise softmax with max subtraction for numerical stability."""
     a = as_tensor(a)
@@ -305,79 +303,148 @@ def softmax_rows(a):
     return _op(out_data, (a,), rule)
 
 
-def lstm_sequence(X, W, b, hidden, lengths, reverse=False):
-    """One LSTM direction over a right-padded batch, as a single tape node.
+def _step_buffer(steps, shape, keep):
+    """A (steps, *shape) buffer, or, when ``keep`` is false, one step's buffer
+    seen ``steps`` times through a zero stride, so each step overwrites it."""
+    if keep:
+        return np.empty((steps,) + shape)
+    one = np.empty(shape)
+    return np.lib.stride_tricks.as_strided(one, (steps,) + shape, (0,) + one.strides)
 
-    X is (B, T, D) and sequence k is X[k, :lengths[k]]; W is (D + h, 4h) over
-    [x; h] with gate order i|f|o|g, b is (4h,). Returns the hidden states
-    (B, T, h). Padding contract: at positions t >= lengths[k] the output is
-    zero, X gets zero gradient, and finite values of X change nothing.
 
-    Full and ragged batches run the same loop. The input pre-activations are
-    zeroed at padding, and a step with zero input from h = c = 0 stays at 0,
-    so the reverse direction crosses its leading padding and starts from
-    zeros at each sequence's last token. The forward direction runs on
-    through its trailing padding; zeroing the output, the upstream gradient
-    and dZ there, outside the loop, cuts it off. The input GEMM X @ W[:D]
-    runs once for all steps; only h @ W[D:] stays in the recurrence.
-    Backward is hand-written BPTT.
+def _lstm_steps(A, fw_Wh, bw_Wh, H, C, TC):
+    """The recurrence of ``bilstm_sequence`` over its step-major buffers, in
+    place: A holds the input pre-activations with i|f|o halved and becomes
+    the gate activations; H[s + 1], C[s + 1] and TC[s] get the state, cell
+    and tanh(cell) after step s."""
+    h = H.shape[-1]
+    Wh2 = np.stack([fw_Wh, bw_Wh])      # (2, h, 4h)
+    Wh2[..., :3 * h] *= 0.5
+    I, F, O, G = (A[..., k * h:(k + 1) * h] for k in range(4))
+    hz, ig = np.empty(A.shape[1:]), np.empty(H.shape[1:])
+    for a, ifo, i, f, o, g, c_prev, c, tc, h_prev, h_next in zip(
+            A, A[..., :3 * h], I, F, O, G, C[:-1], C[1:], TC, H[:-1], H[1:]):
+        np.matmul(h_prev, Wh2, out=hz)
+        a += hz
+        np.tanh(a, out=a)
+        ifo *= 0.5
+        ifo += 0.5
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=ig)
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_next)
+
+
+def _weight_grad(x, h_prev, dz):
+    """The gradient [x, h_prev]^T dz of a (D + h, 4h) LSTM weight, written
+    into one array by two GEMMs."""
+    dW = np.empty((x.shape[1] + h_prev.shape[1], dz.shape[1]))
+    np.matmul(x.T, dz, out=dW[:x.shape[1]])
+    np.matmul(h_prev.T, dz, out=dW[x.shape[1]:])
+    return dW
+
+
+def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, hidden, lengths):
+    """Both directions of a BiLSTM over a right-padded batch, as one tape node.
+
+    X is (B, T, D) and sequence k is X[k, :lengths[k]]; each W is (D + h, 4h)
+    over [x; h] with gate order i|f|o|g and each b is (4h,). Returns (B, T, 2h),
+    the forward states beside the backward states. Padding contract: at
+    positions t >= lengths[k] the output is zero, X gets zero gradient, and
+    finite values of X change nothing.
+
+    The recurrence runs over time-major (T, 2, B, .) buffers indexed by step.
+    Direction 0 is stored in time order and direction 1 in its own step order
+    (step s reads time T-1-s), so each step's (2, B, .) slice is contiguous and
+    its recurrent product is one matmul batched over the two directions. The
+    input pre-activations are zeroed at padding, and a step with zero input
+    from h = c = 0 stays at 0, so the reverse direction crosses its leading
+    padding and starts from zeros at each sequence's last token. The forward
+    direction runs on through its trailing padding; zeroing the output, the
+    upstream gradient and dZ there, outside the loop, cuts it off.
+
+    sigmoid(z) = 0.5 tanh(z / 2) + 0.5, so the i|f|o pre-activations are
+    halved (exact in binary) and one tanh covers all four gates. The input
+    GEMM runs once per direction for all steps, and its buffer turns into the
+    gate activations in place. The cell states and tanh(c) are kept per step
+    only when a gradient is recorded. Backward is hand-written BPTT over both
+    directions in one reversed loop.
     """
-    X, W, b = as_tensor(X), as_tensor(W), as_tensor(b)
+    X, fw_W, fw_b, bw_W, bw_b = parents = tuple(
+        as_tensor(t) for t in (X, fw_W, fw_b, bw_W, bw_b))
     B, T, D = X.data.shape
     h = hidden
     lengths = np.asarray(lengths, dtype=np.intp)
-    Wx, Wh = W.data[:D], W.data[D:]
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    pad = np.arange(T) >= lengths[:, None]      # (B, T)
+    pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
+    pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
+    Xt = X.data.transpose(1, 0, 2).reshape(T * B, D)
 
-    z_in = (X.data.reshape(B * T, D) @ Wx + b.data).reshape(B, T, 4 * h)
-    z_in[pad] = 0.0     # assignment, not a product, so no inf or nan survives
-    acts = np.empty((B, T, 4 * h))      # sigmoid(i|f|o), tanh(g)
-    h_prev = np.empty((B, T, h))
-    c_prev = np.empty((B, T, h))
-    tanh_c = np.empty((B, T, h))
-    out = np.empty((B, T, h))
-    hs, cs = np.zeros((B, h)), np.zeros((B, h))
-    for t in steps:
-        z = z_in[:, t] + hs @ Wh
-        a = acts[:, t]
-        a[:, :3 * h] = _sigmoid(z[:, :3 * h])
-        a[:, 3 * h:] = np.tanh(z[:, 3 * h:])
-        c = a[:, h:2 * h] * cs + a[:, :h] * a[:, 3 * h:]
-        tc = np.tanh(c)
-        h_prev[:, t], c_prev[:, t], tanh_c[:, t] = hs, cs, tc
-        hs, cs = a[:, 2 * h:3 * h] * tc, c
-        out[:, t] = hs
-    out[pad] = 0.0
+    A = np.empty((T, 2, B, 4 * h))
+    np.add((Xt @ fw_W.data[:D]).reshape(T, B, 4 * h), fw_b.data, out=A[:, 0])
+    np.add((Xt @ bw_W.data[:D]).reshape(T, B, 4 * h)[::-1], bw_b.data, out=A[:, 1])
+    del Xt              # backward rebuilds it rather than hold a copy
+    A[pad2] = 0.0       # assignment, not a product, so no inf or nan survives
+    A[..., :3 * h] *= 0.5
+
+    keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
+    H = np.zeros((T + 1, 2, B, h))      # H[s + 1] is the state after step s
+    C = _step_buffer(T + 1, (2, B, h), keep)
+    C[0] = 0.0
+    TC = _step_buffer(T, (2, B, h), keep)
+    _lstm_steps(A, fw_W.data[D:], bw_W.data[D:], H, C, TC)
+    if not keep:
+        A = None        # nothing reads it again; free it before out
+    out = np.empty((B, T, 2 * h))
+    out[:, :, :h] = H[1:, 0].transpose(1, 0, 2)
+    out[:, :, h:] = H[:0:-1, 1].transpose(1, 0, 2)
+    out[pad.T] = 0.0
+    if not keep:
+        return Tensor(out)
 
     def bw(g):
-        g = np.where(pad[:, :, None], 0.0, g)
-        i, f, o, gg = (acts[:, :, k * h:(k + 1) * h] for k in range(4))
-        # dz = [dc, dc, dh, dc] * local, with local the gate derivatives
-        local = np.concatenate([gg * i * (1.0 - i), c_prev * f * (1.0 - f),
-                                tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)], axis=2)
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dZ = np.empty((B, T, 4 * h))
-        dh, dc = np.zeros((B, h)), np.zeros((B, h))
-        for t in reversed(steps):
-            dh_t = dh + g[:, t]
-            dc_t = dc + dh_t * dc_dh[:, t]
-            dz = local[:, t] * np.concatenate((dc_t, dc_t, dh_t, dc_t), axis=1)
-            dh, dc = dz @ Wh.T, dc_t * f[:, t]
-            dZ[:, t] = dz
-        dZ[pad] = 0.0
-        dZ2 = dZ.reshape(B * T, 4 * h)
+        I, F, O, G = (A[..., k * h:(k + 1) * h] for k in range(4))
+        U = np.empty((T, 2, B, h))      # upstream, in step order
+        U[:, 0] = g[:, :, :h].transpose(1, 0, 2)
+        U[:, 1] = g[:, ::-1, h:].transpose(1, 0, 2)
+        U[pad2] = 0.0
+        # dz = [dc, dc, dh, dc] * local, with local the gate derivatives. Each
+        # step scales all four gates by dc and then overwrites o, so the o
+        # column starts at zero rather than unset.
+        dZ = np.zeros((2, T, B, 4 * h))     # direction-major for the weight GEMMs
+        local = dZ.transpose(1, 0, 2, 3)
+        np.multiply(G, I * (1.0 - I), out=local[..., :h])
+        np.multiply(C[:-1], F * (1.0 - F), out=local[..., h:2 * h])
+        np.multiply(I, 1.0 - G * G, out=local[..., 3 * h:])
+        local_o = TC * O * (1.0 - O)
+        dc_dh = O * (1.0 - TC * TC)
+        WhT = np.stack([fw_W.data[D:].T, bw_W.data[D:].T])     # (2, 4h, h)
+        dh, dc, tmp = np.zeros((2, B, h)), np.zeros((2, B, h)), np.empty((2, B, h))
+        dZ4 = dZ.reshape(2, T, B, 4, h)
+        for s in range(T - 1, -1, -1):
+            dh += U[s]
+            np.multiply(dh, dc_dh[s], out=tmp)
+            dc += tmp
+            dz4 = dZ4[:, s]
+            dz4 *= dc[:, :, None]
+            np.multiply(local_o[s], dh, out=dz4[:, :, 2])
+            np.matmul(dZ[:, s], WhT, out=dh)
+            dc *= F[s]
+        dZ[pad2.transpose(1, 0, 2)] = 0.0
+        dZf = dZ[0].reshape(T * B, 4 * h)
+        dZb = dZ[1, ::-1].reshape(T * B, 4 * h)     # a copy, in time order
         if X.requires_grad:
-            _acc(X, (dZ2 @ Wx.T).reshape(B, T, D))
-        if W.requires_grad:
-            dW = np.empty_like(W.data)
-            np.matmul(X.data.reshape(B * T, D).T, dZ2, out=dW[:D])
-            np.matmul(h_prev.reshape(B * T, h).T, dZ2, out=dW[D:])
-            _acc(W, dW)
-        if b.requires_grad:
-            _acc(b, dZ2.sum(axis=0))
+            _acc(X, (dZf @ fw_W.data[:D].T + dZb @ bw_W.data[:D].T)
+                 .reshape(T, B, D).transpose(1, 0, 2))
+        Xt = X.data.transpose(1, 0, 2).reshape(T * B, D)
+        for W, b, dz, h_prev in ((fw_W, fw_b, dZf, H[:-1, 0]),
+                                 (bw_W, bw_b, dZb, H[-2::-1, 1])):
+            if W.requires_grad:
+                _acc(W, _weight_grad(Xt, h_prev.reshape(T * B, h), dz))
+            if b.requires_grad:
+                _acc(b, dz.sum(axis=0))
 
-    return _node(out, (X, W, b), bw)
+    return _node(out, parents, bw)
 
 
 def backward(t):

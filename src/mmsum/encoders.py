@@ -1,9 +1,12 @@
 """Recurrent encoders: hierarchical article encoder (word then sentence
 level), frame-sequence encoder over precomputed feature vectors, and the
 transcript encoder. All four stacks are parameter-disjoint bidirectional
-LSTMs sharing one embedding table for text. Each direction is a single
-``autodiff.lstm_sequence`` node; the word encoder runs all sentences of a
-document as one right-padded batch."""
+LSTMs sharing one embedding table for text. Each BiLSTM is a single
+``autodiff.bilstm_sequence`` tape node that runs both directions in one
+recurrence loop, storing the reverse direction in its own step order. Input is
+right-padded: the word encoder runs all sentences of a document as one
+(NS, T_max, E) batch with their lengths, and its states are zero at padding,
+where X gets no gradient and its values change nothing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -66,13 +69,6 @@ def open_forget_gate(b: np.ndarray, hidden: int) -> np.ndarray:
     return b
 
 
-def init_lstm_direction(rng, input_dim: int, hidden: int, scale: float = INIT_SCALE):
-    """Uniform init of one direction, then the forget-gate opening."""
-    w = rng.uniform(-scale, scale, size=(input_dim + hidden, 4 * hidden))
-    b = rng.uniform(-scale, scale, size=(4 * hidden,))
-    return w, open_forget_gate(b, hidden)
-
-
 def bilstm(X: Tensor, p: BiLSTM, lengths=None) -> Tensor:
     """(T, input_dim) -> (T, 2h): forward states beside backward states. A
     right-padded batch (B, T, input_dim) with its sequence lengths maps to
@@ -84,9 +80,7 @@ def bilstm(X: Tensor, p: BiLSTM, lengths=None) -> Tensor:
     if single:
         lengths = [X.shape[0]]
         X = ad.reshape(X, (1,) + X.shape)
-    fw = ad.lstm_sequence(X, p.fw_W, p.fw_b, p.hidden, lengths)
-    bw = ad.lstm_sequence(X, p.bw_W, p.bw_b, p.hidden, lengths, reverse=True)
-    out = ad.concat([fw, bw], axis=2)
+    out = ad.bilstm_sequence(X, p.fw_W, p.fw_b, p.bw_W, p.bw_b, p.hidden, lengths)
     return ad.reshape(out, out.shape[1:]) if single else out
 
 

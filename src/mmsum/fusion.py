@@ -60,14 +60,6 @@ def _rows(x) -> Tensor:
     return t
 
 
-def outer_with_bias(state: Tensor, ctx: Tensor) -> Tensor:
-    """[state;1] (x) [context;1] -> matrix of shape (|s|+1, |c|+1) whose blocks
-    are s(x)c, s, c, and the constant 1."""
-    one = Tensor(np.ones(1))
-    return ad.outer(ad.concat([ad.as_tensor(state), one]),
-                    ad.concat([ad.as_tensor(ctx), one]))
-
-
 def fuse_early(state, ctx, head: FusionHead) -> Tensor:
     S, C = _rows(state), _rows(ctx)
     if S.shape[0] != C.shape[0]:
@@ -79,7 +71,8 @@ def fuse_tensor(state, ctx, head: FusionHead) -> Tensor:
     S, C = _rows(state), _rows(ctx)
     if S.shape[0] != C.shape[0]:
         raise FusionError("state and context row counts differ")
-    # row i is outer_with_bias(S[i], C[i]) flattened, as one broadcast product
+    # row i is the outer product [S[i];1] (x) [C[i];1] flattened, as one
+    # broadcast product
     n = S.shape[0]
     one = Tensor(np.ones((n, 1)))
     s1 = ad.reshape(ad.concat([S, one], axis=1), (n, -1, 1))

@@ -180,21 +180,43 @@ def bistream_loss(ce: Tensor | None, video_surrogate: Tensor | None,
 # optimization
 
 class Adagrad:
-    """Per-parameter adaptive step: lr * g / (sqrt(sum g^2) + eps)."""
+    """Per-parameter adaptive step: lr * g / (sqrt(sum g^2) + eps).
+
+    The step runs over blocks of rows of each parameter in one small scratch
+    array, so it allocates nothing per parameter and each block stays in
+    cache across its passes. Every element goes through the arithmetic of
+    ``p -= lr * g / (sqrt(acc) + eps)`` in the same order, so the result is
+    bitwise that formula's."""
+
+    BLOCK = 1 << 15     # scratch elements per pass (256 KiB)
 
     def __init__(self, params: dict[str, Tensor], lr: float, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.eps = eps
         self.acc = {name: np.zeros_like(p.data) for name, p in params.items()}
+        # a block, or less for a smaller model, but at least one row of each
+        self._scratch_size = max(
+            (max(min(p.data.size, self.BLOCK), np.atleast_1d(p.data)[0].size)
+             for p in params.values()), default=0)
 
     def step(self):
+        scratch = np.empty((2, self._scratch_size))
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.acc[name] += g * g
-            p.data -= self.lr * g / (np.sqrt(self.acc[name]) + self.eps)
+            g, acc, w = (np.atleast_1d(a) for a in (p.grad, self.acc[name], p.data))
+            rows = self._scratch_size // max(1, g[0].size)
+            for lo in range(0, len(g), rows):
+                gb, ab, wb = g[lo:lo + rows], acc[lo:lo + rows], w[lo:lo + rows]
+                b, b2 = (buf[:gb.size].reshape(gb.shape) for buf in scratch)
+                np.multiply(gb, gb, out=b)
+                ab += b
+                np.sqrt(ab, out=b)
+                b += self.eps
+                np.multiply(self.lr, gb, out=b2)
+                b2 /= b
+                wb -= b2
             p.grad = None
 
 

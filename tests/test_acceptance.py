@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from mmsum import autodiff as ad, cli, evaluation, fusion, training
+from mmsum import autodiff as ad, cli, evaluation, training
 from mmsum.attention import bihop_context, bilinear_scores, context
 from mmsum.autodiff import Tensor
 from mmsum.config import RunConfig
@@ -24,7 +24,7 @@ from mmsum.model import SummarizerModel
 from mmsum.training import (greedy_labels, labeling_score, reward_div, reward_rep,
                             train_model)
 from test_attention import make_set
-from test_fusion import make_scorer
+from test_fusion import make_scorer, outer_with_bias
 
 ATTENTIONS = ("none", "concat_product", "bilinear", "bihop")
 FUSIONS = ("early", "tensor", "late", "late_plus")
@@ -181,9 +181,9 @@ def test_criterion_4_fusion_identities(rng):
             break
 
     s, c = rng.normal(size=5), rng.normal(size=3)
-    vec = ad.reshape(fusion.outer_with_bias(Tensor(s), Tensor(c)), (-1,))
+    vec = ad.reshape(outer_with_bias(Tensor(s), Tensor(c)), (-1,))
     length_ok = vec.shape == ((5 + 1) * (3 + 1),)
-    block = fusion.outer_with_bias(Tensor([1.0, 2.0]), Tensor([3.0])).data
+    block = outer_with_bias(Tensor([1.0, 2.0]), Tensor([3.0])).data
     block_ok = np.array_equal(block, [[3.0, 1.0], [6.0, 2.0], [3.0, 1.0]])
 
     report(4, bitwise and length_ok and block_ok,

@@ -1,9 +1,18 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from mmsum import autodiff as ad
 from mmsum.autodiff import Tensor
+
+
+def outer(u, v):
+    """Reference outer product of two vectors, from broadcasting ops."""
+    u, v = ad.as_tensor(u), ad.as_tensor(v)
+    return ad.reshape(u, (-1, 1)) * ad.reshape(v, (1, -1))
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -44,7 +53,7 @@ def numeric_grad(fn, x, step=1e-6):
     lambda a, b: ad.tsum(ad.tanh(a) ** 1.0 * ad.transpose(b)),
     lambda a, b: ad.tsum((ad.sigmoid(a) + 0.5) ** 0.3 * ad.transpose(b)),
     lambda a, b: ad.tsum(ad.clip(a, -0.5, 0.5) * ad.transpose(b)),
-    lambda a, b: ad.tsum(ad.tanh(ad.outer(ad.tsum(a, axis=1), ad.tsum(b, axis=1)))),
+    lambda a, b: ad.tsum(ad.tanh(outer(ad.tsum(a, axis=1), ad.tsum(b, axis=1)))),
 ])
 def test_composite_gradients_match_finite_differences(build, rng):
     a_data = rng.normal(size=(3, 4))
@@ -77,44 +86,88 @@ def test_matmul_gradients_match_finite_differences(rng, a_shape, b_shape):
     npt.assert_allclose(b.grad, numeric_grad(fn, b.data), rtol=1e-6, atol=1e-8)
 
 
+def bilstm_params(rng, D, h, scale=0.6):
+    """fw_W, fw_b, bw_W, bw_b of a BiLSTM, uniform in [-scale, scale]."""
+    return [Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+            for shape in ((D + h, 4 * h), 4 * h) * 2]
+
+
+def upstream_on_half(rng, B, T, h, reverse):
+    """An upstream gradient for a (B, T, 2h) BiLSTM output that reaches only
+    the forward half, or with ``reverse`` only the reverse half."""
+    g = rng.normal(size=(B, T, 2 * h))
+    g[:, :, slice(0, h) if reverse else slice(h, 2 * h)] = 0.0
+    return g
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_ignores_values_at_padding(rng, reverse):
-    """Batches that differ only in X at padded positions give bitwise-equal
+    """For ``bilstm_sequence``, with the upstream gradient on one direction's
+    half, batches that differ only in X at padded positions give bitwise-equal
     outputs and X/W/b gradients."""
     B, T, D, h = 4, 5, 2, 3
     lengths = [5, 2, 1, 3]
     pad = np.arange(T)[None, :] >= np.array(lengths)[:, None]
     x = rng.normal(size=(B, T, D))
-    w_data = rng.uniform(-0.6, 0.6, size=(D + h, 4 * h))
-    b_data = rng.uniform(-0.6, 0.6, size=4 * h)
-    upstream = rng.normal(size=(B, T, h))
+    data = [p.data for p in bilstm_params(rng, D, h)]
+    upstream = upstream_on_half(rng, B, T, h, reverse)
     runs = []
     for padding_values in (np.zeros((B, T, D)), 50.0 * rng.normal(size=(B, T, D))):
         X = Tensor(np.where(pad[:, :, None], padding_values, x), requires_grad=True)
-        W, b = Tensor(w_data, requires_grad=True), Tensor(b_data, requires_grad=True)
-        out = ad.lstm_sequence(X, W, b, h, lengths, reverse)
+        params = [Tensor(a, requires_grad=True) for a in data]
+        out = ad.bilstm_sequence(X, *params, h, lengths)
         ad.backward(ad.tsum(out * upstream))
-        runs.append([t.tobytes() for t in (out.data, X.grad, W.grad, b.grad)])
+        runs.append([t.tobytes() for t in [out.data, X.grad] + [p.grad for p in params]])
     assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("lengths", [[4, 2, 1], [4, 4, 4]], ids=["ragged", "full"])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_gradients_match_finite_differences(rng, reverse, lengths):
+    """``bilstm_sequence`` gradients, with the upstream gradient on one
+    direction's half; the other direction's W and b get zero gradient."""
     B, T, D, h = 3, 4, 2, 3
     X = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
-    W = Tensor(rng.uniform(-0.6, 0.6, size=(D + h, 4 * h)), requires_grad=True)
-    b = Tensor(rng.uniform(-0.6, 0.6, size=4 * h), requires_grad=True)
-    upstream = rng.normal(size=(B, T, h))
-    ad.backward(ad.tsum(ad.lstm_sequence(X, W, b, h, lengths, reverse) * upstream))
+    params = bilstm_params(rng, D, h)
+    upstream = upstream_on_half(rng, B, T, h, reverse)
+    ad.backward(ad.tsum(ad.bilstm_sequence(X, *params, h, lengths) * upstream))
 
     def fn():
         with ad.no_grad():
-            out = ad.lstm_sequence(X, W, b, h, lengths, reverse)
+            out = ad.bilstm_sequence(X, *params, h, lengths)
             return float((out.data * upstream).sum())
 
-    for t in (X, W, b):
+    for t in [X] + params:
         npt.assert_allclose(t.grad, numeric_grad(fn, t.data), rtol=1e-6, atol=1e-8)
+    for idle in params[:2] if reverse else params[2:]:
+        npt.assert_array_equal(idle.grad, 0.0)
+
+
+def test_bilstm_sequence_keeps_no_step_caches_under_no_grad(rng):
+    """At the paper's word-encoder shape, a call under ``no_grad`` holds
+    nothing but its output once it returns, and peaks no higher than a
+    recorded call, which keeps the gate activations, the cell states and
+    tanh(c) for backward."""
+    B, T, D, h = 25, 20, 32, 64
+    X = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
+    params = bilstm_params(rng, D, h, scale=0.08)
+
+    def traced(recording):
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if recording else ad.no_grad():
+                out = ad.bilstm_sequence(X, *params, h, [T] * B)
+            held, peak = tracemalloc.get_traced_memory()
+            return held - out.data.nbytes, peak
+        finally:
+            tracemalloc.stop()
+
+    held, peak = traced(False)
+    held_recording, peak_recording = traced(True)
+    caches = 8 * (T * 2 * B * 4 * h + (2 * T + 1) * 2 * B * h)   # A, C, tanh(C)
+    assert held < 16 * 1024
+    assert held_recording >= caches
+    assert peak <= peak_recording
 
 
 def test_broadcast_add_unbroadcasts_gradient(rng):
@@ -137,7 +190,7 @@ def test_outer_gradients(rng):
     u = Tensor(rng.normal(size=3), requires_grad=True)
     v = Tensor(rng.normal(size=2), requires_grad=True)
     w = rng.normal(size=(3, 2))
-    loss = ad.tsum(ad.outer(u, v) * w)
+    loss = ad.tsum(outer(u, v) * w)
     ad.backward(loss)
     npt.assert_allclose(u.grad, w @ v.data)
     npt.assert_allclose(v.grad, u.data @ w)

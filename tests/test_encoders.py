@@ -2,13 +2,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import tiny_config
 from mmsum import autodiff as ad
 from mmsum.autodiff import Tensor
 from mmsum.data import Document
-from mmsum.encoders import (BiLSTM, EncoderParams, bilstm, encode_frames,
+from mmsum.encoders import (INIT_SCALE, BiLSTM, EncoderParams, bilstm, encode_frames,
                             encode_sentences, encode_transcript, encode_words,
-                            init_lstm_direction)
+                            open_forget_gate)
 from mmsum.errors import EncodeError
+from mmsum.model import build_parameters
+
+
+def init_lstm_direction(rng, input_dim, hidden, scale=INIT_SCALE):
+    """Uniform init of one direction, then the forget-gate opening."""
+    w = rng.uniform(-scale, scale, size=(input_dim + hidden, 4 * hidden))
+    b = rng.uniform(-scale, scale, size=(4 * hidden,))
+    return w, open_forget_gate(b, hidden)
 
 
 def make_bilstm(rng, input_dim, hidden, zero=False):
@@ -45,9 +54,8 @@ def hand_lstm_step(x, h, c, W, b, hidden):
 
 
 def lstm_states_reference(X, W, b, hidden, reverse=False):
-    """The per-step tape composition the encoders used before
-    ``ad.lstm_sequence``, about ten nodes per timestep, over the rows of a
-    (T, D) input; returns (T, h)."""
+    """One LSTM direction as a per-step tape composition, about ten nodes per
+    timestep, over the rows of a (T, D) input; returns (T, h)."""
     T = X.shape[0]
     steps = range(T - 1, -1, -1) if reverse else range(T)
     gate = [np.arange(k * hidden, (k + 1) * hidden) for k in range(4)]
@@ -66,30 +74,51 @@ def lstm_states_reference(X, W, b, hidden, reverse=False):
     return ad.concat(out, axis=0)
 
 
-@pytest.mark.parametrize("lengths", [[1, 5, 3, 5, 1, 2], [4, 4]], ids=["ragged", "full"])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_sequence_matches_per_step_reference(rng, reverse, lengths):
-    D, h, T = 3, 4, max(lengths)
-    x = rng.normal(size=(len(lengths), T, D))
-    w_data, b_data = init_lstm_direction(rng, D, h, scale=0.5)
-    upstream = rng.normal(size=(len(lengths), T, h))
+def assert_bilstm_matches_reference(rng, lengths, D, h, directions=(0, 1)):
+    """``ad.bilstm_sequence`` against ``lstm_states_reference`` run per
+    sequence and direction, with the upstream gradient on the output halves of
+    ``directions`` (0 forward, 1 reverse): outputs and the X, W and b
+    gradients of both directions agree within 1e-12, and padding gets zero
+    output and zero gradient."""
+    B, T = len(lengths), max(lengths)
+    x = rng.normal(size=(B, T, D))
+    data = [a for _ in range(2) for a in init_lstm_direction(rng, D, h, scale=0.5)]
+    upstream = rng.normal(size=(B, T, 2 * h))
+    for d in {0, 1} - set(directions):
+        upstream[:, :, d * h:(d + 1) * h] = 0.0
 
-    X, W, b = Tensor(x, True), Tensor(w_data, True), Tensor(b_data, True)
-    out = ad.lstm_sequence(X, W, b, h, lengths, reverse=reverse)
+    X, params = Tensor(x, True), [Tensor(a, True) for a in data]
+    out = ad.bilstm_sequence(X, *params, h, lengths)
     ad.backward(ad.tsum(out * upstream))
 
-    W_ref, b_ref = Tensor(w_data, True), Tensor(b_data, True)
+    refs = [Tensor(a, True) for a in data]
     for k, n in enumerate(lengths):
         X_ref = Tensor(x[k, :n], True)
-        ref = lstm_states_reference(X_ref, W_ref, b_ref, h, reverse=reverse)
+        ref = ad.concat([lstm_states_reference(X_ref, refs[2 * d], refs[2 * d + 1], h,
+                                               reverse=d == 1) for d in (0, 1)], axis=1)
         ad.backward(ad.tsum(ref * upstream[k, :n]))
         npt.assert_allclose(out.data[k, :n], ref.data, rtol=0, atol=1e-12)
         npt.assert_allclose(X.grad[k, :n], X_ref.grad, rtol=0, atol=1e-12)
         # padding: zero output, and no gradient although upstream sends some
         npt.assert_array_equal(out.data[k, n:], 0.0)
         npt.assert_array_equal(X.grad[k, n:], 0.0)
-    npt.assert_allclose(W.grad, W_ref.grad, rtol=0, atol=1e-12)
-    npt.assert_allclose(b.grad, b_ref.grad, rtol=0, atol=1e-12)
+    for p, p_ref in zip(params, refs):
+        npt.assert_allclose(p.grad, p_ref.grad, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lengths", [[1, 5, 3, 5, 1, 2], [4, 4]], ids=["ragged", "full"])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_sequence_matches_per_step_reference(rng, reverse, lengths):
+    """Each direction of ``bilstm_sequence`` on its own: the upstream gradient
+    reaches only the forward half, or with ``reverse`` only the reverse half."""
+    assert_bilstm_matches_reference(rng, lengths, D=3, h=4, directions=(int(reverse),))
+
+
+@pytest.mark.parametrize("lengths,h", [([1, 1, 1], 4), ([5], 4), ([1, 1, 6, 1, 1], 4),
+                                       ([3, 1, 2], 1), ([4, 4], 3)],
+                         ids=["T=1", "B=1", "all-but-one-length-1", "h=1", "full"])
+def test_bilstm_sequence_matches_per_step_reference(rng, lengths, h):
+    assert_bilstm_matches_reference(rng, lengths, D=3, h=h)
 
 
 def test_padded_sentences_encode_as_if_alone(rng):
@@ -276,9 +305,15 @@ def test_transcript_stack_is_parameter_disjoint_from_word_stack(rng):
 
 
 def test_forget_gate_bias_initialized_to_one(rng):
-    w, b = init_lstm_direction(rng, 3, 4)
-    npt.assert_array_equal(b[4:8], np.ones(4))
-    assert np.all(np.abs(w) <= 0.08)
+    cfg = tiny_config(hidden=4)
+    params = build_parameters(cfg, vocab_size=9, rng=rng)
+    lstm_biases = {k for k in params if k.startswith("encoders/") and k.endswith("_b")}
+    assert len(lstm_biases) == 8
+    for name, arr in params.items():
+        if name in lstm_biases:
+            npt.assert_array_equal(arr[4:8], np.ones(4))
+            arr = np.delete(arr, np.s_[4:8])
+        assert np.all(np.abs(arr) <= INIT_SCALE)
 
 
 def test_bilstm_second_dim_is_always_2h(rng):

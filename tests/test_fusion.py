@@ -7,8 +7,16 @@ from mmsum import fusion
 from mmsum.autodiff import Tensor
 from mmsum.errors import FusionError
 from mmsum.fusion import (FusionHead, ScorerParams, fuse, fuse_early, fuse_late,
-                          fuse_late_plus, fuse_tensor, outer_with_bias,
-                          unimodal_decisions)
+                          fuse_late_plus, fuse_tensor, unimodal_decisions)
+from test_autodiff import outer
+
+
+def outer_with_bias(state, ctx) -> Tensor:
+    """Reference tensor feature of one pair: [state;1] (x) [context;1], a
+    (|s|+1, |c|+1) matrix whose blocks are s(x)c, s, c and the constant 1."""
+    one = Tensor(np.ones(1))
+    return outer(ad.concat([ad.as_tensor(state), one]),
+                 ad.concat([ad.as_tensor(ctx), one]))
 
 
 def make_scorer(rng, d_in, d_f=3, zero=False):

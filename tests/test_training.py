@@ -295,6 +295,35 @@ def test_adagrad_accumulates_squared_gradients():
     npt.assert_allclose(p.data, [-0.1 * 2.0 / (2.0 + 1e-8)], atol=1e-12)
 
 
+def test_adagrad_step_is_bitwise_the_plain_formula(rng):
+    """Three steps through the scratch buffers equal, bit for bit, the
+    expression they replace, for parameters of one block, of several blocks
+    and of rows longer than a block; a parameter without a gradient is left
+    alone."""
+    n = Adagrad.BLOCK
+    shapes = {"blocks": (3 * n // 40 + 1, 40), "long_rows": (2, n + 3),
+              "row": (n + 5,), "small": (7, 12), "scalar": (), "frozen": (3, 2)}
+    params = {k: Tensor(rng.uniform(-1, 1, s), requires_grad=True)
+              for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    acc = {k: np.zeros(s) for k, s in shapes.items()}
+    frozen = params["frozen"].data.tobytes()
+    lr, eps = 0.3, 1e-8
+    opt = Adagrad(params, lr=lr, eps=eps)
+    for _ in range(3):
+        for k, p in params.items():
+            p.grad = None if k == "frozen" else rng.normal(size=shapes[k])
+            if p.grad is not None:
+                acc[k] += p.grad * p.grad
+                ref[k] -= lr * p.grad / (np.sqrt(acc[k]) + eps)
+        opt.step()
+        for k, p in params.items():
+            assert p.grad is None
+            assert p.data.tobytes() == ref[k].tobytes()
+            assert opt.acc[k].tobytes() == acc[k].tobytes()
+    assert params["frozen"].data.tobytes() == frozen
+
+
 def test_early_stopping_monotone_worsening_stops_after_patience_plus_one():
     stopper = EarlyStopping(patience=3)
     evaluations = 0
