@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Subcommands: synth | train | eval | ablate | overlap. Flags take precedence
-over a --config JSON file, which takes precedence over built-in defaults;
-the M2SM_SEED environment variable overrides the seed from any source.
-All failures exit nonzero with a machine-readable JSON error on stderr.
+Subcommands: synth | train | eval | ablate | overlap. The flags that set a
+``RunConfig`` or ``SynthConfig`` field are built from the field itself
+(``_add_fields``); only the command-specific flags (--out, --config,
+--checkpoint, --workers, ...) are written here. Flags take precedence over a
+--config JSON file, which takes precedence over built-in defaults; the
+M2SM_SEED environment variable overrides the seed from any source. All
+failures exit nonzero with a machine-readable JSON error on stderr.
 """
 from __future__ import annotations
 
@@ -11,12 +14,13 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import checkpoint, data, evaluation, training
 from .config import (ATTENTION_MODES, FUSION_MODES, RunConfig, config_from_dict,
-                     resolve_config)
+                     field_types, resolve_config)
 from .data import SynthConfig
 from .errors import CliError, ConfigError, MMSumError, write_json, write_json_lines
 from .model import SummarizerModel
@@ -26,36 +30,30 @@ BETA_SWEEP = (0.0, 0.1, 0.3, 0.5, 1.0)
 ABLATE_STRATEGIES = ("ce", "+video-loss", "+weighted")
 
 
+def _add_fields(p: argparse.ArgumentParser, cls, names=None):
+    """One flag per field of dataclass ``cls`` (of ``names`` only, if given) whose
+    ``setting`` has one. The flag is ``--<field>`` with ``_`` as ``-`` and a
+    leading ``n_`` dropped; a bool that defaults on is ``--no-<field>`` without
+    its ``use_``/``with_`` prefix. The dest is the field, the type and choices
+    come from it, and the default is None, so a flag left out overrides nothing."""
+    for f in dataclasses.fields(cls):
+        if not f.metadata.get("flag", True) or (names and f.name not in names):
+            continue
+        hint, name = field_types(cls)[f.name], f.name.removeprefix("n_")
+        if hint is bool:
+            if f.default:
+                name = "no_" + name.removeprefix("use_").removeprefix("with_")
+            kind = {"action": "store_false" if f.default else "store_true"}
+        else:
+            kind = {"type": next(t for t in typing.get_args(hint) or (hint,)
+                                 if t is not type(None)),
+                    "choices": f.metadata.get("choices")}
+        p.add_argument("--" + name.replace("_", "-"), dest=f.name, default=None, **kind)
+
+
 def _add_model_flags(p: argparse.ArgumentParser):
-    """Every flag's dest is the RunConfig field it overrides."""
     p.add_argument("--config", help="JSON config file mirroring RunConfig fields")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--attention", choices=ATTENTION_MODES)
-    p.add_argument("--fusion", choices=FUSION_MODES)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--alpha-ts", dest="alpha_ts", type=float)
-    p.add_argument("--alpha-vs", dest="alpha_vs", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--embed-dim", dest="embed_dim", type=int)
-    p.add_argument("--attn-dim", dest="attn_dim", type=int)
-    p.add_argument("--fusion-dim", dest="fusion_dim", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--fps-group", dest="fps_group", type=int)
-    p.add_argument("--k-sentences", dest="k_sentences", type=int)
-    p.add_argument("--k-frames", dest="k_frames", type=int)
-    p.add_argument("--label-cap", dest="label_cap", type=int)
-    p.add_argument("--min-frames", dest="min_frames", type=int)
-    p.add_argument("--no-frames", dest="use_frames", action="store_false", default=None)
-    p.add_argument("--no-transcript", dest="use_transcript", action="store_false",
-                   default=None)
-    p.add_argument("--no-bistream", dest="use_bistream", action="store_false",
-                   default=None)
-    p.add_argument("--sum-pool", dest="sum_pool", action="store_true", default=None)
-    p.add_argument("--late-plus-prose", dest="late_plus_prose", action="store_true",
-                   default=None)
+    _add_fields(p, RunConfig)
 
 
 def _given_fields(args, cls) -> dict:
@@ -72,10 +70,14 @@ def _overrides_from_args(args) -> dict:
     return overrides
 
 
-def _load_split(cfg: RunConfig):
-    if not cfg.manifest:
+def _manifest(path):
+    if not path:
         raise CliError("a dataset manifest is required (--manifest)")
-    manifest = data.load_manifest(cfg.manifest)
+    return data.load_manifest(path)
+
+
+def _load_split(cfg: RunConfig):
+    manifest = _manifest(cfg.manifest)
     if not manifest.split:
         manifest = data.split_dataset(
             manifest, (cfg.train_frac, cfg.val_frac, cfg.test_frac), cfg.seed)
@@ -103,8 +105,7 @@ def _check_feature_dim(cfg: RunConfig, samples) -> None:
 # commands
 
 def cmd_synth(args) -> int:
-    cfg = resolve_config(args.config, {"seed": args.seed} if args.seed is not None
-                         else {})
+    cfg = resolve_config(args.config, {"seed": args.seed})
     out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError(f"output directory {out} exists; pass --force to overwrite")
@@ -144,10 +145,7 @@ def _model_from_checkpoint(ckpt_dir, args):
 
 def cmd_eval(args) -> int:
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, args)
-    manifest_path = args.manifest or cfg.manifest
-    if not manifest_path:
-        raise CliError("a dataset manifest is required (--manifest)")
-    manifest = data.load_manifest(manifest_path)
+    manifest = _manifest(args.manifest or cfg.manifest)
     entries = manifest.entries_for(args.split) if manifest.split else manifest.entries
     if not entries:
         raise CliError(f"no samples in split '{args.split}'")
@@ -214,8 +212,6 @@ def _strategy_config(strategy: str, base: RunConfig) -> dict:
 
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args.config, _overrides_from_args(args))
-    if not cfg.manifest:
-        raise CliError("a dataset manifest is required (--manifest)")
     epochs = args.epochs if args.epochs is not None else cfg.ablate_epochs
     base = dataclasses.asdict(cfg)
     _cell_dataset(cfg.manifest, base)   # a data or feature_dim error ends the run here
@@ -265,9 +261,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_overlap(args) -> int:
     cfg = resolve_config(args.config, _overrides_from_args(args))
-    if not cfg.manifest:
-        raise CliError("a dataset manifest is required (--manifest)")
-    manifest = data.load_manifest(cfg.manifest)
+    manifest = _manifest(cfg.manifest)
     samples, _ = data.load_dataset(manifest, min_frames=cfg.min_frames)
     if all(len(s.transcript.tokens) == 0 for s in samples):
         raise CliError("dataset has no transcripts; nothing to report")
@@ -297,29 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
     p.add_argument("--config", help="JSON config file (seed only)")
-    p.add_argument("--seed", type=int)
-    # every other flag's dest is the SynthConfig field it overrides
-    p.add_argument("--samples", dest="n_samples", type=int)
-    p.add_argument("--sentences", dest="n_sentences", type=int)
-    p.add_argument("--sentence-len", dest="sentence_len", type=int)
-    p.add_argument("--frames", dest="n_frames", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--salience", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--transcript-len", dest="transcript_len", type=int)
-    p.add_argument("--no-refs", dest="with_refs", action="store_false", default=None)
+    _add_fields(p, RunConfig, ("seed",))
+    _add_fields(p, SynthConfig)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a manifest")
-    p.add_argument("--manifest")
     p.add_argument("--out")
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest")
     p.add_argument("--out")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -327,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the fusion x attention x training matrix")
-    p.add_argument("--manifest")
     p.add_argument("--out")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--sweep-ratio", dest="sweep_ratio", action="store_true")
@@ -336,11 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("overlap", help="transcript overlap statistics")
-    p.add_argument("--manifest")
     p.add_argument("--out")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-frames", dest="min_frames", type=int)
+    _add_fields(p, RunConfig, ("manifest", "seed", "min_frames"))
     p.set_defaults(func=cmd_overlap)
 
     return parser

@@ -1,5 +1,10 @@
 """Run configuration: model dims, strategy selection, training knobs.
 
+``RunConfig`` (and ``data.SynthConfig``) are the one table of run settings.
+Each field states its type, its default and, in its ``setting`` metadata, its
+bounds, its choices and whether it has a CLI flag; ``check_fields`` enforces
+the first three and ``cli`` builds the flags from the same fields.
+
 Precedence when resolving a run: built-in defaults < config file (JSON
 mirroring the field names) < explicit overrides (CLI flags). The environment
 variable M2SM_SEED, when set, overrides the seed from any source.
@@ -7,6 +12,7 @@ variable M2SM_SEED, when set, overrides the seed from any source.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import os
@@ -21,37 +27,46 @@ FUSION_MODES = ("early", "tensor", "late", "late_plus")
 SEED_ENV_VAR = "M2SM_SEED"
 
 
+def setting(default, *, minimum=None, maximum=None, strict=False, choices=None,
+            flag=True):
+    """A dataclass field with its bounds (inclusive, or exclusive if ``strict``),
+    its choices and whether the CLI gives it a flag."""
+    return dataclasses.field(default=default, metadata={
+        "minimum": minimum, "maximum": maximum, "strict": strict, "choices": choices,
+        "flag": flag})
+
+
 @dataclass
 class RunConfig:
     manifest: str | None = None
-    out_dir: str | None = None
+    out_dir: str | None = setting(None, flag=False)
 
     # model dimensions
-    embed_dim: int = 32
-    hidden: int = 64
-    attn_dim: int = 64
-    fusion_dim: int = 32
-    feature_dim: int = 2048
+    embed_dim: int = setting(32, minimum=1)
+    hidden: int = setting(64, minimum=1)
+    attn_dim: int = setting(64, minimum=1)
+    fusion_dim: int = setting(32, minimum=1)
+    feature_dim: int = setting(2048, minimum=1)
 
     # strategy selection
-    attention: str = "bihop"
-    fusion: str = "late_plus"
-    beta: float = 0.3
+    attention: str = setting("bihop", choices=ATTENTION_MODES)
+    fusion: str = setting("late_plus", choices=FUSION_MODES)
+    beta: float = setting(0.3, minimum=0)
 
     # loss mixing and optimization
-    alpha_ts: float = 3.33
-    alpha_vs: float = 1.0
-    lr: float = 1e-4
-    epochs: int = 50
-    patience: int = 3
-    seed: int = 0
+    alpha_ts: float = setting(3.33, minimum=0)
+    alpha_vs: float = setting(1.0, minimum=0)
+    lr: float = setting(1e-4, minimum=0)
+    epochs: int = setting(50, minimum=1)
+    patience: int = setting(3, minimum=0)
+    seed: int = setting(0, minimum=0)
 
     # inference / preprocessing
-    k_sentences: int = 3
-    k_frames: int = 5
-    fps_group: int = 5
+    k_sentences: int = setting(3, minimum=1)
+    k_frames: int = setting(5, minimum=1)
+    fps_group: int = setting(5, minimum=1)
     min_frames: int = 1
-    label_cap: int = 4
+    label_cap: int = setting(4, minimum=1)
 
     # ablation switches
     use_frames: bool = True
@@ -60,15 +75,18 @@ class RunConfig:
     sum_pool: bool = False
     late_plus_prose: bool = False
 
-    # dataset split
-    train_frac: float = 0.7
-    val_frac: float = 0.1
-    test_frac: float = 0.2
+    # dataset split (data.split_dataset checks the fractions)
+    train_frac: float = setting(0.7, flag=False)
+    val_frac: float = setting(0.1, flag=False)
+    test_frac: float = setting(0.2, flag=False)
 
-    ablate_epochs: int = 10
+    ablate_epochs: int = setting(10, minimum=1, flag=False)
 
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
+@functools.cache
+def field_types(cls) -> dict:
+    """The resolved annotation of every field of dataclass ``cls``."""
+    return typing.get_type_hints(cls)
 
 
 def _type_ok(value, hint) -> bool:
@@ -81,51 +99,47 @@ def _type_ok(value, hint) -> bool:
     return isinstance(value, tuple(numeric.get(t, t) for t in allowed))
 
 
-def validate_config(cfg: RunConfig) -> RunConfig:
-    if cfg.seed is None:
-        raise ConfigError("seed must be set; unseeded runs are not allowed")
-    for name, hint in _FIELD_TYPES.items():
-        value = getattr(cfg, name)
+def _in_bounds(value, lo, hi, strict) -> bool:
+    if strict:
+        return (lo is None or value > lo) and (hi is None or value < hi)
+    return (lo is None or value >= lo) and (hi is None or value <= hi)
+
+
+def _bounds_text(lo, hi, strict) -> str:
+    if hi is None:
+        return f"{'>' if strict else '>='} {lo}"
+    return f"in {'(' if strict else '['}{lo}, {hi}{')' if strict else ']'}"
+
+
+def check_fields(obj):
+    """Return dataclass ``obj`` if every field has its annotated type, is finite
+    when a float, and keeps the bounds and choices stated on it; otherwise raise
+    ``ConfigError`` naming the first field that does not."""
+    hints = field_types(type(obj))
+    for f in dataclasses.fields(obj):
+        value, hint = getattr(obj, f.name), hints[f.name]
         if not _type_ok(value, hint):
-            raise ConfigError(f"{name} must be of type "
+            raise ConfigError(f"{f.name} must be of type "
                               f"{getattr(hint, '__name__', hint)}, got {value!r}")
+        if value is None:
+            continue
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
-    if cfg.attention not in ATTENTION_MODES:
-        raise ConfigError(f"attention must be one of {ATTENTION_MODES}, "
-                          f"got '{cfg.attention}'")
-    if cfg.fusion not in FUSION_MODES:
-        raise ConfigError(f"fusion must be one of {FUSION_MODES}, got '{cfg.fusion}'")
-    if cfg.beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {cfg.beta}")
-    if cfg.alpha_ts < 0 or cfg.alpha_vs < 0:
-        raise ConfigError("alpha_ts and alpha_vs must be >= 0")
-    if cfg.lr < 0:
-        raise ConfigError(f"lr must be >= 0, got {cfg.lr}")
-    if cfg.patience < 0:
-        raise ConfigError(f"patience must be >= 0, got {cfg.patience}")
-    for name in ("embed_dim", "hidden", "attn_dim", "fusion_dim", "feature_dim",
-                 "fps_group", "k_sentences", "k_frames", "label_cap", "epochs",
-                 "ablate_epochs"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    return cfg
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+        lo, hi, strict = (f.metadata.get(k) for k in ("minimum", "maximum", "strict"))
+        if not _in_bounds(value, lo, hi, strict):
+            raise ConfigError(f"{f.name} must be {_bounds_text(lo, hi, strict)}, "
+                              f"got {value!r}")
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{f.name} must be one of {choices}, got {value!r}")
+    return obj
 
 
 def resolve_config(config_file=None, overrides: dict | None = None) -> RunConfig:
-    values = dataclasses.asdict(RunConfig())
+    values = {}
     if config_file is not None:
-        path = Path(config_file)
-        for key, val in read_json(path, dict, "config file", ConfigError).items():
-            if key not in values:
-                raise ConfigError(f"unknown config key '{key}' in {path}")
-            values[key] = val
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
-        if key not in values:
-            raise ConfigError(f"unknown config override '{key}'")
-        values[key] = val
+        values.update(read_json(Path(config_file), dict, "config file", ConfigError))
+    values.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -133,12 +147,11 @@ def resolve_config(config_file=None, overrides: dict | None = None) -> RunConfig
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer, "
                               f"got '{env_seed}'") from exc
-    return validate_config(RunConfig(**values))
+    return config_from_dict(values)
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(d) - known
+    unknown = set(d) - set(field_types(RunConfig))
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return validate_config(RunConfig(**d))
+    return check_fields(RunConfig(**d))

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_fields, setting
 from .errors import (ConfigError, FormatError, IngestionError, SchemaError, SplitError,
                      read_json, write_json, write_json_lines)
 
@@ -352,17 +353,19 @@ def split_dataset(manifest: DatasetManifest, fractions=(0.7, 0.1, 0.2),
 
 @dataclass
 class SynthConfig:
-    n_samples: int = 20
-    n_sentences: int = 10
-    sentence_len: int = 8
-    n_frames: int = 8
-    feature_dim: int = 16
-    vocab_size: int = 120
-    salience: float = 0.3
-    noise: float = 0.1
-    transcript_len: int = 24
-    transcript_overlap: float = 0.6
-    distractor_rate: float = 0.08
+    n_samples: int = setting(20, minimum=3)   # split_dataset needs one per split
+    n_sentences: int = setting(10, minimum=2)
+    sentence_len: int = setting(8, minimum=1)
+    n_frames: int = setting(8, minimum=1)
+    feature_dim: int = setting(16, minimum=1)
+    # the topic pool, vocab_size - int(0.8 * vocab_size) words, must hold 6 topic tokens
+    vocab_size: int = setting(120, minimum=26)
+    salience: float = setting(0.3, minimum=0, maximum=1, strict=True)
+    # a noise scale; frames (unit vector + noise * N(0, 1)) are stored as float32
+    noise: float = setting(0.1, minimum=0, maximum=1e30)
+    transcript_len: int = setting(24, minimum=0)
+    transcript_overlap: float = setting(0.6, flag=False)
+    distractor_rate: float = setting(0.08, flag=False)
     with_refs: bool = True
 
 
@@ -379,13 +382,7 @@ def synth_generate(config: SynthConfig, seed: int, out_dir) -> DatasetManifest:
     sentences. Ground-truth masks are written to ``<id>.masks.json`` next to
     each sample for test use.
     """
-    if not (0.0 < config.salience < 1.0):
-        raise ConfigError(f"salience must be in (0, 1), got {config.salience}")
-    if config.vocab_size < 20:
-        raise ConfigError(f"vocab_size must be >= 20, got {config.vocab_size}")
-    if config.n_sentences < 2 or config.sentence_len < 1 or config.n_frames < 1:
-        raise ConfigError("synthetic corpus needs >= 2 sentences and >= 1 token/frame")
-
+    check_fields(config)
     out_dir = Path(out_dir)
     sample_dir = out_dir / "samples"
     sample_dir.mkdir(parents=True, exist_ok=True)

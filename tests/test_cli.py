@@ -1,12 +1,17 @@
+import argparse
+import dataclasses
 import json
 import shutil
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsum import checkpoint, cli, data
-from mmsum.config import SEED_ENV_VAR, resolve_config
+from mmsum.config import (ATTENTION_MODES, FUSION_MODES, SEED_ENV_VAR, RunConfig,
+                          config_from_dict, resolve_config)
 from mmsum.data import SynthConfig
 from mmsum.errors import ConfigError
 
@@ -84,6 +89,21 @@ def test_synth_bad_salience_is_config_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "CONFIG"
     assert "salience" in err["message"]
+
+
+@pytest.mark.parametrize("flags,field", [
+    (("--samples", "-1"), "n_samples"), (("--samples", "2"), "n_samples"),
+    (("--feature-dim", "-3"), "feature_dim"), (("--vocab-size", "20"), "vocab_size"),
+    (("--vocab-size", "25"), "vocab_size"), (("--noise", "nan"), "noise"),
+    (("--transcript-len", "-1"), "transcript_len")])
+def test_synth_out_of_bounds_flag_is_config_error(tmp_path, capsys, flags, field):
+    out = tmp_path / "d"
+    assert run_cli("synth", "--out", str(out), "--seed", "1", *flags) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG" and field in err["message"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +189,7 @@ def test_unknown_config_key_rejected(tmp_path):
     {"hidden": "abc"}, {"hidden": True}, {"hidden": 2.5}, {"beta": "0.3"},
     {"use_frames": "no"}, {"seed": "1"}, {"epochs": 0}, {"patience": -1},
     {"lr": -0.1}, {"lr": float("nan")}, {"beta": float("inf")},
+    {"attention": "bogus"}, {"fusion": "late_plus "},
 ])
 def test_bad_config_value_is_config_error(cli_corpus, tmp_path, capsys, bad):
     cfg_file = tmp_path / "c.json"
@@ -252,6 +273,146 @@ def test_model_flags_map_to_config_fields():
         "use_frames": False, "use_transcript": False, "use_bistream": False,
         "sum_pool": True, "late_plus_prose": True}
     assert cli._overrides_from_args(cli.build_parser().parse_args(["train"])) == {}
+
+
+def _flag(option, dest, action="Store", type=None, choices=None, default=None,
+          required=False):
+    return option, dest, action, type, choices, default, required
+
+
+# The parser as it was written out by hand, before its flags were built from the
+# config dataclasses: (option, dest, action, type (None is str), choices,
+# default, required) per subcommand.
+RUN_FLAGS = {
+    _flag("--config", "config"), _flag("--manifest", "manifest"), _flag("--out", "out"),
+    _flag("--seed", "seed", type="int"),
+    _flag("--attention", "attention", choices=ATTENTION_MODES),
+    _flag("--fusion", "fusion", choices=FUSION_MODES),
+    _flag("--beta", "beta", type="float"), _flag("--alpha-ts", "alpha_ts", type="float"),
+    _flag("--alpha-vs", "alpha_vs", type="float"), _flag("--lr", "lr", type="float"),
+    _flag("--epochs", "epochs", type="int"), _flag("--patience", "patience", type="int"),
+    _flag("--hidden", "hidden", type="int"), _flag("--embed-dim", "embed_dim", type="int"),
+    _flag("--attn-dim", "attn_dim", type="int"),
+    _flag("--fusion-dim", "fusion_dim", type="int"),
+    _flag("--feature-dim", "feature_dim", type="int"),
+    _flag("--fps-group", "fps_group", type="int"),
+    _flag("--k-sentences", "k_sentences", type="int"),
+    _flag("--k-frames", "k_frames", type="int"),
+    _flag("--label-cap", "label_cap", type="int"),
+    _flag("--min-frames", "min_frames", type="int"),
+    _flag("--no-frames", "use_frames", "StoreFalse"),
+    _flag("--no-transcript", "use_transcript", "StoreFalse"),
+    _flag("--no-bistream", "use_bistream", "StoreFalse"),
+    _flag("--sum-pool", "sum_pool", "StoreTrue"),
+    _flag("--late-plus-prose", "late_plus_prose", "StoreTrue"),
+}
+PARSER_TABLE = {
+    "synth": {
+        _flag("--out", "out", required=True),
+        _flag("--force", "force", "StoreTrue", default=False),
+        _flag("--config", "config"), _flag("--seed", "seed", type="int"),
+        _flag("--samples", "n_samples", type="int"),
+        _flag("--sentences", "n_sentences", type="int"),
+        _flag("--sentence-len", "sentence_len", type="int"),
+        _flag("--frames", "n_frames", type="int"),
+        _flag("--feature-dim", "feature_dim", type="int"),
+        _flag("--vocab-size", "vocab_size", type="int"),
+        _flag("--salience", "salience", type="float"),
+        _flag("--noise", "noise", type="float"),
+        _flag("--transcript-len", "transcript_len", type="int"),
+        _flag("--no-refs", "with_refs", "StoreFalse"),
+    },
+    "train": RUN_FLAGS,
+    "eval": RUN_FLAGS | {
+        _flag("--checkpoint", "checkpoint", required=True),
+        _flag("--split", "split", choices=("train", "val", "test"), default="test"),
+        _flag("--format", "format", choices=("json", "csv"), default="json"),
+    },
+    "ablate": RUN_FLAGS | {
+        _flag("--workers", "workers", type="int", default=1),
+        _flag("--sweep-ratio", "sweep_ratio", "StoreTrue", default=False),
+        _flag("--sweep-beta", "sweep_beta", "StoreTrue", default=False),
+    },
+    "overlap": {
+        _flag("--manifest", "manifest"), _flag("--out", "out"), _flag("--config", "config"),
+        _flag("--seed", "seed", type="int"), _flag("--min-frames", "min_frames", type="int"),
+    },
+}
+FIELDS_WITHOUT_FLAG = {"out_dir", "train_frac", "val_frac", "test_frac", "ablate_epochs"}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_parser_matches_the_recorded_flag_table():
+    table = {}
+    for command, p in _subparsers().items():
+        table[command] = {
+            (*a.option_strings, a.dest, type(a).__name__.strip("_").removesuffix("Action"),
+             None if a.type in (None, str) else a.type.__name__, a.choices, a.default,
+             a.required)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)}
+    assert table == PARSER_TABLE
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_every_run_config_field_has_one_flag(command):
+    dests = [a.dest for a in _subparsers()[command]._actions]
+    for f in dataclasses.fields(RunConfig):
+        assert dests.count(f.name) == (f.name not in FIELDS_WITHOUT_FLAG), f.name
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("source", ["flag", "file", "env"])
+def test_negative_seed_is_config_error(cli_corpus, tmp_path, capsys, monkeypatch,
+                                       command, source):
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out)]
+    if command == "train":
+        i = TINY_TRAIN.index("--seed")
+        argv += ["--manifest", str(cli_corpus / "manifest.json"),
+                 *TINY_TRAIN[:i], *TINY_TRAIN[i + 2:]]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "file":
+        (tmp_path / "c.json").write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(tmp_path / "c.json")]
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    assert run_cli(*argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG" and "seed" in err["message"]
+    assert not out.exists()
+
+
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.floats(allow_nan=True),
+    st.text(max_size=4), st.sampled_from(ATTENTION_MODES + FUSION_MODES),
+    st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def _run_config_dicts(draw):
+    """Some RunConfig fields, each at its default or at an arbitrary value."""
+    defaults = dataclasses.asdict(RunConfig())
+    names = draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=5))
+    return {name: draw(st.one_of(st.just(defaults[name]), _ANY_VALUE)) for name in names}
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(_run_config_dicts())
+def test_config_from_dict_returns_or_raises_config_error(values):
+    try:
+        cfg = config_from_dict(values)
+    except ConfigError:
+        return
+    assert {k: getattr(cfg, k) for k in values} == values
 
 
 def test_int_accepted_for_float_field(tmp_path):

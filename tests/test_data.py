@@ -1,11 +1,15 @@
 import json
 import math
+import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsum import data
 from mmsum.data import (DatasetManifest, SynthConfig, VideoFeatures, load_manifest,
@@ -264,9 +268,54 @@ def test_synth_byte_reproducible(tmp_path):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
 
-def test_synth_rejects_bad_salience(tmp_path):
-    with pytest.raises(ConfigError, match="salience"):
-        synth_generate(SynthConfig(salience=1.5), seed=0, out_dir=tmp_path / "d")
+@pytest.mark.parametrize("field,value", [
+    ("salience", 1.5), ("salience", 0.0), ("salience", math.nan),
+    ("n_samples", -1), ("n_samples", 2), ("n_sentences", 1), ("sentence_len", 0),
+    ("n_frames", 0), ("feature_dim", -3), ("feature_dim", 0), ("vocab_size", 20),
+    ("vocab_size", 25), ("transcript_len", -1), ("noise", math.nan), ("noise", -0.1),
+    ("noise", 1e39), ("transcript_overlap", math.inf), ("distractor_rate", math.nan),
+    ("n_samples", 3.0), ("with_refs", 1),
+])
+def test_synth_rejects_bad_salience(tmp_path, field, value):
+    out = tmp_path / "d"
+    out.mkdir()
+    with pytest.raises(ConfigError, match=field):
+        synth_generate(SynthConfig(**{field: value}), seed=0, out_dir=out)
+    assert not list(out.iterdir())
+
+
+def test_synth_vocab_size_minimum_fills_the_topic_pool(tmp_path):
+    manifest = synth_generate(SynthConfig(n_samples=3, vocab_size=26), seed=0,
+                              out_dir=tmp_path / "d")
+    samples, _ = data.load_dataset(manifest)
+    assert len(samples) == 3
+
+
+_TINY_SYNTH = st.builds(
+    SynthConfig, n_samples=st.integers(3, 5), n_sentences=st.integers(2, 5),
+    sentence_len=st.integers(1, 4), n_frames=st.integers(1, 4),
+    feature_dim=st.integers(1, 4), vocab_size=st.integers(26, 40),
+    salience=st.floats(0.01, 0.99), noise=st.floats(0.0, 2.0),
+    transcript_len=st.integers(0, 5), transcript_overlap=st.floats(0.0, 1.0),
+    distractor_rate=st.floats(0.0, 1.0), with_refs=st.booleans())
+_FUZZ = st.dictionaries(
+    st.sampled_from([f.name for f in fields(SynthConfig)]),
+    st.one_of(st.integers(-2, 5), st.floats(allow_nan=True), st.booleans()), max_size=2)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(_TINY_SYNTH, _FUZZ)
+def test_fuzzed_synth_config_writes_a_loadable_corpus_or_nothing(synth, fuzz):
+    synth = replace(synth, **fuzz)
+    with tempfile.TemporaryDirectory() as td:
+        out = Path(td) / "d"
+        try:
+            manifest = synth_generate(synth, seed=0, out_dir=out)
+        except ConfigError:
+            assert not out.exists()
+            return
+        samples, _ = data.load_dataset(manifest)
+        assert len(samples) == synth.n_samples
 
 
 def test_synth_transcript_overlaps_salient_sentences(tmp_path):
