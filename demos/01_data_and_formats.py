@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from mmsum.data import (SynthConfig, load_dataset, load_masks, read_feature_file,
-                        subsample_frames, synth_generate, tokenize, VideoFeatures)
+                        subsample_frames, synth_generate, tokenize)
 
 with tempfile.TemporaryDirectory() as td:
     print("=== generating a 6-sample corpus ===")
@@ -38,9 +38,8 @@ with tempfile.TemporaryDirectory() as td:
     print(f"matrix shape={frames.shape} dtype={frames.dtype}")
 
     print("\n=== frame subsampling (one per group of 5) ===")
-    video = VideoFeatures(frames=frames, fps_group=5)
-    sub = subsample_frames(video, seed=3)
-    print(f"{frames.shape[0]} raw frames -> {sub.frames.shape[0]} kept")
+    sub = subsample_frames(frames, 5, seed=3)
+    print(f"{frames.shape[0]} raw frames -> {sub.shape[0]} kept")
 
     print("\n=== tokenizer ===")
     print(tokenize('The cat, "sat" DOWN-town!'), "<- lowercase, edge punctuation stripped")

@@ -23,7 +23,7 @@ with tempfile.TemporaryDirectory() as td:
     print("labels:", labels.labels, f"(labeling score {labels.score:.3f})")
 
     print("\n=== frame-selection rewards on raw features ===")
-    frames = s.video.frames
+    frames = s.frames
     print(f"select all {frames.shape[0]} frames: "
           f"R_div={reward_div(frames, range(len(frames))):.3f} "
           f"R_rep={reward_rep(frames, range(len(frames))):.3f}")

@@ -3,12 +3,12 @@
 Float64 tape with just the operations the summarizer needs: broadcasting
 arithmetic, matmul, activations, row gather/scatter, row softmax, a few
 shape utilities, and ``bilstm_sequence``, both directions of a BiLSTM over a
-whole right-padded batch as a single node. Its padding contract: the output
-is zero at padded positions, which send no gradient to X and whose values
-change nothing. Both directions share one recurrence loop over time-major
-buffers, the reverse direction stored in its own step order. Gradients are
-exact and are cross-checked against central finite differences by the
-gradient-check harness and the test suite.
+whole right-padded batch as a single node, its hidden size read off the (4h,)
+bias. Its padding contract: the output is zero at padded positions, which send
+no gradient to X and whose values change nothing. Both directions share one
+recurrence loop over time-major buffers, the reverse direction stored in its
+own step order. Gradients are exact and are cross-checked against central
+finite differences by the gradient-check harness and the test suite.
 
 Every op but ``take_rows`` and ``bilstm_sequence`` records its node through
 ``_op``: it gives its forward value and one gradient rule per parent, and the
@@ -345,14 +345,14 @@ def _weight_grad(x, h_prev, dz):
     return dW
 
 
-def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, hidden, lengths):
+def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths):
     """Both directions of a BiLSTM over a right-padded batch, as one tape node.
 
     X is (B, T, D) and sequence k is X[k, :lengths[k]]; each W is (D + h, 4h)
-    over [x; h] with gate order i|f|o|g and each b is (4h,). Returns (B, T, 2h),
-    the forward states beside the backward states. Padding contract: at
-    positions t >= lengths[k] the output is zero, X gets zero gradient, and
-    finite values of X change nothing.
+    over [x; h] with gate order i|f|o|g and each b is (4h,), which sets the
+    hidden size h. Returns (B, T, 2h), the forward states beside the backward
+    states. Padding contract: at positions t >= lengths[k] the output is zero,
+    X gets zero gradient, and finite values of X change nothing.
 
     The recurrence runs over time-major (T, 2, B, .) buffers indexed by step.
     Direction 0 is stored in time order and direction 1 in its own step order
@@ -374,7 +374,7 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, hidden, lengths):
     X, fw_W, fw_b, bw_W, bw_b = parents = tuple(
         as_tensor(t) for t in (X, fw_W, fw_b, bw_W, bw_b))
     B, T, D = X.data.shape
-    h = hidden
+    h = fw_b.data.shape[0] // 4
     lengths = np.asarray(lengths, dtype=np.intp)
     pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
     pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order

@@ -54,7 +54,8 @@ def load_checkpoint(directory):
         try:
             arr = read_feature_file(directory / meta["file"]).astype(np.float64)
             shape = tuple(meta["shape"])
-        except (OSError, KeyError, TypeError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            # ValueError: a NUL byte in the file name
             raise CheckpointError(f"cannot read checkpoint tensor '{name}': "
                                   f"{exc!r}") from exc
         if not all(type(n) is int and n >= 0 for n in shape):

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -95,7 +97,7 @@ def _check_feature_dim(cfg: RunConfig, samples) -> None:
     if not cfg.use_frames:
         return
     for s in samples:
-        width = s.video.frames.shape[1]
+        width = s.frames.shape[1]
         if width != cfg.feature_dim:
             raise ConfigError(f"feature_dim is {cfg.feature_dim} but sample "
                               f"{s.document.id} has {width}-d frame features")
@@ -165,26 +167,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_CELL_DATASET_CACHE: dict = {}
-
-
-def _cell_dataset(manifest_path: str, cfg_dict: dict):
-    """``_load_split`` once per manifest and base config in this process."""
-    key = (manifest_path, tuple(sorted(cfg_dict.items())))
-    if key not in _CELL_DATASET_CACHE:
-        cfg = config_from_dict(cfg_dict)
-        _CELL_DATASET_CACHE[key] = _load_split(cfg)
-    return _CELL_DATASET_CACHE[key]
-
-
-def run_ablate_cell(manifest_path: str, cfg_dict: dict, cell: dict) -> dict:
-    """Train and score one ablation cell; failures are recorded, not raised."""
+def run_ablate_cell(splits: dict, vocab_size: int, cfg_dict: dict, cell: dict) -> dict:
+    """Train and score one ablation cell on the loaded ``splits``; failures are
+    recorded, not raised."""
     row = dict(cell)
     try:
-        _, splits, vocab = _cell_dataset(manifest_path, cfg_dict)
         cfg = config_from_dict({**cfg_dict, **cell["config"]})
-        result = training.train_model(splits["train"], splits["val"], cfg, len(vocab))
-        model = SummarizerModel(result.best_params, cfg, len(vocab))
+        result = training.train_model(splits["train"], splits["val"], cfg, vocab_size)
+        model = SummarizerModel(result.best_params, cfg, vocab_size)
         val_prepared = [data.prepare_for_model(s, cfg.fps_group, cfg.seed)
                         for s in splits["val"]]
         report = evaluation.evaluate_dataset(val_prepared, model)
@@ -211,10 +201,12 @@ def _strategy_config(strategy: str, base: RunConfig) -> dict:
 
 
 def cmd_ablate(args) -> int:
+    if args.workers < 1:
+        raise CliError(f"--workers must be >= 1, got {args.workers}")
     cfg = resolve_config(args.config, _overrides_from_args(args))
     epochs = args.epochs if args.epochs is not None else cfg.ablate_epochs
     base = dataclasses.asdict(cfg)
-    _cell_dataset(cfg.manifest, base)   # a data or feature_dim error ends the run here
+    _, splits, vocab = _load_split(cfg)   # a data or feature_dim error ends the run here
 
     cells = [{"fusion": fusion_mode, "attention": attention_mode, "strategy": strategy,
               "config": {**_strategy_config(strategy, cfg), "fusion": fusion_mode,
@@ -234,12 +226,14 @@ def cmd_ablate(args) -> int:
     for idx, cell in enumerate(cells):
         cell["config"].update(epochs=epochs, patience=epochs, seed=cfg.seed * 10007 + idx)
 
-    if args.workers and args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run_ablate_cell, [cfg.manifest] * len(cells),
-                                 [base] * len(cells), cells))
+    workers = min(args.workers, len(cells))
+    if workers > 1:     # each chunk of cells carries the data once
+        cell_fn = functools.partial(run_ablate_cell, splits, len(vocab), base)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(cell_fn, cells,
+                                 chunksize=math.ceil(len(cells) / workers)))
     else:
-        rows = [run_ablate_cell(cfg.manifest, base, cell) for cell in cells]
+        rows = [run_ablate_cell(splits, len(vocab), base, cell) for cell in cells]
 
     for i, row in enumerate(rows):
         tag = f"{row['fusion']:>9s} | {row['attention']:>14s} | {row['strategy']:>11s}"

@@ -9,6 +9,9 @@ On-disk formats:
   cols), then rows*cols little-endian float32 values in row-major order.
 * Document / transcript / summary: UTF-8 text, one sentence per line.
 
+A loaded ``Sample`` holds its frame features as a plain (NM, D_v) array;
+``prepare_for_model`` swaps in ``subsample_frames(frames, fps_group, seed)``.
+
 Tokenization is lowercase, split on Unicode whitespace, with Unicode
 punctuation stripped from token edges.
 """
@@ -74,12 +77,6 @@ class Document:
 
 
 @dataclass
-class VideoFeatures:
-    frames: np.ndarray               # (NM_raw, D_v) float
-    fps_group: int = 1
-
-
-@dataclass
 class Transcript:
     tokens: np.ndarray               # token ids, possibly empty
     raw_text: str
@@ -88,7 +85,7 @@ class Transcript:
 @dataclass
 class Sample:
     document: Document
-    video: VideoFeatures
+    frames: np.ndarray               # (NM, D_v) float
     transcript: Transcript
     gold_summary: list[str]
     ref_image_features: np.ndarray | None = None
@@ -254,7 +251,7 @@ def _load_sample(manifest, entry, vocab, min_frames, read) -> Sample:
 
     return Sample(
         document=Document(sentences=sentences, raw_sentences=raw_sentences, id=entry.id),
-        video=VideoFeatures(frames=frames),
+        frames=frames,
         transcript=Transcript(tokens=transcript_tokens, raw_text=transcript_text),
         gold_summary=gold,
         ref_image_features=refs,
@@ -285,21 +282,15 @@ def sample_rng_seed(base_seed: int, sample_id: str) -> int:
     return (int(base_seed) * 1_000_003 + zlib.crc32(sample_id.encode("utf-8"))) % 2**32
 
 
-def subsample_frames(video: VideoFeatures, seed: int) -> VideoFeatures:
-    """Keep one frame per group of ``fps_group`` consecutive frames, chosen
-    uniformly within each group by a seeded RNG."""
-    g = int(video.fps_group)
-    if g < 1:
-        raise ConfigError(f"fps_group must be >= 1, got {g}")
-    n = video.frames.shape[0]
-    if g == 1:
-        return VideoFeatures(frames=video.frames.copy(), fps_group=1)
+def subsample_frames(frames: np.ndarray, group: int, seed: int) -> np.ndarray:
+    """A new array of one frame per ``group`` consecutive rows of ``frames``,
+    chosen uniformly within each group by a seeded RNG."""
+    if group < 1:
+        raise ConfigError(f"fps_group must be >= 1, got {group}")
     rng = np.random.default_rng(seed)
-    picks = []
-    for lo in range(0, n, g):
-        hi = min(lo + g, n)
-        picks.append(int(rng.integers(lo, hi)))
-    return VideoFeatures(frames=video.frames[picks].copy(), fps_group=1)
+    n = frames.shape[0]
+    return frames[[int(rng.integers(lo, min(lo + group, n)))
+                   for lo in range(0, n, group)]]
 
 
 def prepare_for_model(sample: Sample, fps_group: int, base_seed: int) -> Sample:
@@ -308,9 +299,8 @@ def prepare_for_model(sample: Sample, fps_group: int, base_seed: int) -> Sample:
     see identical frames."""
     if fps_group <= 1:
         return sample
-    video = VideoFeatures(frames=sample.video.frames, fps_group=fps_group)
-    sub = subsample_frames(video, sample_rng_seed(base_seed, sample.document.id))
-    return replace(sample, video=sub)
+    seed = sample_rng_seed(base_seed, sample.document.id)
+    return replace(sample, frames=subsample_frames(sample.frames, fps_group, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +359,43 @@ class SynthConfig:
     with_refs: bool = True
 
 
+SYNTH_REDRAWS = 1000    # draws of one sentence before its duplicates end synth
+
+
 def _word(i: int) -> str:
     return f"w{i:03d}"
+
+
+def _draw_sentences(config: SynthConfig, rng, general_pool, topic_pool):
+    """A sample's first draws: its salient sentence indices and its distinct
+    sentences as (token ids, text)."""
+    ns = config.n_sentences
+    n_sal = max(1, round(ns * config.salience))
+    sal_idx = np.sort(rng.choice(ns, size=n_sal, replace=False))
+    topic = rng.choice(topic_pool, size=6, replace=False)
+
+    sentences, seen_text = [], set()
+    for i in range(ns):
+        for _ in range(SYNTH_REDRAWS):
+            toks = []
+            for _ in range(config.sentence_len):
+                if i in sal_idx and rng.random() < 0.5:
+                    toks.append(int(rng.choice(topic)))
+                elif i not in sal_idx and rng.random() < config.distractor_rate:
+                    toks.append(int(rng.choice(topic_pool)))
+                else:
+                    toks.append(int(rng.choice(general_pool)))
+            text = " ".join(_word(t) for t in toks)
+            if text not in seen_text:
+                break
+        else:
+            raise ConfigError(
+                f"cannot draw n_sentences={ns} distinct sentences of sentence_len="
+                f"{config.sentence_len} tokens from vocab_size={config.vocab_size} "
+                f"({SYNTH_REDRAWS} draws gave only duplicates of earlier sentences)")
+        seen_text.add(text)
+        sentences.append((toks, text))
+    return sal_idx, sentences
 
 
 def synth_generate(config: SynthConfig, seed: int, out_dir) -> DatasetManifest:
@@ -380,45 +405,24 @@ def synth_generate(config: SynthConfig, seed: int, out_dir) -> DatasetManifest:
     verbatim into the gold summary; salient frame vectors share one latent
     direction (plus noise); the transcript resamples tokens from the salient
     sentences. Ground-truth masks are written to ``<id>.masks.json`` next to
-    each sample for test use.
+    each sample for test use. Each sample draws from its own spawned RNG, so
+    the sentences of every sample, the one draw that can fail, are drawn
+    before any file is written: a ``ConfigError`` writes nothing.
     """
     check_fields(config)
-    out_dir = Path(out_dir)
-    sample_dir = out_dir / "samples"
-    sample_dir.mkdir(parents=True, exist_ok=True)
-
     topic_start = int(config.vocab_size * 0.8)
     general_pool = np.arange(0, topic_start)
     topic_pool = np.arange(topic_start, config.vocab_size)
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(config.n_samples)]
+    drawn = [_draw_sentences(config, rng, general_pool, topic_pool) for rng in rngs]
 
-    master = np.random.SeedSequence(seed)
+    out_dir = Path(out_dir)
+    sample_dir = out_dir / "samples"
+    sample_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for snum, child in enumerate(master.spawn(config.n_samples)):
-        rng = np.random.default_rng(child)
+    for snum, (rng, (sal_idx, sentences)) in enumerate(zip(rngs, drawn)):
         sid = f"s{snum:03d}"
-
-        ns = config.n_sentences
-        n_sal = max(1, round(ns * config.salience))
-        sal_idx = np.sort(rng.choice(ns, size=n_sal, replace=False))
-        topic = rng.choice(topic_pool, size=6, replace=False)
-
-        sentences, seen_text = [], set()
-        for i in range(ns):
-            while True:
-                toks = []
-                for _ in range(config.sentence_len):
-                    if i in sal_idx and rng.random() < 0.5:
-                        toks.append(int(rng.choice(topic)))
-                    elif i not in sal_idx and rng.random() < config.distractor_rate:
-                        toks.append(int(rng.choice(topic_pool)))
-                    else:
-                        toks.append(int(rng.choice(general_pool)))
-                text = " ".join(_word(t) for t in toks)
-                if text not in seen_text:
-                    seen_text.add(text)
-                    sentences.append((toks, text))
-                    break
-
         nf = config.n_frames
         n_sal_f = max(1, round(nf * config.salience))
         sal_frames = np.sort(rng.choice(nf, size=n_sal_f, replace=False))
@@ -459,7 +463,7 @@ def synth_generate(config: SynthConfig, seed: int, out_dir) -> DatasetManifest:
             write_feature_file(out_dir / ref_path, frames[sal_frames])
 
         write_json_lines(sample_dir / f"{sid}.masks.json", [{
-            "salient_sentences": [int(i in sal_idx) for i in range(ns)],
+            "salient_sentences": [int(i in sal_idx) for i in range(config.n_sentences)],
             "salient_frames": [int(j in sal_frames) for j in range(nf)],
         }])
 

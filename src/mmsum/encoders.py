@@ -6,7 +6,9 @@ LSTMs sharing one embedding table for text. Each BiLSTM is a single
 recurrence loop, storing the reverse direction in its own step order. Input is
 right-padded: the word encoder runs all sentences of a document as one
 (NS, T_max, E) batch with their lengths, and its states are zero at padding,
-where X gets no gradient and its values change nothing."""
+where X gets no gradient and its values change nothing. Each encoder returns
+its states as one Tensor, (N, 2h) per sentence, frame or transcript token; the
+hidden size h is read off the LSTM bias, which is (4h,)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -26,7 +28,10 @@ class BiLSTM:
     fw_b: Tensor   # (4h,)
     bw_W: Tensor
     bw_b: Tensor
-    hidden: int
+
+    @property
+    def hidden(self):
+        return self.fw_b.shape[0] // 4
 
     @property
     def input_dim(self):
@@ -40,31 +45,13 @@ class EncoderParams:
     sentence: BiLSTM
     frame: BiLSTM | None
     transcript: BiLSTM | None
-    hidden: int
     sum_pool: bool = False       # sentence pooling: sum instead of mean
 
 
-@dataclass
-class SentenceStates:
-    states: Tensor               # (NS, 2h)
-    word_states: Tensor          # (NS, T_max, 2h), zero at padding
-    lengths: np.ndarray          # (NS,) tokens per sentence
-    pooled: Tensor               # (NS, 2h)
-
-
-@dataclass
-class FrameStates:
-    states: Tensor               # (NM, 2h)
-
-
-@dataclass
-class TranscriptStates:
-    states: Tensor               # (NT, 2h)
-
-
-def open_forget_gate(b: np.ndarray, hidden: int) -> np.ndarray:
-    """Set the forget-gate slice of an LSTM bias to 1.0 (in place) so memory
-    is open early in training."""
+def open_forget_gate(b: np.ndarray) -> np.ndarray:
+    """Set the forget-gate slice of an LSTM bias (4h,) to 1.0 (in place) so
+    memory is open early in training."""
+    hidden = b.shape[0] // 4
     b[hidden:2 * hidden] = 1.0
     return b
 
@@ -80,7 +67,7 @@ def bilstm(X: Tensor, p: BiLSTM, lengths=None) -> Tensor:
     if single:
         lengths = [X.shape[0]]
         X = ad.reshape(X, (1,) + X.shape)
-    out = ad.bilstm_sequence(X, p.fw_W, p.fw_b, p.bw_W, p.bw_b, p.hidden, lengths)
+    out = ad.bilstm_sequence(X, p.fw_W, p.fw_b, p.bw_W, p.bw_b, lengths)
     return ad.reshape(out, out.shape[1:]) if single else out
 
 
@@ -99,17 +86,17 @@ def encode_words(sentences, enc: EncoderParams) -> tuple[Tensor, np.ndarray]:
     return bilstm(emb, enc.word, lengths), lengths
 
 
-def encode_sentences(document, enc: EncoderParams) -> SentenceStates:
+def encode_sentences(document, enc: EncoderParams) -> Tensor:
+    """(NS, 2h) sentence states: the sentence BiLSTM over the mean (or, with
+    ``sum_pool``, the sum) of each sentence's word states."""
     word_states, lengths = encode_words(document.sentences, enc)
     pooled = ad.tsum(word_states, axis=1)       # padding is zero
     if not enc.sum_pool:
         pooled = pooled * (1.0 / lengths[:, None])
-    states = bilstm(pooled, enc.sentence)
-    return SentenceStates(states=states, word_states=word_states, lengths=lengths,
-                          pooled=pooled)
+    return bilstm(pooled, enc.sentence)
 
 
-def encode_frames(frames, enc: EncoderParams) -> FrameStates:
+def encode_frames(frames, enc: EncoderParams) -> Tensor:
     if enc.frame is None:
         raise EncodeError("model was built without a frame encoder")
     X = ad.as_tensor(frames)
@@ -118,13 +105,12 @@ def encode_frames(frames, enc: EncoderParams) -> FrameStates:
     if X.shape[1] != enc.frame.input_dim:
         raise EncodeError(f"frame feature dim {X.shape[1]} does not match "
                           f"encoder input dim {enc.frame.input_dim}")
-    return FrameStates(states=bilstm(X, enc.frame))
+    return bilstm(X, enc.frame)
 
 
-def encode_transcript(token_ids, enc: EncoderParams) -> TranscriptStates:
+def encode_transcript(token_ids, enc: EncoderParams) -> Tensor:
     if enc.transcript is None:
         raise EncodeError("model was built without a transcript encoder")
     if len(token_ids) == 0:
-        return TranscriptStates(states=Tensor(np.zeros((0, 2 * enc.hidden))))
-    emb = ad.take_rows(enc.embedding, token_ids)
-    return TranscriptStates(states=bilstm(emb, enc.transcript))
+        return Tensor(np.zeros((0, 2 * enc.transcript.hidden)))
+    return bilstm(ad.take_rows(enc.embedding, token_ids), enc.transcript)

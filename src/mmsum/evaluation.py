@@ -189,7 +189,7 @@ def evaluate_dataset(samples: list[Sample], model, k_sentences=None,
         }
         if s.ref_image_features is not None and out.frame_indices:
             row["cos"] = cos_image_similarity(
-                s.video.frames[out.frame_indices], s.ref_image_features)
+                s.frames[out.frame_indices], s.ref_image_features)
         per_sample.append(row)
 
     missing_refs = [r["id"] for r in per_sample if "cos" not in r]

@@ -85,7 +85,7 @@ def build_parameters(cfg: RunConfig, vocab_size: int, rng,
               for name, shape in parameter_spec(cfg, vocab_size).items()}
     for name, arr in params.items():
         if name.startswith("encoders/") and name.endswith("_b"):
-            encoders.open_forget_gate(arr, cfg.hidden)
+            encoders.open_forget_gate(arr)
     return params
 
 
@@ -111,9 +111,9 @@ class SummarizerModel:
 
         self.encoder = EncoderParams(
             embedding=self.params["encoders/embedding"],
-            **{name: self._group(BiLSTM, f"encoders/{name}", hidden=cfg.hidden)
+            **{name: self._group(BiLSTM, f"encoders/{name}")
                for name in ("word", "sentence", "frame", "transcript")},
-            hidden=cfg.hidden, sum_pool=cfg.sum_pool)
+            sum_pool=cfg.sum_pool)
         self.attn = AttentionParams(
             mode=cfg.attention,
             **{name: self._group(AttnSet, f"attention/{name}") for name in ATTN_SETS})
@@ -123,37 +123,35 @@ class SummarizerModel:
                           for part in ("joint", "f", "g", "F")})
             for side in ("text", "frame"))
 
-    def _group(self, cls, prefix: str, **fixed):
+    def _group(self, cls, prefix: str):
         """Fill the params dataclass `cls` from the `prefix/<field>` entries;
         None when the configuration has no such group."""
-        fields = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+        fields = [f.name for f in dataclasses.fields(cls)]
         if f"{prefix}/{fields[0]}" not in self.params:
             return None
-        return cls(**{f: self.params.get(f"{prefix}/{f}") for f in fields}, **fixed)
+        return cls(**{f: self.params.get(f"{prefix}/{f}") for f in fields})
 
     def forward(self, sample) -> ForwardResult:
         enc = self.encoder
-        sent = encoders.encode_sentences(sample.document, enc)
+        sents = encoders.encode_sentences(sample.document, enc)
         if enc.frame is None:
-            probs = fusion.text_only_prob(sent.states, self.text_head.f)
+            probs = fusion.text_only_prob(sents, self.text_head.f)
             return ForwardResult(sent_probs=probs, frame_probs=None,
-                                 sent_states=sent.states, frame_states=None,
+                                 sent_states=sents, frame_states=None,
                                  sent_attn=None, frame_attn=None)
 
-        frames = encoders.encode_frames(sample.video.frames, enc)
+        frames = encoders.encode_frames(sample.frames, enc)
         t_states = None
         if enc.transcript is not None:
-            t_states = encoders.encode_transcript(sample.transcript.tokens, enc).states
+            t_states = encoders.encode_transcript(sample.transcript.tokens, enc)
 
-        sent_attn = attention.sentence_context(self.attn, sent.states,
-                                               frames.states, t_states)
-        frame_attn = attention.frame_context(self.attn, frames.states,
-                                             sent.states, t_states)
+        sent_attn = attention.sentence_context(self.attn, sents, frames, t_states)
+        frame_attn = attention.frame_context(self.attn, frames, sents, t_states)
 
-        sent_probs = fusion.fuse(sent.states, sent_attn.contexts, self.text_head)
-        frame_probs = fusion.fuse(frames.states, frame_attn.contexts, self.frame_head)
+        sent_probs = fusion.fuse(sents, sent_attn.contexts, self.text_head)
+        frame_probs = fusion.fuse(frames, frame_attn.contexts, self.frame_head)
         return ForwardResult(sent_probs=sent_probs, frame_probs=frame_probs,
-                             sent_states=sent.states, frame_states=frames.states,
+                             sent_states=sents, frame_states=frames,
                              sent_attn=sent_attn, frame_attn=frame_attn)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:

@@ -348,7 +348,7 @@ def _rel_errors(analytic: np.ndarray, numeric: np.ndarray):
 
 def make_check_sample(cfg, rng) -> Sample:
     """Tiny deterministic sample for the finite-difference harness."""
-    from .data import Document, Transcript, VideoFeatures
+    from .data import Document, Transcript
 
     vocab_size = 7
     sentences = [rng.integers(0, vocab_size, size=3),
@@ -357,8 +357,7 @@ def make_check_sample(cfg, rng) -> Sample:
                    raw_sentences=["a b c", "d e"], id="gradcheck")
     frames = rng.normal(size=(2, cfg.feature_dim))
     tokens = rng.integers(0, vocab_size, size=3)
-    return Sample(document=doc,
-                  video=VideoFeatures(frames=frames),
+    return Sample(document=doc, frames=frames,
                   transcript=Transcript(tokens=tokens, raw_text="a b c"),
                   gold_summary=["a b c"])
 

@@ -1,16 +1,21 @@
 """The JSON artifact pair ``errors.write_json``/``read_json``: strict, atomic
-and byte-stable; and fuzzed manifests, which load or end in an ``MMSumError``."""
+and byte-stable; and fuzzed manifests and checkpoint indexes, which load or end
+in an ``MMSumError``."""
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmsum import data, errors
+from conftest import tiny_config
+from mmsum import checkpoint, data, errors
 from mmsum.data import SynthConfig, synth_generate
-from mmsum.errors import MMSumError, read_json, write_json, write_json_lines
+from mmsum.errors import (CheckpointError, MMSumError, read_json, write_json,
+                          write_json_lines)
+from mmsum.model import SummarizerModel, build_parameters
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -141,3 +146,88 @@ def test_fuzzed_manifest_loads_or_raises_mmsum_error(fuzz_corpus, doc):
     except MMSumError:
         pass
 
+
+def _splice(text, data_):
+    """``text`` with one span of up to 8 characters replaced by a short JSON
+    fragment or any text: the edits a hand-edited file or a torn copy make."""
+    i = data_.draw(st.integers(0, len(text)))
+    j = data_.draw(st.integers(i, min(len(text), i + 8)))
+    piece = data_.draw(st.sampled_from(['"', "{", "}", "[", "]", ",", ":", "null", "-1",
+                                        "1e999", "NaN", '"x"', '""', "0.5", "\\u0000"])
+                       | st.text(max_size=4))
+    return text[:i] + piece + text[j:]
+
+
+@PROPERTY
+@given(data_=st.data())
+def test_spliced_manifest_text_loads_or_raises_mmsum_error(fuzz_corpus, data_):
+    text = (fuzz_corpus / "manifest.json").read_text(encoding="utf-8")
+    path = fuzz_corpus / "spliced.json"
+    path.write_text(_splice(text, data_), encoding="utf-8")
+    try:
+        data.load_dataset(data.load_manifest(path))
+    except MMSumError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """A saved checkpoint, and its index as written."""
+    cfg = tiny_config(attention="bihop")
+    vocab = {"<unk>": 0, **{f"w{i}": i for i in range(1, 5)}}
+    directory = tmp_path_factory.mktemp("fuzz_checkpoint")
+    params = build_parameters(cfg, len(vocab), np.random.default_rng(0))
+    checkpoint.save_checkpoint(directory, params, cfg, vocab)
+    return directory, (directory / checkpoint.INDEX_FILE).read_text(encoding="utf-8")
+
+
+# file names a fuzzed index may point a tensor at: its siblings, the
+# directory itself, names that do not resolve or do not fit a path
+_names = st.sampled_from(["", ".", "..", "index.json", "config.json", "vocab.json",
+                          "nope.bin", "a\x00b", "x" * 300, "encoders__embedding.bin"])
+
+
+def _fuzz_index(index, data_):
+    """``index`` with one tensor's entry, or the whole table, replaced or
+    edited: a file name or shape swapped for any value, a key dropped."""
+    tensors = index["tensors"]
+    name = data_.draw(st.sampled_from(sorted(tensors)))
+    junk = _names | json_trees
+    edit = data_.draw(st.sampled_from(["file", "shape", "drop-key", "drop-tensor",
+                                       "entry", "table"]))
+    if edit in ("file", "shape"):
+        tensors[name][edit] = data_.draw(junk | st.lists(st.integers(-2, 40), max_size=3))
+    elif edit == "drop-key":
+        del tensors[name][data_.draw(st.sampled_from(["file", "shape"]))]
+    elif edit == "drop-tensor":
+        del tensors[name]
+    elif edit == "entry":
+        tensors[name] = data_.draw(junk)
+    else:
+        index["tensors"] = data_.draw(junk)
+    return index
+
+
+@PROPERTY
+@given(data_=st.data())
+def test_fuzzed_checkpoint_index_loads_or_raises_mmsum_error(fuzz_checkpoint, data_):
+    directory, text = fuzz_checkpoint
+    if data_.draw(st.booleans()):
+        text = json.dumps(_fuzz_index(json.loads(text), data_))
+    else:
+        text = _splice(text, data_)
+    (directory / checkpoint.INDEX_FILE).write_text(text, encoding="utf-8")
+    try:
+        params, cfg, vocab = checkpoint.load_checkpoint(directory)
+        SummarizerModel(params, cfg, len(vocab))
+    except MMSumError:
+        pass
+
+
+def test_checkpoint_tensor_file_name_with_nul_is_checkpoint_error(fuzz_checkpoint):
+    directory, text = fuzz_checkpoint
+    index = json.loads(text)
+    next(iter(index["tensors"].values()))["file"] = "a\x00b"
+    (directory / checkpoint.INDEX_FILE).write_text(json.dumps(index), encoding="utf-8")
+    with pytest.raises(CheckpointError, match="cannot read checkpoint tensor"):
+        checkpoint.load_checkpoint(directory)

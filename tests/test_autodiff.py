@@ -115,7 +115,7 @@ def test_lstm_sequence_ignores_values_at_padding(rng, reverse):
     for padding_values in (np.zeros((B, T, D)), 50.0 * rng.normal(size=(B, T, D))):
         X = Tensor(np.where(pad[:, :, None], padding_values, x), requires_grad=True)
         params = [Tensor(a, requires_grad=True) for a in data]
-        out = ad.bilstm_sequence(X, *params, h, lengths)
+        out = ad.bilstm_sequence(X, *params, lengths)
         ad.backward(ad.tsum(out * upstream))
         runs.append([t.tobytes() for t in [out.data, X.grad] + [p.grad for p in params]])
     assert runs[0] == runs[1]
@@ -130,11 +130,11 @@ def test_lstm_sequence_gradients_match_finite_differences(rng, reverse, lengths)
     X = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
     params = bilstm_params(rng, D, h)
     upstream = upstream_on_half(rng, B, T, h, reverse)
-    ad.backward(ad.tsum(ad.bilstm_sequence(X, *params, h, lengths) * upstream))
+    ad.backward(ad.tsum(ad.bilstm_sequence(X, *params, lengths) * upstream))
 
     def fn():
         with ad.no_grad():
-            out = ad.bilstm_sequence(X, *params, h, lengths)
+            out = ad.bilstm_sequence(X, *params, lengths)
             return float((out.data * upstream).sum())
 
     for t in [X] + params:
@@ -156,7 +156,7 @@ def test_bilstm_sequence_keeps_no_step_caches_under_no_grad(rng):
         tracemalloc.start()
         try:
             with contextlib.nullcontext() if recording else ad.no_grad():
-                out = ad.bilstm_sequence(X, *params, h, [T] * B)
+                out = ad.bilstm_sequence(X, *params, [T] * B)
             held, peak = tracemalloc.get_traced_memory()
             return held - out.data.nbytes, peak
         finally:

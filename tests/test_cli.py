@@ -1,7 +1,11 @@
 import argparse
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mmsum
 from mmsum import checkpoint, cli, data
 from mmsum.config import (ATTENTION_MODES, FUSION_MODES, SEED_ENV_VAR, RunConfig,
                           config_from_dict, resolve_config)
@@ -18,6 +23,12 @@ from mmsum.errors import ConfigError
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def test_star_import_resolves_every_name_in_all():
+    namespace = {}
+    exec("from mmsum import *", namespace)   # a stale __all__ entry raises here
+    assert set(mmsum.__all__) <= namespace.keys()
 
 
 def read_tree_bytes(root):
@@ -103,6 +114,24 @@ def test_synth_out_of_bounds_flag_is_config_error(tmp_path, capsys, flags, field
     assert len(lines) == 1
     err = json.loads(lines[0])
     assert err["error"] == "CONFIG" and field in err["message"]
+    assert not out.exists()
+
+
+def test_synth_without_enough_distinct_sentences_is_config_error(tmp_path):
+    """One-token sentences from a 26-word vocabulary cannot fill 40 distinct
+    sentences: the run ends in a CONFIG error naming the three fields, and
+    writes nothing, rather than redrawing forever."""
+    out = tmp_path / "d"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mmsum.cli", "synth", "--out", str(out), "--seed", "1",
+         "--sentence-len", "1", "--sentences", "40", "--vocab-size", "26"],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)
+    assert err["error"] == "CONFIG"
+    assert all(name in err["message"]
+               for name in ("n_sentences=40", "sentence_len=1", "vocab_size=26"))
     assert not out.exists()
 
 
@@ -567,11 +596,79 @@ def test_ablate_sweeps_emit_extra_rows(cli_corpus, tmp_path):
     assert report["n_failed"] == 0
 
 
+def _fake_cell(*args):
+    """A cell's row, as ``run_ablate_cell`` returns it, without training."""
+    row = {**args[-1], "status": "ok", "val_r1": 0.0, "val_loss": 0.0}
+    row.pop("config")
+    return row
+
+
+def test_ablate_rereads_a_corpus_regenerated_at_the_same_path(tmp_path, capsys,
+                                                               monkeypatch):
+    """A second ablate run in one process reads the corpus now on disk: once
+    regenerated with 16-d frames, it fails the 8-d feature_dim check."""
+    monkeypatch.setattr(cli, "run_ablate_cell", _fake_cell)
+    corpus = tmp_path / "corpus"
+    argv = ("ablate", "--manifest", str(corpus / "manifest.json"),
+            "--out", str(tmp_path / "ab"), *TINY_ABLATE)
+    assert run_cli("synth", "--out", str(corpus), "--seed", "5", *SMALL_SYNTH) == 0
+    assert run_cli(*argv) == 0
+    wide = list(SMALL_SYNTH)
+    wide[wide.index("--feature-dim") + 1] = "16"
+    assert run_cli("synth", "--out", str(corpus), "--force", "--seed", "5", *wide) == 0
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    _assert_feature_dim_error(capsys, 8, 16)
+
+
+@pytest.mark.parametrize("workers,pool", [("1", None), ("2", (2, 24)), ("1000", (48, 1))])
+def test_ablate_pool_has_at_most_one_worker_per_cell(cli_corpus, tmp_path, monkeypatch,
+                                                      workers, pool):
+    """``--workers`` sizes the pool up to the 48 cells, each worker taking one
+    chunk of cells; one worker runs the cells in this process. The executor is
+    a stand-in that records its size and runs the cells here."""
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            made.append((self.max_workers, chunksize))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(cli, "run_ablate_cell", _fake_cell)
+    out = tmp_path / "ab"
+    assert run_cli("ablate", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), "--workers", workers, *TINY_ABLATE) == 0
+    assert made == ([pool] if pool else [])
+    assert len(json.loads((out / "ablation.json").read_text())["cells"]) == 48
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_ablate_workers_below_one_is_cli_error(cli_corpus, tmp_path, capsys, monkeypatch,
+                                               workers):
+    monkeypatch.setattr(cli, "run_ablate_cell", _fail_if_called)
+    out = tmp_path / "ab"
+    assert run_cli("ablate", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), "--workers", workers, *TINY_ABLATE) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CLI" and "--workers" in err["message"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # feature_dim against the feature files
 
 def _fail_if_called(*args, **kwargs):
-    raise AssertionError("ran past the feature_dim check")
+    raise AssertionError("ran past the check that should end the run")
 
 
 def _assert_feature_dim_error(capsys, configured, found):

@@ -1,6 +1,8 @@
 import json
 import math
+import struct
 import tempfile
+import unicodedata
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -8,16 +10,19 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmsum import data
-from mmsum.data import (DatasetManifest, SynthConfig, VideoFeatures, load_manifest,
+from mmsum.data import (FEATURE_MAGIC, DatasetManifest, SynthConfig, load_manifest,
                         read_feature_file, split_dataset, subsample_frames,
                         synth_generate, tokenize, write_feature_file)
 from mmsum.errors import ConfigError, FormatError, IngestionError, SchemaError, SplitError
 from mmsum.training import greedy_labels
 
+PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -28,6 +33,25 @@ def test_tokenize_lowercases_and_strips_edge_punctuation():
 
 def test_tokenize_unicode_whitespace_and_empty_tokens():
     assert tokenize("a b\t...\nc") == ["a", "b", "c"]
+
+
+def _is_punctuation(ch):
+    return unicodedata.category(ch).startswith("P")
+
+
+# any text, weighted towards whitespace, punctuation and case changes
+_SEPARATORS = " \t\n\u00a0\u2003.,!?\"'-()\u2026\u00ab\u00bb\u00bf"
+_texts = st.text(st.sampled_from(list(_SEPARATORS + "Ab\u0130")) | st.characters())
+
+
+@PROPERTY
+@given(_texts)
+def test_tokenize_is_idempotent_and_yields_clean_tokens(text):
+    tokens = tokenize(text)
+    assert tokenize(" ".join(tokens)) == tokens
+    for tok in tokens:
+        assert tok and len(tok.split()) == 1 and tok == tok.strip()
+        assert not _is_punctuation(tok[0]) and not _is_punctuation(tok[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +66,36 @@ def test_feature_file_round_trip_bit_exact(tmp_path, rng):
     back = read_feature_file(path)
     assert back.dtype == np.float32
     assert m.tobytes() == back.tobytes()
+
+
+@PROPERTY
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                               max_side=5)))
+def test_feature_file_round_trips_any_float32_matrix(tmp_path, m):
+    path = tmp_path / "m.bin"
+    write_feature_file(path, m)
+    back = read_feature_file(path)
+    assert back.shape == m.shape and back.dtype == np.float32
+    assert back.tobytes() == m.tobytes()
+
+
+# bytes that often carry the magic and a header, so reads get past the first check
+_feature_blobs = st.binary(max_size=40) | st.builds(
+    lambda rows, cols, payload: FEATURE_MAGIC + struct.pack("<II", rows, cols) + payload,
+    st.integers(0, 3), st.integers(0, 3), st.binary(max_size=40))
+
+
+@PROPERTY
+@given(_feature_blobs)
+def test_feature_file_of_any_bytes_reads_or_raises_format_error(tmp_path, blob):
+    path = tmp_path / "m.bin"
+    path.write_bytes(blob)
+    try:
+        m = read_feature_file(path)
+    except FormatError:
+        return
+    assert m.dtype == np.float32 and m.ndim == 2
+    assert len(blob) == 16 + 4 * m.size
 
 
 def test_feature_file_declared_shape(tmp_path):
@@ -156,32 +210,38 @@ def test_min_frames_filter(tmp_path):
 # frame subsampling
 
 def test_subsample_one_per_block_of_five(rng):
-    video = VideoFeatures(frames=np.arange(10)[:, None].astype(float), fps_group=5)
-    out = subsample_frames(video, seed=4)
-    assert out.frames.shape == (2, 1)
-    assert 0 <= out.frames[0, 0] < 5
-    assert 5 <= out.frames[1, 0] < 10
+    out = subsample_frames(np.arange(10)[:, None].astype(float), 5, seed=4)
+    assert out.shape == (2, 1)
+    assert 0 <= out[0, 0] < 5
+    assert 5 <= out[1, 0] < 10
 
 
 def test_subsample_group_one_is_identity(rng):
     frames = rng.normal(size=(7, 3))
-    out = subsample_frames(VideoFeatures(frames=frames, fps_group=1), seed=0)
-    npt.assert_array_equal(out.frames, frames)
+    out = subsample_frames(frames, 1, seed=0)
+    npt.assert_array_equal(out, frames)
+    assert not np.shares_memory(out, frames)
+
+
+@pytest.mark.parametrize("group", [0, -2])
+def test_subsample_group_below_one_is_config_error(group):
+    with pytest.raises(ConfigError, match="fps_group"):
+        subsample_frames(np.zeros((4, 2)), group, seed=0)
 
 
 def test_subsample_deterministic():
     frames = np.arange(23)[:, None].astype(float)
-    a = subsample_frames(VideoFeatures(frames=frames, fps_group=5), seed=9)
-    b = subsample_frames(VideoFeatures(frames=frames, fps_group=5), seed=9)
-    npt.assert_array_equal(a.frames, b.frames)
+    a = subsample_frames(frames, 5, seed=9)
+    b = subsample_frames(frames, 5, seed=9)
+    npt.assert_array_equal(a, b)
 
 
 def test_subsample_count_is_ceil_for_all_sizes():
     for n in range(1, 101):
         frames = np.zeros((n, 1))
         for g in range(1, 11):
-            out = subsample_frames(VideoFeatures(frames=frames, fps_group=g), seed=1)
-            assert out.frames.shape[0] == math.ceil(n / g), (n, g)
+            out = subsample_frames(frames, g, seed=1)
+            assert out.shape[0] == math.ceil(n / g), (n, g)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +301,7 @@ def test_synth_zero_noise_frames_equal_latent(tmp_path):
     for s in samples:
         masks = data.load_masks(manifest, s.document.id)
         sal = np.flatnonzero(masks["salient_frames"])
-        sal_frames = s.video.frames[sal]
+        sal_frames = s.frames[sal]
         # all salient frames share one latent direction, bit-for-bit
         for row in sal_frames[1:]:
             npt.assert_array_equal(row, sal_frames[0])
@@ -356,9 +416,9 @@ def test_load_dataset_reads_each_text_file_once(tmp_path, monkeypatch):
         assert (s.document.id, s.document.raw_sentences, s.transcript.raw_text,
                 s.gold_summary) == (ref.document.id, ref.document.raw_sentences,
                                     ref.transcript.raw_text, ref.gold_summary)
-        for got, want in zip(s.document.sentences + [s.video.frames, s.transcript.tokens,
+        for got, want in zip(s.document.sentences + [s.frames, s.transcript.tokens,
                                                      s.ref_image_features],
-                             ref.document.sentences + [ref.video.frames,
+                             ref.document.sentences + [ref.frames,
                                                        ref.transcript.tokens,
                                                        ref.ref_image_features],
                              strict=True):

@@ -17,7 +17,7 @@ def init_lstm_direction(rng, input_dim, hidden, scale=INIT_SCALE):
     """Uniform init of one direction, then the forget-gate opening."""
     w = rng.uniform(-scale, scale, size=(input_dim + hidden, 4 * hidden))
     b = rng.uniform(-scale, scale, size=(4 * hidden,))
-    return w, open_forget_gate(b, hidden)
+    return w, open_forget_gate(b)
 
 
 def make_bilstm(rng, input_dim, hidden, zero=False):
@@ -28,7 +28,7 @@ def make_bilstm(rng, input_dim, hidden, zero=False):
         fw = init_lstm_direction(rng, input_dim, hidden)
         bw = init_lstm_direction(rng, input_dim, hidden)
     return BiLSTM(fw_W=Tensor(fw[0], True), fw_b=Tensor(fw[1], True),
-                  bw_W=Tensor(bw[0], True), bw_b=Tensor(bw[1], True), hidden=hidden)
+                  bw_W=Tensor(bw[0], True), bw_b=Tensor(bw[1], True))
 
 
 def make_encoder(rng, vocab=9, embed=3, hidden=4, feature_dim=5, zero_word=False):
@@ -39,7 +39,6 @@ def make_encoder(rng, vocab=9, embed=3, hidden=4, feature_dim=5, zero_word=False
         sentence=make_bilstm(rng, 2 * hidden, hidden),
         frame=make_bilstm(rng, feature_dim, hidden),
         transcript=make_bilstm(rng, embed, hidden),
-        hidden=hidden,
     )
 
 
@@ -88,7 +87,7 @@ def assert_bilstm_matches_reference(rng, lengths, D, h, directions=(0, 1)):
         upstream[:, :, d * h:(d + 1) * h] = 0.0
 
     X, params = Tensor(x, True), [Tensor(a, True) for a in data]
-    out = ad.bilstm_sequence(X, *params, h, lengths)
+    out = ad.bilstm_sequence(X, *params, lengths)
     ad.backward(ad.tsum(out * upstream))
 
     refs = [Tensor(a, True) for a in data]
@@ -151,7 +150,7 @@ def test_word_states_shape_h64(rng):
 
 def test_single_token_sentence_uses_same_input_both_directions(rng):
     enc = make_encoder(rng)
-    h = enc.hidden
+    h = enc.word.hidden
     x = enc.embedding.data[3]
     fw, _ = hand_lstm_step(x, np.zeros(h), np.zeros(h),
                            enc.word.fw_W.data, enc.word.fw_b.data, h)
@@ -169,7 +168,7 @@ def test_zero_parameters_hit_hand_stepped_fixed_point(rng):
     enc = make_encoder(rng, zero_word=True)
     out, _ = encode_words([np.array([0, 1]), np.array([2])], enc)
     # all gates sigmoid(0)=0.5, candidate tanh(0)=0 -> c=0, h=0.5*tanh(0)=0
-    npt.assert_array_equal(out.data, np.zeros((2, 2, 2 * enc.hidden)))
+    npt.assert_array_equal(out.data, np.zeros((2, 2, 2 * enc.word.hidden)))
 
 
 def test_empty_sentence_raises(rng):
@@ -190,20 +189,30 @@ def test_sentence_states_shape(rng):
     enc = make_encoder(rng)
     doc = Document(sentences=[np.array([1, 2]), np.array([3]), np.array([4, 5, 6])],
                    raw_sentences=["a b", "c", "d e f"], id="x")
-    out = encode_sentences(doc, enc)
-    assert out.states.shape == (3, 2 * enc.hidden)
-    assert out.pooled.shape == (3, 2 * enc.hidden)
-    assert out.word_states.shape == (3, 3, 2 * enc.hidden)
-    npt.assert_array_equal(out.lengths, [2, 1, 3])
+    assert encode_sentences(doc, enc).shape == (3, 2 * enc.word.hidden)
+
+
+def pooled_reference(enc, doc, pool):
+    """The sentence BiLSTM's input, pooled in numpy from ``encode_words``."""
+    word_states, lengths = encode_words(doc.sentences, enc)
+    return np.array([pool(word_states.data[k, :n], axis=0) for k, n in enumerate(lengths)])
+
+
+def assert_sentence_states_pool(enc, doc, pool):
+    """``encode_sentences`` equals the sentence BiLSTM over ``pool`` of each
+    sentence's word states."""
+    expected = bilstm(Tensor(pooled_reference(enc, doc, pool)), enc.sentence)
+    npt.assert_allclose(encode_sentences(doc, enc).data, expected.data, atol=1e-12)
 
 
 def test_identical_sentences_pool_identically(rng):
     enc = make_encoder(rng)
     doc = Document(sentences=[np.array([1, 2, 3])] * 3,
                    raw_sentences=["a b c"] * 3, id="x")
-    out = encode_sentences(doc, enc)
-    npt.assert_array_equal(out.pooled.data[0], out.pooled.data[1])
-    npt.assert_array_equal(out.pooled.data[0], out.pooled.data[2])
+    pooled = pooled_reference(enc, doc, np.mean)
+    npt.assert_array_equal(pooled[0], pooled[1])
+    npt.assert_array_equal(pooled[0], pooled[2])
+    assert_sentence_states_pool(enc, doc, np.mean)
 
 
 RAGGED_DOC = Document(sentences=[np.array([1, 5, 2, 7]), np.array([3]), np.array([8, 4])],
@@ -211,11 +220,7 @@ RAGGED_DOC = Document(sentences=[np.array([1, 5, 2, 7]), np.array([3]), np.array
 
 
 def test_mean_pooling_is_word_state_mean(rng):
-    enc = make_encoder(rng)
-    out = encode_sentences(RAGGED_DOC, enc)
-    for k, n in enumerate(out.lengths):
-        npt.assert_allclose(out.pooled.data[k], out.word_states.data[k, :n].mean(axis=0),
-                            atol=1e-12)
+    assert_sentence_states_pool(make_encoder(rng), RAGGED_DOC, np.mean)
 
 
 def test_mean_pool_is_permutation_invariant_over_rows(rng):
@@ -227,10 +232,7 @@ def test_mean_pool_is_permutation_invariant_over_rows(rng):
 def test_sum_pooling_variant(rng):
     enc = make_encoder(rng)
     enc.sum_pool = True
-    out = encode_sentences(RAGGED_DOC, enc)
-    for k, n in enumerate(out.lengths):
-        npt.assert_allclose(out.pooled.data[k], out.word_states.data[k, :n].sum(axis=0),
-                            atol=1e-12)
+    assert_sentence_states_pool(enc, RAGGED_DOC, np.sum)
 
 
 def test_two_sentence_hand_unrolled_bidirectional_recurrence(rng):
@@ -239,8 +241,7 @@ def test_two_sentence_hand_unrolled_bidirectional_recurrence(rng):
     enc = make_encoder(rng, hidden=h)
     doc = Document(sentences=[np.array([1, 2]), np.array([3])],
                    raw_sentences=["a b", "c"], id="x")
-    out = encode_sentences(doc, enc)
-    ap = out.pooled.data
+    ap = pooled_reference(enc, doc, np.mean)
     p = enc.sentence
     h0, c0 = np.zeros(h), np.zeros(h)
     f1, cf1 = hand_lstm_step(ap[0], h0, c0, p.fw_W.data, p.fw_b.data, h)
@@ -248,13 +249,13 @@ def test_two_sentence_hand_unrolled_bidirectional_recurrence(rng):
     b2, cb2 = hand_lstm_step(ap[1], h0, c0, p.bw_W.data, p.bw_b.data, h)
     b1, _ = hand_lstm_step(ap[0], b2, cb2, p.bw_W.data, p.bw_b.data, h)
     expected = np.array([np.concatenate([f1, b1]), np.concatenate([f2, b2])])
-    npt.assert_allclose(out.states.data, expected, atol=1e-12)
+    npt.assert_allclose(encode_sentences(doc, enc).data, expected, atol=1e-12)
 
 
 def test_frame_states_shape(rng):
     enc = make_encoder(rng, feature_dim=16, hidden=64)
     out = encode_frames(rng.normal(size=(8, 16)), enc)
-    assert out.states.shape == (8, 128)
+    assert out.shape == (8, 128)
 
 
 def test_reversed_frames_swap_direction_halves(rng):
@@ -263,9 +264,9 @@ def test_reversed_frames_swap_direction_halves(rng):
     enc = make_encoder(rng, feature_dim=5)
     enc.frame.bw_W, enc.frame.bw_b = enc.frame.fw_W, enc.frame.fw_b
     frames = rng.normal(size=(6, 5))
-    h = enc.hidden
-    fwd = encode_frames(frames, enc).states.data
-    rev = encode_frames(frames[::-1], enc).states.data
+    h = enc.word.hidden
+    fwd = encode_frames(frames, enc).data
+    rev = encode_frames(frames[::-1], enc).data
     npt.assert_allclose(rev[::-1, h:], fwd[:, :h], atol=1e-12)
     npt.assert_allclose(rev[::-1, :h], fwd[:, h:], atol=1e-12)
 
@@ -273,7 +274,7 @@ def test_reversed_frames_swap_direction_halves(rng):
 def test_single_frame(rng):
     enc = make_encoder(rng, feature_dim=5)
     out = encode_frames(rng.normal(size=(1, 5)), enc)
-    assert out.states.shape == (1, 2 * enc.hidden)
+    assert out.shape == (1, 2 * enc.word.hidden)
 
 
 def test_frame_dim_mismatch(rng):
@@ -285,23 +286,23 @@ def test_frame_dim_mismatch(rng):
 def test_transcript_states_shape(rng):
     enc = make_encoder(rng)
     out = encode_transcript(np.arange(12) % 9, enc)
-    assert out.states.shape == (12, 2 * enc.hidden)
+    assert out.shape == (12, 2 * enc.word.hidden)
 
 
 def test_empty_transcript_gives_empty_states(rng):
     enc = make_encoder(rng)
     out = encode_transcript(np.array([], dtype=int), enc)
-    assert out.states.shape == (0, 2 * enc.hidden)
+    assert out.shape == (0, 2 * enc.word.hidden)
 
 
 def test_transcript_stack_is_parameter_disjoint_from_word_stack(rng):
     enc = make_encoder(rng)
     ids = np.array([1, 2, 3])
     word = encode_words([ids], enc)[0].data[0]
-    tr = encode_transcript(ids, enc).states.data
+    tr = encode_transcript(ids, enc).data
     assert not np.allclose(word, tr)
     enc.transcript = enc.word  # tie the stacks -> identical states
-    npt.assert_array_equal(encode_transcript(ids, enc).states.data, word)
+    npt.assert_array_equal(encode_transcript(ids, enc).data, word)
 
 
 def test_forget_gate_bias_initialized_to_one(rng):
@@ -319,5 +320,6 @@ def test_forget_gate_bias_initialized_to_one(rng):
 def test_bilstm_second_dim_is_always_2h(rng):
     for h in (1, 2, 5):
         p = make_bilstm(rng, 3, h)
+        assert (p.hidden, p.input_dim) == (h, 3)
         out = bilstm(Tensor(rng.normal(size=(4, 3))), p)
         assert out.shape == (4, 2 * h)

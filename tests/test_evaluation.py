@@ -4,7 +4,7 @@ import pytest
 
 from conftest import tiny_config
 from mmsum import evaluation
-from mmsum.data import Document, Sample, Transcript, VideoFeatures
+from mmsum.data import Document, Sample, Transcript
 from mmsum.errors import EvalError
 from mmsum.evaluation import (cos_image_similarity, overlap_report, rouge_all,
                               rouge_l, rouge_n, summarize, top_k_indices)
@@ -139,7 +139,7 @@ def _sample(sentences, transcript, gold, sid="s"):
     return Sample(
         document=Document(sentences=[np.zeros(1, dtype=int)] * len(sentences),
                           raw_sentences=sentences, id=sid),
-        video=VideoFeatures(frames=np.ones((1, 2))),
+        frames=np.ones((1, 2)),
         transcript=Transcript(tokens=np.zeros(1, dtype=int), raw_text=transcript),
         gold_summary=gold,
     )

@@ -138,7 +138,7 @@ def test_forward_shapes_all_configs(attention, fusion_mode):
     model = SummarizerModel(build_parameters(cfg, 7, rng), cfg, 7)
     out = model.forward(sample)
     ns = len(sample.document.sentences)
-    nm = sample.video.frames.shape[0]
+    nm = sample.frames.shape[0]
     assert out.sent_probs.shape == (ns,)
     assert out.frame_probs.shape == (nm,)
     assert np.all((out.sent_probs.data > 0) & (out.sent_probs.data < 1))
@@ -159,7 +159,7 @@ def test_bihop_model_with_empty_transcript_falls_back():
                                                tokens=np.array([], dtype=int)))
     model = SummarizerModel(build_parameters(cfg, 7, rng), cfg, 7)
     out = model.forward(sample)  # single-hop fallback, no error
-    nm = sample.video.frames.shape[0]
+    nm = sample.frames.shape[0]
     assert out.sent_attn.weights.data.shape == (2, nm)  # attends frames directly
 
 

@@ -347,14 +347,14 @@ def test_early_stopping_resets_on_improvement():
 # training loop
 
 def _one_sample_corpus():
-    from mmsum.data import Document, Sample, Transcript, VideoFeatures
+    from mmsum.data import Document, Sample, Transcript
     rng = np.random.default_rng(0)
     doc = Document(sentences=[np.array([1, 2, 3]), np.array([4, 5]),
                               np.array([6, 1])],
                    raw_sentences=["alpha beta gamma", "delta eps", "zeta alpha"],
                    id="only")
     return Sample(document=doc,
-                  video=VideoFeatures(frames=rng.normal(size=(3, 2))),
+                  frames=rng.normal(size=(3, 2)),
                   transcript=Transcript(tokens=np.array([1, 2]), raw_text="alpha beta"),
                   gold_summary=["alpha beta gamma"])
 
