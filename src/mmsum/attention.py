@@ -11,7 +11,8 @@ Three score functions over query states Q and key states K:
   queries and sentence states as the final values.
 
 "none" skips alignment and uses the last value state as the context for
-every query. Weight rows always softmax-normalize to 1.
+every query. "bihop" without a transcript (None or no rows) is one bilinear
+pass with the hop-2 set. Weight rows always softmax-normalize to 1.
 """
 from __future__ import annotations
 
@@ -115,14 +116,11 @@ def _directional_context(mode: str, q_states: Tensor, v_states: Tensor,
         return last_state_context(v_states, nq)
     if mode == "concat_product":
         return context(concat_product_scores(q_states, v_states, single), v_states)
-    if mode == "bilinear":
+    if mode == "bihop" and t_states is not None and t_states.shape[0] > 0:
+        return bihop_context(q_states, t_states, v_states, hop1, single)
+    if mode in ("bilinear", "bihop"):
+        # bihop without a transcript: one hop, the hop-2 set over the values
         return context(bilinear_scores(q_states, v_states, single), v_states)
-    if mode == "bihop":
-        try:
-            return bihop_context(q_states, t_states, v_states, hop1, single)
-        except BiHopUnavailable:
-            # single-hop fallback reuses the hop-2 set directly over the values
-            return context(bilinear_scores(q_states, v_states, single), v_states)
     raise AttentionError(f"unknown attention mode '{mode}'")
 
 

@@ -5,8 +5,9 @@ Subcommands: synth | train | eval | ablate | overlap. The flags that set a
 (``_add_fields``); only the command-specific flags (--out, --config,
 --checkpoint, --workers, ...) are written here. Flags take precedence over a
 --config JSON file, which takes precedence over built-in defaults; the
-M2SM_SEED environment variable overrides the seed from any source. All
-failures exit nonzero with a machine-readable JSON error on stderr.
+M2SM_SEED environment variable overrides the seed from any source. train,
+eval and ablate read the one split ``_split_manifest`` gives. All failures
+exit nonzero with a machine-readable JSON error on stderr.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .model import SummarizerModel
 
 RATIO_SWEEP = (1.0, 2.0, 3.33, 5.0)
 BETA_SWEEP = (0.0, 0.1, 0.3, 0.5, 1.0)
-ABLATE_STRATEGIES = ("ce", "+video-loss", "+weighted")
 
 
 def _add_fields(p: argparse.ArgumentParser, cls, names=None):
@@ -78,11 +78,17 @@ def _manifest(path):
     return data.load_manifest(path)
 
 
+def _split_manifest(path, cfg: RunConfig):
+    """The manifest at ``path`` with its own split, or else the seeded ``cfg`` one."""
+    manifest = _manifest(path)
+    if manifest.split:
+        return manifest
+    return data.split_dataset(
+        manifest, (cfg.train_frac, cfg.val_frac, cfg.test_frac), cfg.seed)
+
+
 def _load_split(cfg: RunConfig):
-    manifest = _manifest(cfg.manifest)
-    if not manifest.split:
-        manifest = data.split_dataset(
-            manifest, (cfg.train_frac, cfg.val_frac, cfg.test_frac), cfg.seed)
+    manifest = _split_manifest(cfg.manifest, cfg)
     samples, vocab = data.load_dataset(manifest, min_frames=cfg.min_frames)
     _check_feature_dim(cfg, samples)
     by_id = {s.document.id: s for s in samples}
@@ -147,8 +153,8 @@ def _model_from_checkpoint(ckpt_dir, args):
 
 def cmd_eval(args) -> int:
     model, cfg, vocab = _model_from_checkpoint(args.checkpoint, args)
-    manifest = _manifest(args.manifest or cfg.manifest)
-    entries = manifest.entries_for(args.split) if manifest.split else manifest.entries
+    manifest = _split_manifest(args.manifest or cfg.manifest, cfg)
+    entries = manifest.entries_for(args.split)
     if not entries:
         raise CliError(f"no samples in split '{args.split}'")
     samples = [data.load_sample(manifest, e, vocab, cfg.min_frames) for e in entries]
@@ -189,17 +195,6 @@ def run_ablate_cell(splits: dict, vocab_size: int, cfg_dict: dict, cell: dict) -
     return row
 
 
-def _strategy_config(strategy: str, base: RunConfig) -> dict:
-    if strategy == "ce":
-        return {"alpha_ts": 1.0, "alpha_vs": 0.0, "use_bistream": False}
-    if strategy == "+video-loss":
-        return {"alpha_ts": 1.0, "alpha_vs": 1.0, "use_bistream": True}
-    if strategy == "+weighted":
-        return {"alpha_ts": base.alpha_ts, "alpha_vs": base.alpha_vs or 1.0,
-                "use_bistream": True}
-    raise CliError(f"unknown ablation strategy '{strategy}'")
-
-
 def cmd_ablate(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
@@ -208,11 +203,16 @@ def cmd_ablate(args) -> int:
     base = dataclasses.asdict(cfg)
     _, splits, vocab = _load_split(cfg)   # a data or feature_dim error ends the run here
 
+    strategies = {   # training strategy -> the loss settings of its cells
+        "ce": {"alpha_ts": 1.0, "alpha_vs": 0.0, "use_bistream": False},
+        "+video-loss": {"alpha_ts": 1.0, "alpha_vs": 1.0, "use_bistream": True},
+        "+weighted": {"alpha_ts": cfg.alpha_ts, "alpha_vs": cfg.alpha_vs or 1.0,
+                      "use_bistream": True},
+    }
     cells = [{"fusion": fusion_mode, "attention": attention_mode, "strategy": strategy,
-              "config": {**_strategy_config(strategy, cfg), "fusion": fusion_mode,
-                         "attention": attention_mode}}
+              "config": {**losses, "fusion": fusion_mode, "attention": attention_mode}}
              for fusion_mode in FUSION_MODES for attention_mode in ATTENTION_MODES
-             for strategy in ABLATE_STRATEGIES]
+             for strategy, losses in strategies.items()]
     if args.sweep_ratio:
         cells += [{"fusion": cfg.fusion, "attention": cfg.attention,
                    "strategy": "+weighted", "sweep": "ratio", "alpha_ts": ratio,

@@ -65,7 +65,7 @@ class RunConfig:
     k_sentences: int = setting(3, minimum=1)
     k_frames: int = setting(5, minimum=1)
     fps_group: int = setting(5, minimum=1)
-    min_frames: int = 1
+    min_frames: int = setting(1, minimum=0)   # 0: text-only corpora need no frames
     label_cap: int = setting(4, minimum=1)
 
     # ablation switches

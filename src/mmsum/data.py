@@ -258,18 +258,16 @@ def _load_sample(manifest, entry, vocab, min_frames, read) -> Sample:
     )
 
 
-def load_dataset(manifest: DatasetManifest, vocab=None, min_frames: int = 1):
-    """Load all samples, reading each text file once. Builds the vocabulary
-    from documents + transcripts when none is supplied (the checkpoint owns it
-    afterwards)."""
+def load_dataset(manifest: DatasetManifest, min_frames: int = 1):
+    """Load all samples, reading each text file once, with the vocabulary
+    built from documents + transcripts (the checkpoint owns it afterwards)."""
     root, texts = manifest.root, {}
     for e in manifest.entries:
         for path in (root / e.document, root / e.transcript, root / e.summary):
             if path not in texts:
                 texts[path] = _read_text(path)
-    if vocab is None:
-        vocab = build_vocab(texts[root / rel] for e in manifest.entries
-                            for rel in (e.document, e.transcript))
+    vocab = build_vocab(texts[root / rel] for e in manifest.entries
+                        for rel in (e.document, e.transcript))
     samples = [_load_sample(manifest, e, vocab, min_frames, texts.__getitem__)
                for e in manifest.entries]
     return samples, vocab
@@ -296,8 +294,8 @@ def subsample_frames(frames: np.ndarray, group: int, seed: int) -> np.ndarray:
 def prepare_for_model(sample: Sample, fps_group: int, base_seed: int) -> Sample:
     """Apply frame subsampling ahead of encoding; the per-sample seed is
     derived from the run seed and the sample id, so training and evaluation
-    see identical frames."""
-    if fps_group <= 1:
+    see identical frames. A ``fps_group`` below 1 is a ``ConfigError``."""
+    if fps_group == 1:
         return sample
     seed = sample_rng_seed(base_seed, sample.document.id)
     return replace(sample, frames=subsample_frames(sample.frames, fps_group, seed))
@@ -354,12 +352,12 @@ class SynthConfig:
     # a noise scale; frames (unit vector + noise * N(0, 1)) are stored as float32
     noise: float = setting(0.1, minimum=0, maximum=1e30)
     transcript_len: int = setting(24, minimum=0)
-    transcript_overlap: float = setting(0.6, flag=False)
-    distractor_rate: float = setting(0.08, flag=False)
     with_refs: bool = True
 
 
 SYNTH_REDRAWS = 1000    # draws of one sentence before its duplicates end synth
+TRANSCRIPT_OVERLAP = 0.6    # chance a transcript token comes from a salient sentence
+DISTRACTOR_RATE = 0.08      # chance a non-salient sentence token is a topic-pool word
 
 
 def _word(i: int) -> str:
@@ -381,7 +379,7 @@ def _draw_sentences(config: SynthConfig, rng, general_pool, topic_pool):
             for _ in range(config.sentence_len):
                 if i in sal_idx and rng.random() < 0.5:
                     toks.append(int(rng.choice(topic)))
-                elif i not in sal_idx and rng.random() < config.distractor_rate:
+                elif i not in sal_idx and rng.random() < DISTRACTOR_RATE:
                     toks.append(int(rng.choice(topic_pool)))
                 else:
                     toks.append(int(rng.choice(general_pool)))
@@ -440,7 +438,7 @@ def synth_generate(config: SynthConfig, seed: int, out_dir) -> DatasetManifest:
         sal_token_bag = [t for i in sal_idx for t in sentences[i][0]]
         tr_toks = []
         for _ in range(config.transcript_len):
-            if rng.random() < config.transcript_overlap:
+            if rng.random() < TRANSCRIPT_OVERLAP:
                 tr_toks.append(sal_token_bag[int(rng.integers(len(sal_token_bag)))])
             else:
                 tr_toks.append(int(rng.choice(general_pool)))

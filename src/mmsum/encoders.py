@@ -102,9 +102,6 @@ def encode_frames(frames, enc: EncoderParams) -> Tensor:
     X = ad.as_tensor(frames)
     if X.shape[0] < 1:
         raise EncodeError("need at least one frame")
-    if X.shape[1] != enc.frame.input_dim:
-        raise EncodeError(f"frame feature dim {X.shape[1]} does not match "
-                          f"encoder input dim {enc.frame.input_dim}")
     return bilstm(X, enc.frame)
 
 

@@ -1,7 +1,8 @@
 """Exception taxonomy. Every error carries a machine-readable code that the
 CLI echoes on stderr, so callers can branch on failures without parsing
-messages. ``read_json`` reads every JSON input file into one of them, and
-``write_json``/``write_json_lines`` write every JSON artifact atomically."""
+messages. ``read_json`` reads every JSON input file into one of them;
+``write_json``/``write_json_lines`` write every JSON artifact, and the eval
+report's CSV goes through the same atomic ``write_text``."""
 
 import json
 import os
@@ -94,17 +95,18 @@ def read_json(path, expect: type, what: str, error: type[MMSumError]):
 
 def write_json(path, obj) -> None:
     """Write ``obj`` as strict JSON (NaN/inf raise ValueError), indent 2, keys sorted."""
-    _replace(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_json_lines(path, records) -> None:
     """Write one compact line of strict JSON, keys sorted, per record."""
-    _replace(path, "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
-                           for rec in records))
+    write_text(path, "".join(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n"
+                             for rec in records))
 
 
-def _replace(path, text: str) -> None:
-    """Write a sibling ``<name>.tmp`` and move it onto ``path``, never torn."""
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a sibling ``<name>.tmp`` and move that onto
+    ``path``, so ``path`` is never torn."""
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     try:
         tmp.write_text(text, encoding="utf-8")

@@ -8,6 +8,7 @@ no stemming or stopword removal; tokenization matches the data module.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Sample, tokenize
-from .errors import EvalError, write_json
+from .errors import EvalError, write_json, write_text
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,14 @@ def _flatten(seq) -> list[str]:
     return list(seq)
 
 
+def _token_pair(candidate, reference) -> tuple[list[str], list[str]]:
+    """Candidate and reference as flat token lists, the reference nonempty."""
+    cand, ref = _flatten(candidate), _flatten(reference)
+    if len(ref) == 0:
+        raise EvalError("reference is empty")
+    return cand, ref
+
+
 def _prf(overlap: float, n_cand: float, n_ref: float) -> PRF:
     p = overlap / n_cand if n_cand > 0 else 0.0
     r = overlap / n_ref if n_ref > 0 else 0.0
@@ -63,9 +72,7 @@ def rouge_n(candidate, reference, n: int) -> PRF:
     """Clipped n-gram overlap of candidate against reference, n in {1, 2}."""
     if n not in (1, 2):
         raise EvalError(f"n must be 1 or 2, got {n}")
-    cand, ref = _flatten(candidate), _flatten(reference)
-    if len(ref) == 0:
-        raise EvalError("reference is empty")
+    cand, ref = _token_pair(candidate, reference)
     c_counts, r_counts = _ngram_counts(cand, n), _ngram_counts(ref, n)
     overlap = sum(min(c, r_counts[g]) for g, c in c_counts.items())
     return _prf(overlap, sum(c_counts.values()), sum(r_counts.values()))
@@ -83,9 +90,7 @@ def _lcs_len(a, b) -> int:
 
 def rouge_l(candidate, reference) -> PRF:
     """Longest-common-subsequence overlap over concatenated tokens."""
-    cand, ref = _flatten(candidate), _flatten(reference)
-    if len(ref) == 0:
-        raise EvalError("reference is empty")
+    cand, ref = _token_pair(candidate, reference)
     lcs = _lcs_len(cand, ref)
     return _prf(lcs, len(cand), len(ref))
 
@@ -172,12 +177,11 @@ def summarize(sample: Sample, model, k_sentences: int | None = None,
     )
 
 
-def evaluate_dataset(samples: list[Sample], model, k_sentences=None,
-                     k_frames=None) -> dict:
+def evaluate_dataset(samples: list[Sample], model) -> dict:
     """Per-sample and corpus-mean ROUGE (plus Cos where references exist)."""
     per_sample = []
     for s in samples:
-        out = summarize(s, model, k_sentences, k_frames)
+        out = summarize(s, model)
         cand = [tokenize(s.document.raw_sentences[i]) for i in out.sentence_indices]
         ref = [tokenize(line) for line in s.gold_summary]
         score = rouge_all(cand, ref)
@@ -214,12 +218,10 @@ def write_report(report: dict, out_path, fmt: str = "json") -> list[Path]:
     written = [out_path.with_suffix(".json")]
     write_json(written[0], report)
     if fmt == "csv":
-        csv_path = out_path.with_suffix(".csv")
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "r1", "r2", "rl", "cos"])
-            for row in report["per_sample"]:
-                writer.writerow([row["id"], row["r1"], row["r2"], row["rl"],
-                                 row.get("cos", "")])
-        written.append(csv_path)
+        text = io.StringIO()
+        csv.writer(text).writerows([["id", "r1", "r2", "rl", "cos"]] + [
+            [row["id"], row["r1"], row["r2"], row["rl"], row.get("cos", "")]
+            for row in report["per_sample"]])
+        written.append(out_path.with_suffix(".csv"))
+        write_text(written[-1], text.getvalue())
     return written

@@ -53,24 +53,22 @@ def scorer_prob(X: Tensor, p: ScorerParams) -> Tensor:
     return ad.sigmoid(h @ p.w2 + p.b2)
 
 
-def _rows(x) -> Tensor:
-    t = ad.as_tensor(x)
-    if t.ndim == 1:
-        return ad.reshape(t, (1, t.shape[0]))
-    return t
+def _pair(state, ctx) -> tuple[Tensor, Tensor]:
+    """State and context as row blocks (a vector is one row) of equal length."""
+    S, C = (ad.as_tensor(x) for x in (state, ctx))
+    S, C = (ad.reshape(t, (1, t.shape[0])) if t.ndim == 1 else t for t in (S, C))
+    if S.shape[0] != C.shape[0]:
+        raise FusionError("state and context row counts differ")
+    return S, C
 
 
 def fuse_early(state, ctx, head: FusionHead) -> Tensor:
-    S, C = _rows(state), _rows(ctx)
-    if S.shape[0] != C.shape[0]:
-        raise FusionError("state and context row counts differ")
+    S, C = _pair(state, ctx)
     return scorer_prob(ad.concat([S, C], axis=1), head.joint)
 
 
 def fuse_tensor(state, ctx, head: FusionHead) -> Tensor:
-    S, C = _rows(state), _rows(ctx)
-    if S.shape[0] != C.shape[0]:
-        raise FusionError("state and context row counts differ")
+    S, C = _pair(state, ctx)
     # row i is the outer product [S[i];1] (x) [C[i];1] flattened, as one
     # broadcast product
     n = S.shape[0]
@@ -81,9 +79,7 @@ def fuse_tensor(state, ctx, head: FusionHead) -> Tensor:
 
 
 def unimodal_decisions(state, ctx, head: FusionHead):
-    S, C = _rows(state), _rows(ctx)
-    if S.shape[0] != C.shape[0]:
-        raise FusionError("state and context row counts differ")
+    S, C = _pair(state, ctx)
     return scorer_prob(S, head.f), scorer_prob(C, head.g)
 
 
@@ -127,8 +123,3 @@ def fuse(state, ctx, head: FusionHead) -> Tensor:
     except KeyError:
         raise FusionError(f"unknown fusion mode '{head.mode}'") from None
     return fn(state, ctx, head)
-
-
-def text_only_prob(state, scorer: ScorerParams) -> Tensor:
-    """Unimodal baseline: score states without any cross-modal context."""
-    return scorer_prob(_rows(state), scorer)

@@ -22,7 +22,6 @@ ATTN_SETS = ("sent_query", "frame_query", "tr_over_frames", "tr_over_sents")
 class ForwardResult:
     sent_probs: Tensor                      # (NS,)
     frame_probs: Tensor | None              # (NM,) when the frame branch is on
-    sent_states: Tensor                     # (NS, 2h)
     frame_states: Tensor | None             # (NM, 2h)
     sent_attn: AttentionContext | None
     frame_attn: AttentionContext | None
@@ -94,11 +93,8 @@ class SummarizerModel:
 
     def __init__(self, params: dict, cfg: RunConfig, vocab_size: int):
         self.cfg = cfg
-        self.vocab_size = vocab_size
         self.params: dict[str, Tensor] = {
-            name: (arr if isinstance(arr, Tensor) else Tensor(arr, requires_grad=True))
-            for name, arr in params.items()
-        }
+            name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
         mine = {k: v.data.shape for k, v in self.params.items()}
         want = parameter_spec(cfg, vocab_size)
         if mine != want:
@@ -135,9 +131,8 @@ class SummarizerModel:
         enc = self.encoder
         sents = encoders.encode_sentences(sample.document, enc)
         if enc.frame is None:
-            probs = fusion.text_only_prob(sents, self.text_head.f)
-            return ForwardResult(sent_probs=probs, frame_probs=None,
-                                 sent_states=sents, frame_states=None,
+            probs = fusion.scorer_prob(sents, self.text_head.f)
+            return ForwardResult(sent_probs=probs, frame_probs=None, frame_states=None,
                                  sent_attn=None, frame_attn=None)
 
         frames = encoders.encode_frames(sample.frames, enc)
@@ -151,8 +146,8 @@ class SummarizerModel:
         sent_probs = fusion.fuse(sents, sent_attn.contexts, self.text_head)
         frame_probs = fusion.fuse(frames, frame_attn.contexts, self.frame_head)
         return ForwardResult(sent_probs=sent_probs, frame_probs=frame_probs,
-                             sent_states=sents, frame_states=frames,
-                             sent_attn=sent_attn, frame_attn=frame_attn)
+                             frame_states=frames, sent_attn=sent_attn,
+                             frame_attn=frame_attn)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}

@@ -24,6 +24,7 @@ from .model import SummarizerModel, build_parameters
 
 PROB_EPS = 1e-7
 BASELINE_DECAY = 0.9
+CHECK_VOCAB_SIZE = 7    # token ids of make_check_sample are below it
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +87,17 @@ def _greedy_search(raw_sentences: tuple, gold_summary: tuple, cap: int):
 # ---------------------------------------------------------------------------
 # losses and rewards
 
+def _log_likelihood(probs: Tensor, y: np.ndarray) -> Tensor:
+    """Bernoulli log-likelihood y·log p + (1 − y)·log(1 − p) per unit, p clipped."""
+    p = ad.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+    return y * ad.log(p) + (1.0 - y) * ad.log(1.0 - p)
+
+
 def ce_loss(probs: Tensor, labels) -> Tensor:
     y = np.asarray(labels, dtype=np.float64)
     if probs.shape[0] != y.shape[0]:
         raise LossError(f"got {probs.shape[0]} probabilities for {y.shape[0]} labels")
-    p = ad.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    per_unit = y * ad.log(p) + (1.0 - y) * ad.log(1.0 - p)
-    return -ad.tmean(per_unit)
+    return -ad.tmean(_log_likelihood(probs, y))
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,12 @@ class RewardPair:
     rep: float   # exp(-mean min distance to the selection), in (0, 1]
 
 
-def _as_array(states) -> np.ndarray:
-    return states.data if isinstance(states, Tensor) else np.asarray(states)
-
-
 def reward_div(states, selected) -> float:
     """Mean (1 - cosine) over ordered pairs of distinct selected frames."""
     sel = sorted(set(int(i) for i in selected))
     if len(sel) < 2:
         return 0.0
-    x = _as_array(states)[sel]
+    x = np.asarray(states)[sel]
     norms = np.linalg.norm(x, axis=1)
     safe = np.where(norms == 0, 1.0, norms)
     unit = x / safe[:, None]
@@ -127,7 +128,7 @@ def reward_rep(states, selected) -> float:
     sel = sorted(set(int(i) for i in selected))
     if not sel:
         raise RewardError("representativeness needs a nonempty selection")
-    x = _as_array(states)
+    x = np.asarray(states)
     diffs = x[:, None, :] - x[sel][None, :, :]
     dists = np.linalg.norm(diffs, axis=2).min(axis=1)
     return float(np.exp(-dists.mean()))
@@ -148,14 +149,12 @@ def video_loss(frame_probs: Tensor, frame_states, rng, baseline: float):
         actions[int(np.argmax(p))] = True
     selected = np.flatnonzero(actions)
 
-    states = _as_array(frame_states)
+    states = frame_states.data if isinstance(frame_states, Tensor) else frame_states
     rewards = RewardPair(div=reward_div(states, selected),
                          rep=reward_rep(states, selected))
     total = rewards.div + rewards.rep
 
-    a = actions.astype(np.float64)
-    pc = ad.clip(frame_probs, PROB_EPS, 1.0 - PROB_EPS)
-    log_pi = ad.tsum(a * ad.log(pc) + (1.0 - a) * ad.log(1.0 - pc))
+    log_pi = ad.tsum(_log_likelihood(frame_probs, actions.astype(np.float64)))
     surrogate = (-(total - baseline)) * log_pi
     new_baseline = BASELINE_DECAY * baseline + (1.0 - BASELINE_DECAY) * total
     return surrogate, rewards, new_baseline, actions
@@ -350,13 +349,12 @@ def make_check_sample(cfg, rng) -> Sample:
     """Tiny deterministic sample for the finite-difference harness."""
     from .data import Document, Transcript
 
-    vocab_size = 7
-    sentences = [rng.integers(0, vocab_size, size=3),
-                 rng.integers(0, vocab_size, size=2)]
+    sentences = [rng.integers(0, CHECK_VOCAB_SIZE, size=3),
+                 rng.integers(0, CHECK_VOCAB_SIZE, size=2)]
     doc = Document(sentences=list(sentences),
                    raw_sentences=["a b c", "d e"], id="gradcheck")
     frames = rng.normal(size=(2, cfg.feature_dim))
-    tokens = rng.integers(0, vocab_size, size=3)
+    tokens = rng.integers(0, CHECK_VOCAB_SIZE, size=3)
     return Sample(document=doc, frames=frames,
                   transcript=Transcript(tokens=tokens, raw_text="a b c"),
                   gold_summary=["a b c"])
@@ -369,9 +367,8 @@ def gradient_check(cfg, seed: int = 0, step: float = 1e-4,
     the frame branch is on). The stochastic video surrogate is excluded."""
     rng = np.random.default_rng(seed)
     sample = make_check_sample(cfg, rng)
-    vocab_size = 7
-    params = build_parameters(cfg, vocab_size, rng, init_scale=init_scale)
-    model = SummarizerModel(params, cfg, vocab_size)
+    params = build_parameters(cfg, CHECK_VOCAB_SIZE, rng, init_scale=init_scale)
+    model = SummarizerModel(params, cfg, CHECK_VOCAB_SIZE)
 
     y_sent = np.array([1.0, 0.0])
     y_frame = np.array([1.0, 0.0])

@@ -197,9 +197,14 @@ def test_bihop_falls_back_to_single_hop_without_transcript(rng):
                              frame_query=make_set(rng), tr_over_frames=make_set(rng),
                              tr_over_sents=make_set(rng))
     s, m = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(5, 4)))
-    got = sentence_context(params, s, m, None)
-    expected = context(bilinear_scores(s, m, params.sent_query), m)
-    npt.assert_allclose(got.contexts.data, expected.contexts.data, atol=1e-12)
+    for t in (None, Tensor(np.zeros((0, 4)))):
+        for got, expected in (
+                (sentence_context(params, s, m, t),
+                 context(bilinear_scores(s, m, params.sent_query), m)),
+                (frame_context(params, m, s, t),
+                 context(bilinear_scores(m, s, params.frame_query), s))):
+            npt.assert_array_equal(got.contexts.data, expected.contexts.data)
+            npt.assert_array_equal(got.weights.data, expected.weights.data)
 
 
 def test_row_shift_invariance(rng):

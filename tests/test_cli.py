@@ -218,7 +218,7 @@ def test_unknown_config_key_rejected(tmp_path):
     {"hidden": "abc"}, {"hidden": True}, {"hidden": 2.5}, {"beta": "0.3"},
     {"use_frames": "no"}, {"seed": "1"}, {"epochs": 0}, {"patience": -1},
     {"lr": -0.1}, {"lr": float("nan")}, {"beta": float("inf")},
-    {"attention": "bogus"}, {"fusion": "late_plus "},
+    {"attention": "bogus"}, {"fusion": "late_plus "}, {"min_frames": -5},
 ])
 def test_bad_config_value_is_config_error(cli_corpus, tmp_path, capsys, bad):
     cfg_file = tmp_path / "c.json"
@@ -444,6 +444,10 @@ def test_config_from_dict_returns_or_raises_config_error(values):
     assert {k: getattr(cfg, k) for k in values} == values
 
 
+def test_min_frames_zero_is_legal():
+    assert config_from_dict({"min_frames": 0}).min_frames == 0
+
+
 def test_int_accepted_for_float_field(tmp_path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"beta": 1, "lr": 0}))
@@ -473,6 +477,25 @@ def test_eval_writes_json_report(cli_corpus, trained_run, tmp_path):
         assert 0.0 <= row["r1"] <= 1.0
 
 
+def test_eval_on_unsplit_manifest_scores_the_split_train_used(cli_corpus, tmp_path):
+    doc = json.loads((cli_corpus / "manifest.json").read_text())
+    del doc["split"]
+    (tmp_path / "samples").symlink_to(cli_corpus / "samples")
+    unsplit = tmp_path / "manifest.json"
+    unsplit.write_text(json.dumps(doc))
+    run, out = tmp_path / "run", tmp_path / "ev"
+    assert run_cli("train", "--manifest", str(unsplit), "--out", str(run), *TINY_TRAIN) == 0
+    assert run_cli("eval", "--checkpoint", str(run / "checkpoint"),
+                   "--manifest", str(unsplit), "--out", str(out), "--split", "test") == 0
+    _, cfg, _ = checkpoint.load_checkpoint(run / "checkpoint")
+    test_ids = data.split_dataset(data.load_manifest(unsplit),
+                                  (cfg.train_frac, cfg.val_frac, cfg.test_frac),
+                                  cfg.seed).entries_for("test")
+    report = json.loads((out / "report_test.json").read_text())
+    assert [row["id"] for row in report["per_sample"]] == [e.id for e in test_ids]
+    assert len(test_ids) < len(doc["samples"])
+
+
 def test_eval_csv_alongside_json(cli_corpus, trained_run, tmp_path):
     out = tmp_path / "ev"
     assert run_cli("eval", "--checkpoint", str(trained_run / "checkpoint"),
@@ -481,6 +504,7 @@ def test_eval_csv_alongside_json(cli_corpus, trained_run, tmp_path):
     assert (out / "report_test.json").is_file()
     header = (out / "report_test.csv").read_text().splitlines()[0]
     assert header == "id,r1,r2,rl,cos"
+    assert not list(out.glob("*.tmp"))
 
 
 def test_eval_dim_override_mismatch_is_checkpoint_error(cli_corpus, trained_run,

@@ -229,6 +229,16 @@ def test_subsample_group_below_one_is_config_error(group):
         subsample_frames(np.zeros((4, 2)), group, seed=0)
 
 
+@pytest.mark.parametrize("group", [0, -2])
+def test_prepare_for_model_group_below_one_is_config_error(group):
+    sample = data.Sample(document=data.Document([np.array([1])], ["a"], "x"),
+                         frames=np.zeros((4, 2)),
+                         transcript=data.Transcript(np.zeros(0, dtype=np.int64), ""),
+                         gold_summary=["a"])
+    with pytest.raises(ConfigError, match="fps_group"):
+        data.prepare_for_model(sample, group, 0)
+
+
 def test_subsample_deterministic():
     frames = np.arange(23)[:, None].astype(float)
     a = subsample_frames(frames, 5, seed=9)
@@ -333,8 +343,7 @@ def test_synth_byte_reproducible(tmp_path):
     ("n_samples", -1), ("n_samples", 2), ("n_sentences", 1), ("sentence_len", 0),
     ("n_frames", 0), ("feature_dim", -3), ("feature_dim", 0), ("vocab_size", 20),
     ("vocab_size", 25), ("transcript_len", -1), ("noise", math.nan), ("noise", -0.1),
-    ("noise", 1e39), ("transcript_overlap", math.inf), ("distractor_rate", math.nan),
-    ("n_samples", 3.0), ("with_refs", 1),
+    ("noise", 1e39), ("n_samples", 3.0), ("with_refs", 1),
 ])
 def test_synth_rejects_bad_salience(tmp_path, field, value):
     out = tmp_path / "d"
@@ -356,8 +365,7 @@ _TINY_SYNTH = st.builds(
     sentence_len=st.integers(1, 4), n_frames=st.integers(1, 4),
     feature_dim=st.integers(1, 4), vocab_size=st.integers(26, 40),
     salience=st.floats(0.01, 0.99), noise=st.floats(0.0, 2.0),
-    transcript_len=st.integers(0, 5), transcript_overlap=st.floats(0.0, 1.0),
-    distractor_rate=st.floats(0.0, 1.0), with_refs=st.booleans())
+    transcript_len=st.integers(0, 5), with_refs=st.booleans())
 _FUZZ = st.dictionaries(
     st.sampled_from([f.name for f in fields(SynthConfig)]),
     st.one_of(st.integers(-2, 5), st.floats(allow_nan=True), st.booleans()), max_size=2)
