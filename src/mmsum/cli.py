@@ -6,8 +6,9 @@ Subcommands: synth | train | eval | ablate | overlap. The flags that set a
 --checkpoint, --workers, ...) are written here. Flags take precedence over a
 --config JSON file, which takes precedence over built-in defaults; the
 M2SM_SEED environment variable overrides the seed from any source. train,
-eval and ablate read the one split ``_split_manifest`` gives. All failures
-exit nonzero with a machine-readable JSON error on stderr.
+eval and ablate read the one split ``_split_manifest`` gives; eval gives it
+the config saved in the checkpoint, before any flag. All failures exit
+nonzero with a machine-readable JSON error on stderr.
 """
 from __future__ import annotations
 
@@ -141,19 +142,21 @@ def cmd_train(args) -> int:
 
 
 def _model_from_checkpoint(ckpt_dir, args):
-    params, cfg, vocab = checkpoint.load_checkpoint(ckpt_dir)
+    """The checkpoint's model under the RunConfig flags given on the command
+    line, that config, the vocabulary, and the config the checkpoint saved."""
+    params, saved, vocab = checkpoint.load_checkpoint(ckpt_dir)
     overrides = _overrides_from_args(args)
     overrides.pop("manifest", None)
     overrides.pop("out_dir", None)
-    if overrides:
-        cfg = config_from_dict({**dataclasses.asdict(cfg), **overrides})
+    cfg = config_from_dict({**dataclasses.asdict(saved), **overrides})
     model = SummarizerModel(params, cfg, len(vocab))
-    return model, cfg, vocab
+    return model, cfg, vocab, saved
 
 
 def cmd_eval(args) -> int:
-    model, cfg, vocab = _model_from_checkpoint(args.checkpoint, args)
-    manifest = _split_manifest(args.manifest or cfg.manifest, cfg)
+    model, cfg, vocab, saved = _model_from_checkpoint(args.checkpoint, args)
+    # an unsplit manifest is split as train split it, whatever --seed eval gets
+    manifest = _split_manifest(args.manifest or cfg.manifest, saved)
     entries = manifest.entries_for(args.split)
     if not entries:
         raise CliError(f"no samples in split '{args.split}'")

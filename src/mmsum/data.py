@@ -38,8 +38,16 @@ UNK_TOKEN = "<unk>"
 # tokenization / vocabulary
 
 def tokenize(text: str) -> list[str]:
+    """Lowercased whitespace-split words with Unicode punctuation (category
+    ``P*``) stripped from both edges. A word whose first and last characters
+    are ``isalnum()`` is kept whole without a category lookup: no
+    alphanumeric character is in a ``P*`` category, so the strip would stop
+    at once on both edges."""
     tokens = []
     for raw in text.lower().split():
+        if raw[0].isalnum() and raw[-1].isalnum():
+            tokens.append(raw)
+            continue
         start, stop = 0, len(raw)
         while start < stop and unicodedata.category(raw[start]).startswith("P"):
             start += 1

@@ -4,6 +4,9 @@ extraction, and report emission.
 
 Scores are computed over concatenated token sequences (summary level), with
 no stemming or stopword removal; tokenization matches the data module.
+ROUGE-L's longest common subsequence is the bit-parallel algorithm of
+Allison & Dix and Hyyrö over Python ints; it returns the same integer as the
+dynamic program, so every score is identical to the DP's.
 """
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ def _prf(overlap: float, n_cand: float, n_ref: float) -> PRF:
 
 
 def _ngram_counts(tokens, n) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def rouge_n(candidate, reference, n: int) -> PRF:
@@ -74,18 +77,24 @@ def rouge_n(candidate, reference, n: int) -> PRF:
         raise EvalError(f"n must be 1 or 2, got {n}")
     cand, ref = _token_pair(candidate, reference)
     c_counts, r_counts = _ngram_counts(cand, n), _ngram_counts(ref, n)
-    overlap = sum(min(c, r_counts[g]) for g, c in c_counts.items())
-    return _prf(overlap, sum(c_counts.values()), sum(r_counts.values()))
+    return _prf((c_counts & r_counts).total(), c_counts.total(), r_counts.total())
 
 
 def _lcs_len(a, b) -> int:
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    """Longest-common-subsequence length, bit-parallel (Allison & Dix 1986,
+    Hyyrö 2004): bit i of ``v`` is zero where the LCS of ``a[:i + 1]`` with
+    the tokens of ``b`` read so far exceeds that of ``a[:i]``."""
+    if len(a) < len(b):
+        a, b = b, a
+    masks = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        u = v & masks.get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_l(candidate, reference) -> PRF:
@@ -106,6 +115,9 @@ def cos_image_similarity(selected_features, ref_features) -> float:
     frames, as a percentage."""
     sel = np.asarray(selected_features, dtype=np.float64)
     refs = np.asarray(ref_features, dtype=np.float64)
+    if sel.ndim != 2 or refs.ndim != 2:
+        raise EvalError(f"features must be 2-D (rows, dim), got {sel.ndim}-D "
+                        f"selected and {refs.ndim}-D reference arrays")
     if sel.size == 0 or refs.size == 0:
         raise EvalError("need at least one selected frame and one reference image")
     if sel.shape[1] != refs.shape[1]:

@@ -483,17 +483,20 @@ def test_eval_on_unsplit_manifest_scores_the_split_train_used(cli_corpus, tmp_pa
     (tmp_path / "samples").symlink_to(cli_corpus / "samples")
     unsplit = tmp_path / "manifest.json"
     unsplit.write_text(json.dumps(doc))
-    run, out = tmp_path / "run", tmp_path / "ev"
+    run = tmp_path / "run"
     assert run_cli("train", "--manifest", str(unsplit), "--out", str(run), *TINY_TRAIN) == 0
-    assert run_cli("eval", "--checkpoint", str(run / "checkpoint"),
-                   "--manifest", str(unsplit), "--out", str(out), "--split", "test") == 0
     _, cfg, _ = checkpoint.load_checkpoint(run / "checkpoint")
     test_ids = data.split_dataset(data.load_manifest(unsplit),
                                   (cfg.train_frac, cfg.val_frac, cfg.test_frac),
                                   cfg.seed).entries_for("test")
-    report = json.loads((out / "report_test.json").read_text())
-    assert [row["id"] for row in report["per_sample"]] == [e.id for e in test_ids]
     assert len(test_ids) < len(doc["samples"])
+    for name, flags in (("ev", ()), ("ev_seed", ("--seed", "99"))):
+        # a --seed given to eval must not re-split the manifest
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint"),
+                       "--manifest", str(unsplit), "--out", str(tmp_path / name),
+                       "--split", "test", *flags) == 0
+        report = json.loads((tmp_path / name / "report_test.json").read_text())
+        assert [row["id"] for row in report["per_sample"]] == [e.id for e in test_ids]
 
 
 def test_eval_csv_alongside_json(cli_corpus, trained_run, tmp_path):

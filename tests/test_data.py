@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import sys
 import tempfile
 import unicodedata
 from collections import Counter
@@ -52,6 +53,39 @@ def test_tokenize_is_idempotent_and_yields_clean_tokens(text):
     for tok in tokens:
         assert tok and len(tok.split()) == 1 and tok == tok.strip()
         assert not _is_punctuation(tok[0]) and not _is_punctuation(tok[-1])
+
+
+def tokenize_reference(text: str) -> list[str]:
+    """The per-character punctuation strip that ``tokenize`` short-cuts for
+    words with alphanumeric edges."""
+    tokens = []
+    for raw in text.lower().split():
+        start, stop = 0, len(raw)
+        while start < stop and _is_punctuation(raw[start]):
+            start += 1
+        while stop > start and _is_punctuation(raw[stop - 1]):
+            stop -= 1
+        if stop > start:
+            tokens.append(raw[start:stop])
+    return tokens
+
+
+def test_tokenize_matches_the_reference_on_every_code_point():
+    chars = [chr(i) for i in range(sys.maxunicode + 1)]
+    text = " ".join(chars)
+    assert tokenize(text) == tokenize_reference(text)
+    # unassigned, private-use and surrogate code points differ in nothing the
+    # tokenizer reads, so one of each stands for the rest inside longer words
+    assigned = [c for c in chars if unicodedata.category(c) not in ("Cn", "Co", "Cs")]
+    assigned += ["\u0378", "\ue000", "\ud800"]
+    text = " ".join(f"x{c}x {c}x{c}" for c in assigned)
+    assert tokenize(text) == tokenize_reference(text)
+
+
+@PROPERTY
+@given(_texts)
+def test_tokenize_matches_the_reference(text):
+    assert tokenize(text) == tokenize_reference(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import tiny_config
 from mmsum import evaluation
 from mmsum.data import Document, Sample, Transcript
 from mmsum.errors import EvalError
-from mmsum.evaluation import (cos_image_similarity, overlap_report, rouge_all,
-                              rouge_l, rouge_n, summarize, top_k_indices)
+from mmsum.evaluation import (PRF, _lcs_len, cos_image_similarity, overlap_report,
+                              rouge_all, rouge_l, rouge_n, summarize, top_k_indices)
 from mmsum.model import SummarizerModel, build_parameters
 
 
@@ -94,6 +96,44 @@ def test_rouge_l_swap_identity(rng):
         npt.assert_allclose(fwd.f1, rev.f1, atol=1e-12)
 
 
+def test_rouge_l_empty_candidate_scores_zero():
+    assert rouge_l([], "a b c".split()) == PRF(0.0, 0.0, 0.0)
+
+
+def lcs_len_reference(a, b) -> int:
+    """The O(len(a) * len(b)) dynamic program the bit-parallel LCS replaces."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+# small alphabets so that repeated tokens are common
+_token_lists = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.sampled_from("abcd"[:k]), max_size=200))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_token_lists, _token_lists)
+@example([], [])
+@example([], list("abcab"))
+@example(list("abcab"), [])
+@example(list("ab" * 32), list("ba" * 33))     # 64 and 66 tokens
+@example(list("abc" * 43), list("a" * 65))      # 129 and 65 tokens
+def test_lcs_matches_the_dynamic_program(a, b):
+    assert _lcs_len(a, b) == lcs_len_reference(a, b)
+
+
+def test_lcs_matches_the_dynamic_program_past_a_thousand_tokens():
+    rng = np.random.default_rng(7)
+    a = [str(t) for t in rng.integers(0, 12, size=1100)]
+    b = [str(t) for t in rng.integers(0, 12, size=150)]
+    assert _lcs_len(a, b) == _lcs_len(b, a) == lcs_len_reference(a, b)
+
+
 # ---------------------------------------------------------------------------
 # cosine image similarity
 
@@ -130,6 +170,15 @@ def test_cos_zero_norm_rejected():
 def test_cos_dim_mismatch_rejected():
     with pytest.raises(EvalError):
         cos_image_similarity(np.ones((1, 3)), np.ones((1, 4)))
+
+
+@pytest.mark.parametrize("selected,reference", [
+    (np.ones(3), np.ones((1, 3))),
+    (np.ones((1, 3)), np.ones(3)),
+], ids=["1-D selected", "1-D reference"])
+def test_cos_rejects_non_2d_features(selected, reference):
+    with pytest.raises(EvalError, match="2-D"):
+        cos_image_similarity(selected, reference)
 
 
 # ---------------------------------------------------------------------------
