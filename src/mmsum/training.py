@@ -6,6 +6,11 @@ binary sentence labels. The video stream trains with REINFORCE on a
 diversity + representativeness reward over the sampled frame selection,
 against a moving-average baseline; the surrogate carries a negated advantage
 so that minimizing the mixed loss maximizes reward.
+
+Adagrad owns the model's memory once it is built: every parameter, gradient
+and accumulator is a view of one flat store. Between steps each ``p.grad``
+is a zeroed array that backward accumulates into; a caller may still assign
+``p.grad`` an array or None, and the next step reads it.
 """
 from __future__ import annotations
 
@@ -179,44 +184,58 @@ def bistream_loss(ce: Tensor | None, video_surrogate: Tensor | None,
 # optimization
 
 class Adagrad:
-    """Per-parameter adaptive step: lr * g / (sqrt(sum g^2) + eps).
+    """Adaptive step lr * g / (sqrt(sum g^2) + eps) (Duchi, Hazan & Singer,
+    JMLR 2011) over one flat store of the whole model.
 
-    The step runs over blocks of rows of each parameter in one small scratch
-    array, so it allocates nothing per parameter and each block stays in
-    cache across its passes. Every element goes through the arithmetic of
-    ``p -= lr * g / (sqrt(acc) + eps)`` in the same order, so the result is
-    bitwise that formula's."""
+    Row 0 of one (3, n) float64 array holds the parameters (each
+    ``Tensor.data`` is rebound to its view), row 1 the gradients and row 2
+    the accumulators (``acc[name]``). ``step`` first copies in any ``p.grad``
+    a caller rebound (None reads as zero), then runs each block of columns
+    through the arithmetic of ``p -= lr * g / (sqrt(acc) + eps)`` in the
+    same order, so the result is bitwise that formula's, and zeroes the
+    gradient block. A zero gradient leaves acc and p bitwise unchanged
+    (eps > 0), so it is the same as no gradient."""
 
-    BLOCK = 1 << 15     # scratch elements per pass (256 KiB)
+    BLOCK = 1 << 15     # store columns per pass (scratch of 2 x 256 KiB)
 
     def __init__(self, params: dict[str, Tensor], lr: float, eps: float = 1e-8):
-        self.params = params
         self.lr = lr
         self.eps = eps
-        self.acc = {name: np.zeros_like(p.data) for name, p in params.items()}
-        # a block, or less for a smaller model, but at least one row of each
-        self._scratch_size = max(
-            (max(min(p.data.size, self.BLOCK), np.atleast_1d(p.data)[0].size)
-             for p in params.values()), default=0)
+        self._store = np.zeros((3, sum(p.data.size for p in params.values())))
+        self.acc: dict[str, np.ndarray] = {}
+        self._grads: list[tuple[Tensor, np.ndarray]] = []
+        lo = 0
+        for name, p in params.items():
+            hi = lo + p.data.size
+            w, g, self.acc[name] = (row.reshape(p.data.shape)
+                                    for row in self._store[:, lo:hi])
+            w[...] = p.data
+            # the zero rows stay unwritten, so their pages are only mapped
+            # by the first step that uses them
+            if p.grad is not None:
+                g[...] = p.grad
+            p.data, p.grad = w, g
+            self._grads.append((p, g))
+            lo = hi
 
     def step(self):
-        scratch = np.empty((2, self._scratch_size))
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g, acc, w = (np.atleast_1d(a) for a in (p.grad, self.acc[name], p.data))
-            rows = self._scratch_size // max(1, g[0].size)
-            for lo in range(0, len(g), rows):
-                gb, ab, wb = g[lo:lo + rows], acc[lo:lo + rows], w[lo:lo + rows]
-                b, b2 = (buf[:gb.size].reshape(gb.shape) for buf in scratch)
-                np.multiply(gb, gb, out=b)
-                ab += b
-                np.sqrt(ab, out=b)
-                b += self.eps
-                np.multiply(self.lr, gb, out=b2)
-                b2 /= b
-                wb -= b2
-            p.grad = None
+        for p, g in self._grads:
+            if p.grad is not g:
+                g[...] = 0.0 if p.grad is None else p.grad
+                p.grad = g
+        n = self._store.shape[1]
+        scratch = np.empty((2, min(n, self.BLOCK)))
+        for lo in range(0, n, self.BLOCK):
+            w, g, acc = self._store[:, lo:lo + self.BLOCK]
+            b, b2 = scratch[:, :g.size]
+            np.multiply(g, g, out=b)
+            acc += b
+            np.sqrt(acc, out=b)
+            b += self.eps
+            np.multiply(self.lr, g, out=b2)
+            b2 /= b
+            w -= b2
+            g.fill(0.0)
 
 
 class EarlyStopping:
@@ -277,8 +296,10 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
     val_labels = [greedy_labels(s.document, s.gold_summary, cfg.label_cap)
                   for s in val_prep]
 
-    params = build_parameters(cfg, vocab_size, init_rng)
-    model = SummarizerModel(params, cfg, vocab_size)
+    # the optimizer packs the parameters; holding the drawn arrays would keep
+    # a second copy of the model alive for the whole run
+    model = SummarizerModel(build_parameters(cfg, vocab_size, init_rng),
+                            cfg, vocab_size)
     optimizer = Adagrad(model.params, lr=cfg.lr)
     stopper = EarlyStopping(cfg.patience)
     best_params = model.parameter_arrays()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -296,20 +297,23 @@ def test_adagrad_accumulates_squared_gradients():
 
 
 def test_adagrad_step_is_bitwise_the_plain_formula(rng):
-    """Three steps through the scratch buffers equal, bit for bit, the
-    expression they replace, for parameters of one block, of several blocks
-    and of rows longer than a block; a parameter without a gradient is left
-    alone."""
+    """Three steps through the flat store equal, bit for bit, the expression
+    they replace, for parameters of one block, of several blocks and of rows
+    longer than a block; a parameter without a gradient, a -0.0 entry
+    included, is left bitwise alone. Each gradient stays its zeroed view of
+    the store between steps."""
     n = Adagrad.BLOCK
     shapes = {"blocks": (3 * n // 40 + 1, 40), "long_rows": (2, n + 3),
               "row": (n + 5,), "small": (7, 12), "scalar": (), "frozen": (3, 2)}
     params = {k: Tensor(rng.uniform(-1, 1, s), requires_grad=True)
               for k, s in shapes.items()}
+    params["frozen"].data[1, 0] = -0.0
     ref = {k: p.data.copy() for k, p in params.items()}
     acc = {k: np.zeros(s) for k, s in shapes.items()}
     frozen = params["frozen"].data.tobytes()
     lr, eps = 0.3, 1e-8
     opt = Adagrad(params, lr=lr, eps=eps)
+    views = {k: p.grad for k, p in params.items()}
     for _ in range(3):
         for k, p in params.items():
             p.grad = None if k == "frozen" else rng.normal(size=shapes[k])
@@ -318,10 +322,141 @@ def test_adagrad_step_is_bitwise_the_plain_formula(rng):
                 ref[k] -= lr * p.grad / (np.sqrt(acc[k]) + eps)
         opt.step()
         for k, p in params.items():
-            assert p.grad is None
+            assert p.grad is views[k]
+            assert not p.grad.any()
             assert p.data.tobytes() == ref[k].tobytes()
             assert opt.acc[k].tobytes() == acc[k].tobytes()
     assert params["frozen"].data.tobytes() == frozen
+    assert np.signbit(params["frozen"].data[1, 0])
+
+
+class adagrad_reference:
+    """The per-tensor Adagrad the flat store replaced, kept as its oracle:
+    each parameter with a gradient steps in blocks of rows through one
+    scratch array, then its gradient is dropped."""
+
+    BLOCK = 1 << 15
+
+    def __init__(self, params, lr, eps=1e-8):
+        self.params, self.lr, self.eps = params, lr, eps
+        self.acc = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._scratch_size = max(
+            (max(min(p.data.size, self.BLOCK), np.atleast_1d(p.data)[0].size)
+             for p in params.values()), default=0)
+
+    def step(self):
+        scratch = np.empty((2, self._scratch_size))
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            g, acc, w = (np.atleast_1d(a) for a in (p.grad, self.acc[name], p.data))
+            rows = self._scratch_size // max(1, g[0].size)
+            for lo in range(0, len(g), rows):
+                gb, ab, wb = g[lo:lo + rows], acc[lo:lo + rows], w[lo:lo + rows]
+                b, b2 = (buf[:gb.size].reshape(gb.shape) for buf in scratch)
+                np.multiply(gb, gb, out=b)
+                ab += b
+                np.sqrt(ab, out=b)
+                b += self.eps
+                np.multiply(self.lr, gb, out=b2)
+                b2 /= b
+                wb -= b2
+            p.grad = None
+
+
+@pytest.fixture(scope="module")
+def tiny_split(tmp_path_factory):
+    """The train/val split of the default synthetic corpus (20 samples of
+    10 x 8-token sentences, 8 x 16-d frames) and a config at that shape."""
+    from mmsum.data import SynthConfig, load_dataset, synth_generate
+    manifest = synth_generate(SynthConfig(), seed=11,
+                              out_dir=tmp_path_factory.mktemp("tiny_corpus"))
+    samples, vocab = load_dataset(manifest)
+    by_id = {s.document.id: s for s in samples}
+    train, val = ([by_id[e.id] for e in manifest.entries_for(name)]
+                  for name in ("train", "val"))
+    cfg = tiny_config(hidden=16, embed_dim=16, attn_dim=16, fusion_dim=16,
+                      feature_dim=16, lr=0.05, seed=11)
+    return train, val, cfg, len(vocab)
+
+
+def test_adagrad_keeps_one_store_over_real_training_steps(tiny_split):
+    """Over three training steps no gradient is reallocated, and every
+    parameter, gradient and accumulator is a view of one base array."""
+    from mmsum.data import prepare_for_model
+    from mmsum.model import SummarizerModel
+    train, _, cfg, vocab_size = tiny_split
+    m = SummarizerModel(build_parameters(cfg, vocab_size, np.random.default_rng(0)),
+                        cfg, vocab_size)
+    opt = Adagrad(m.params, lr=cfg.lr)
+    grads = {k: p.grad for k, p in m.params.items()}
+    action_rng, baseline = np.random.default_rng(1), 0.0
+    for sample in train[:3]:
+        sample = prepare_for_model(sample, cfg.fps_group, cfg.seed)
+        lab = greedy_labels(sample.document, sample.gold_summary, cfg.label_cap)
+        out = m.forward(sample)
+        surrogate, _, baseline, _ = video_loss(out.frame_probs, out.frame_states,
+                                               action_rng, baseline)
+        ce = None if lab.exclude_from_ce else ce_loss(out.sent_probs, lab.labels)
+        ad.backward(bistream_loss(ce, surrogate, cfg.alpha_ts, cfg.alpha_vs))
+        opt.step()
+        assert all(p.grad is grads[k] and not p.grad.any()
+                   for k, p in m.params.items())
+    base = m.params["encoders/embedding"].data.base
+    assert base is not None
+    for k, p in m.params.items():
+        assert p.data.base is base and p.grad.base is base
+        assert opt.acc[k].base is base
+    assert sum(p.data.size for p in m.params.values()) * 3 == base.size
+
+
+def test_adagrad_honours_a_gradient_rebound_or_set_to_none(rng):
+    """A fresh array assigned to ``p.grad`` between steps is the gradient of
+    the next step; None is no gradient; either way ``p.grad`` is then its
+    view of the store again."""
+    p = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    q = Tensor(rng.uniform(-1, 1, (5,)), requires_grad=True)
+    opt = Adagrad({"p": p, "q": q}, lr=0.1)
+    views = (p.grad, q.grad)
+    q_before = q.data.tobytes()
+    g = rng.normal(size=(4, 3))
+    want = p.data - 0.1 * g / (np.sqrt(g * g) + 1e-8)
+    q.grad += 1.0       # accumulated into the view, then replaced by None
+    p.grad, q.grad = g, None
+    opt.step()
+    assert p.data.tobytes() == want.tobytes()
+    assert q.data.tobytes() == q_before and not opt.acc["q"].any()
+    assert p.grad is views[0] and q.grad is views[1]
+    assert not p.grad.any() and not q.grad.any()
+
+
+def test_adagrad_built_after_backward_uses_the_gradients_present(rng):
+    """An optimizer built after ``ad.backward`` takes the gradients already
+    there, as one built before it would have."""
+    data = rng.uniform(-1, 1, (3, 2))
+    results = []
+    for build_first in (True, False):
+        w = Tensor(data.copy(), requires_grad=True)
+        opt = Adagrad({"w": w}, lr=0.1) if build_first else None
+        ad.backward(ad.tsum(w * w))
+        opt = opt or Adagrad({"w": w}, lr=0.1)
+        opt.step()
+        results.append(w.data.tobytes())
+    assert results[0] == results[1] != data.tobytes()
+
+
+def test_train_model_matches_the_per_tensor_reference(tiny_split, monkeypatch):
+    """One epoch at the tiny shape ends at bitwise the parameters and
+    metrics of the per-tensor optimizer the flat store replaced."""
+    train, val, cfg, vocab_size = tiny_split
+    cfg = dataclasses.replace(cfg, epochs=1)
+    flat = training.train_model(train, val, cfg, vocab_size)
+    monkeypatch.setattr(training, "Adagrad", adagrad_reference)
+    ref = training.train_model(train, val, cfg, vocab_size)
+    assert flat.metrics == ref.metrics
+    assert flat.final_params.keys() == ref.final_params.keys()
+    for k, v in ref.final_params.items():
+        assert flat.final_params[k].tobytes() == v.tobytes(), k
 
 
 def test_early_stopping_monotone_worsening_stops_after_patience_plus_one():
