@@ -1,76 +1,79 @@
-"""Checkpoints: a directory of per-tensor files in the binary feature format,
-keyed by a JSON index, plus the config snapshot and the vocabulary."""
+"""Checkpoints: a directory of the config snapshot, the vocabulary, an index
+``{"format": 2, "extra": {...}}`` and ``params.bin``, one 1 x n feature file
+of every parameter, flattened, in ``model.parameter_spec`` order."""
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, config_from_dict
-from .data import read_feature_file, write_feature_file
-from .errors import CheckpointError, read_json, write_json
+from .data import UNK_TOKEN, read_feature_header, write_feature_header
+from .errors import CheckpointError, FormatError, read_json, write_json
+from .model import check_parameters, parameter_spec
 
+FORMAT = 2
 INDEX_FILE = "index.json"
 CONFIG_FILE = "config.json"
 VOCAB_FILE = "vocab.json"
-
-
-def _tensor_filename(name: str) -> str:
-    return name.replace("/", "__") + ".bin"
+PARAMS_FILE = "params.bin"
 
 
 def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
                     vocab: dict[str, int], extra: dict | None = None) -> Path:
+    """Write the checkpoint into a sibling ``<directory>.tmp``, then swap that
+    in for ``directory``: a checkpoint is replaced whole or left as it was."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    index = {"tensors": {}, "sections": {}}
-    for name in sorted(params):
-        arr = np.asarray(params[name], dtype=np.float64)
-        fname = _tensor_filename(name)
-        write_feature_file(directory / fname,
-                           arr if arr.ndim == 2 else arr.reshape(1, -1))
-        index["tensors"][name] = {"file": fname, "shape": list(arr.shape)}
-        section = name.split("/", 1)[0]
-        index["sections"].setdefault(section, []).append(name)
-    if extra:
-        index["extra"] = extra
-    write_json(directory / INDEX_FILE, index)
-    write_json(directory / CONFIG_FILE, dataclasses.asdict(cfg))
-    write_json(directory / VOCAB_FILE, sorted(vocab, key=vocab.get))
+    spec = check_parameters(params, cfg, len(vocab))
+    tmp = directory.with_name(directory.name + ".tmp")
+    old = directory.with_name(directory.name + ".old")
+    shutil.rmtree(tmp, ignore_errors=True)
+    try:
+        tmp.mkdir(parents=True)
+        with open(tmp / PARAMS_FILE, "wb") as fh:
+            write_feature_header(fh, 1, sum(math.prod(s) for s in spec.values()))
+            for name in spec:
+                np.asarray(params[name], dtype="<f4").tofile(fh)
+        write_json(tmp / INDEX_FILE, {"format": FORMAT, "extra": extra or {}})
+        write_json(tmp / CONFIG_FILE, dataclasses.asdict(cfg))
+        write_json(tmp / VOCAB_FILE, sorted(vocab, key=vocab.get))
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+    if directory.exists():
+        os.rename(directory, old)
+    os.rename(tmp, directory)
+    shutil.rmtree(old, ignore_errors=True)
     return directory
 
 
 def load_checkpoint(directory):
     directory = Path(directory)
-    index_path = directory / INDEX_FILE
-    index = read_json(index_path, dict, "checkpoint index", CheckpointError)
-    tensors = index.get("tensors")
-    if not isinstance(tensors, dict):
-        raise CheckpointError(f"checkpoint index {index_path} has no 'tensors' table")
-    params = {}
-    for name, meta in tensors.items():
-        try:
-            arr = read_feature_file(directory / meta["file"]).astype(np.float64)
-            shape = tuple(meta["shape"])
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            # ValueError: a NUL byte in the file name
-            raise CheckpointError(f"cannot read checkpoint tensor '{name}': "
-                                  f"{exc!r}") from exc
-        if not all(type(n) is int and n >= 0 for n in shape):
-            raise CheckpointError(f"checkpoint tensor '{name}' shape {list(shape)} "
-                                  f"must hold non-negative ints")
-        if math.prod(shape) != arr.size:
-            raise CheckpointError(f"tensor '{name}' shape {shape} does not "
-                                  f"match stored size {arr.size}")
-        params[name] = arr.reshape(shape)
+    index = read_json(directory / INDEX_FILE, dict, "checkpoint index", CheckpointError)
+    if index.get("format") != FORMAT:
+        raise CheckpointError(f"checkpoint {directory} is not in format {FORMAT}; "
+                              f"retrain to write one")
     cfg = config_from_dict(read_json(directory / CONFIG_FILE, dict, "checkpoint config",
                                      CheckpointError))
     tokens = read_json(directory / VOCAB_FILE, list, "checkpoint vocabulary",
                        CheckpointError)
-    if not all(isinstance(tok, str) for tok in tokens):
-        raise CheckpointError(f"checkpoint vocabulary {directory / VOCAB_FILE} "
-                              f"holds a token that is not a string")
-    vocab = {tok: i for i, tok in enumerate(tokens)}
-    return params, cfg, vocab
+    if not all(isinstance(tok, str) for tok in tokens) or tokens[:1] != [UNK_TOKEN] \
+            or len(set(tokens)) != len(tokens):
+        raise CheckpointError(f"checkpoint vocabulary {directory / VOCAB_FILE} must be "
+                              f"distinct strings, {UNK_TOKEN} first")
+    spec, path = parameter_spec(cfg, len(tokens)), directory / PARAMS_FILE
+    n = sum(math.prod(s) for s in spec.values())
+    try:
+        with open(path, "rb") as fh:
+            if read_feature_header(fh, path) != (1, n):
+                raise FormatError(f"{path} does not hold 1x{n} values")
+            params = {name: np.fromfile(fh, "<f4", math.prod(s)).astype(np.float64)
+                      .reshape(s) for name, s in spec.items()}
+    except (OSError, FormatError) as exc:
+        raise CheckpointError(f"cannot read checkpoint parameters: {exc}") from exc
+    return params, cfg, {tok: i for i, tok in enumerate(tokens)}

@@ -145,12 +145,10 @@ def _model_from_checkpoint(ckpt_dir, args):
     """The checkpoint's model under the RunConfig flags given on the command
     line, that config, the vocabulary, and the config the checkpoint saved."""
     params, saved, vocab = checkpoint.load_checkpoint(ckpt_dir)
-    overrides = _overrides_from_args(args)
-    overrides.pop("manifest", None)
-    overrides.pop("out_dir", None)
+    overrides = {k: v for k, v in _overrides_from_args(args).items()
+                 if k not in ("manifest", "out_dir")}
     cfg = config_from_dict({**dataclasses.asdict(saved), **overrides})
-    model = SummarizerModel(params, cfg, len(vocab))
-    return model, cfg, vocab, saved
+    return SummarizerModel(params, cfg, len(vocab)), cfg, vocab, saved
 
 
 def cmd_eval(args) -> int:

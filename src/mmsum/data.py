@@ -63,10 +63,8 @@ def build_vocab(texts) -> dict[str, int]:
     seen = set()
     for text in texts:
         seen.update(tokenize(text))
-    vocab = {UNK_TOKEN: 0}
-    for tok in sorted(seen):
-        vocab[tok] = len(vocab)
-    return vocab
+    seen.discard(UNK_TOKEN)     # a literal "<unk>" in the text is the unknown token
+    return {tok: i for i, tok in enumerate([UNK_TOKEN, *sorted(seen)])}
 
 
 def encode_tokens(tokens, vocab) -> np.ndarray:
@@ -128,32 +126,38 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 # binary feature files
 
+def write_feature_header(fh, rows: int, cols: int) -> None:
+    fh.write(FEATURE_MAGIC + struct.pack("<II", rows, cols))
+
+
+def read_feature_header(fh, path) -> tuple[int, int]:
+    """(rows, cols) of open feature file ``fh``, now at its first value."""
+    head = fh.read(16)
+    if head[:8] != FEATURE_MAGIC:
+        raise FormatError(f"bad magic in feature file {path}")
+    if len(head) < 16:
+        raise FormatError(f"truncated header in feature file {path}")
+    rows, cols = struct.unpack("<II", head[8:])
+    expected, size = 16 + rows * cols * 4, os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise FormatError(f"feature file {path} declares {rows}x{cols} "
+                          f"({expected} bytes) but has {size} bytes")
+    return rows, cols
+
+
 def write_feature_file(path, matrix) -> None:
     m = np.asarray(matrix, dtype=np.float32)
     if m.ndim != 2:
         raise FormatError(f"feature matrix must be 2-D, got shape {m.shape}")
-    rows, cols = m.shape
-    payload = m.astype("<f4", copy=False).tobytes(order="C")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(payload)
+        write_feature_header(fh, *m.shape)
+        m.astype("<f4", copy=False).tofile(fh)
 
 
 def read_feature_file(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if blob[:8] != FEATURE_MAGIC:
-        raise FormatError(f"bad magic in feature file {path}")
-    if len(blob) < 16:
-        raise FormatError(f"truncated header in feature file {path}")
-    rows, cols = struct.unpack("<II", blob[8:16])
-    expected = 16 + rows * cols * 4
-    if len(blob) != expected:
-        raise FormatError(
-            f"feature file {path} declares {rows}x{cols} "
-            f"({expected} bytes) but has {len(blob)} bytes")
-    flat = np.frombuffer(blob, dtype="<f4", offset=16)
-    return flat.reshape(rows, cols).copy()
+    with open(path, "rb") as fh:
+        rows, cols = read_feature_header(fh, path)
+        return np.fromfile(fh, "<f4", rows * cols).reshape(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +338,8 @@ def split_dataset(manifest: DatasetManifest, fractions=(0.7, 0.1, 0.2),
     if n_train < 1:
         raise SplitError(f"split leaves no training samples for n={n}")
 
-    split = {}
-    for sid in order[:n_train]:
-        split[sid] = "train"
-    for sid in order[n_train:n_train + n_val]:
-        split[sid] = "val"
-    for sid in order[n_train + n_val:]:
-        split[sid] = "test"
+    split = {sid: "train" if i < n_train else "val" if i < n_train + n_val else "test"
+             for i, sid in enumerate(order)}
     return DatasetManifest(entries=manifest.entries, split=split, root=manifest.root)
 
 

@@ -147,15 +147,9 @@ def overlap_report(samples: list[Sample]) -> dict:
         rows["reference"].append(rouge_all(tr, ref))
     if not rows["article"]:
         raise EvalError("no nonempty transcripts to report on")
-    report = {}
-    for key, scored in rows.items():
-        report[key] = {
-            "r1": 100.0 * float(np.mean([r.r1.f1 for r in scored])),
-            "r2": 100.0 * float(np.mean([r.r2.f1 for r in scored])),
-            "rl": 100.0 * float(np.mean([r.rl.f1 for r in scored])),
-        }
-    report["n_samples"] = len(rows["article"])
-    return report
+    report = {key: {m: 100.0 * float(np.mean([getattr(r, m).f1 for r in scored]))
+                    for m in ("r1", "r2", "rl")} for key, scored in rows.items()}
+    return {**report, "n_samples": len(rows["article"])}
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ class ForwardResult:
 def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter the configuration needs, in allocation
     order. This is the one statement of the parameter layout: the init, the
-    shape check and the typed views of SummarizerModel are derived from it."""
+    shape check, params.bin and SummarizerModel's typed views derive from it."""
     h, da, df = cfg.hidden, cfg.attn_dim, cfg.fusion_dim
     d2 = 2 * h
     spec = {"encoders/embedding": (vocab_size, cfg.embed_dim)}
@@ -88,22 +88,27 @@ def build_parameters(cfg: RunConfig, vocab_size: int, rng,
     return params
 
 
+def check_parameters(params: dict, cfg: RunConfig, vocab_size: int) -> dict:
+    """The `parameter_spec` that `params` must match, or a `CheckpointError`."""
+    want = parameter_spec(cfg, vocab_size)
+    mine = {name: np.shape(arr) for name, arr in params.items()}
+    if mine != want:
+        missing, extra = sorted(want.keys() - mine), sorted(mine.keys() - want)
+        wrong = sorted(k for k in mine.keys() & want if mine[k] != want[k])
+        raise CheckpointError(
+            f"parameters do not match the configuration "
+            f"(missing={missing}, unexpected={extra}, wrong_shape={wrong})")
+    return want
+
+
 class SummarizerModel:
     """Binds a parameter dictionary to typed views and runs the forward pass."""
 
     def __init__(self, params: dict, cfg: RunConfig, vocab_size: int):
+        check_parameters(params, cfg, vocab_size)
         self.cfg = cfg
         self.params: dict[str, Tensor] = {
             name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-        mine = {k: v.data.shape for k, v in self.params.items()}
-        want = parameter_spec(cfg, vocab_size)
-        if mine != want:
-            missing = sorted(set(want) - set(mine))
-            extra = sorted(set(mine) - set(want))
-            wrong = sorted(k for k in set(mine) & set(want) if mine[k] != want[k])
-            raise CheckpointError(
-                f"parameters do not match the configuration "
-                f"(missing={missing}, unexpected={extra}, wrong_shape={wrong})")
 
         self.encoder = EncoderParams(
             embedding=self.params["encoders/embedding"],

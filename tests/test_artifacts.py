@@ -1,13 +1,14 @@
 """The JSON artifact pair ``errors.write_json``/``read_json``: strict, atomic
-and byte-stable; and fuzzed manifests and checkpoint indexes, which load or end
-in an ``MMSumError``."""
+and byte-stable; and fuzzed manifests and checkpoints (index and params.bin),
+which load or end in an ``MMSumError``."""
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
@@ -172,51 +173,57 @@ def test_spliced_manifest_text_loads_or_raises_mmsum_error(fuzz_corpus, data_):
 
 @pytest.fixture(scope="module")
 def fuzz_checkpoint(tmp_path_factory):
-    """A saved checkpoint, and its index as written."""
+    """A saved checkpoint, and the bytes of its index and params.bin as written."""
     cfg = tiny_config(attention="bihop")
     vocab = {"<unk>": 0, **{f"w{i}": i for i in range(1, 5)}}
     directory = tmp_path_factory.mktemp("fuzz_checkpoint")
     params = build_parameters(cfg, len(vocab), np.random.default_rng(0))
     checkpoint.save_checkpoint(directory, params, cfg, vocab)
-    return directory, (directory / checkpoint.INDEX_FILE).read_text(encoding="utf-8")
-
-
-# file names a fuzzed index may point a tensor at: its siblings, the
-# directory itself, names that do not resolve or do not fit a path
-_names = st.sampled_from(["", ".", "..", "index.json", "config.json", "vocab.json",
-                          "nope.bin", "a\x00b", "x" * 300, "encoders__embedding.bin"])
+    return directory, {name: (directory / name).read_bytes()
+                       for name in (checkpoint.INDEX_FILE, checkpoint.PARAMS_FILE)}
 
 
 def _fuzz_index(index, data_):
-    """``index`` with one tensor's entry, or the whole table, replaced or
-    edited: a file name or shape swapped for any value, a key dropped."""
-    tensors = index["tensors"]
-    name = data_.draw(st.sampled_from(sorted(tensors)))
-    junk = _names | json_trees
-    edit = data_.draw(st.sampled_from(["file", "shape", "drop-key", "drop-tensor",
-                                       "entry", "table"]))
-    if edit in ("file", "shape"):
-        tensors[name][edit] = data_.draw(junk | st.lists(st.integers(-2, 40), max_size=3))
-    elif edit == "drop-key":
-        del tensors[name][data_.draw(st.sampled_from(["file", "shape"]))]
-    elif edit == "drop-tensor":
-        del tensors[name]
-    elif edit == "entry":
-        tensors[name] = data_.draw(junk)
+    """``index`` with its format or extra replaced by any JSON value, or dropped."""
+    key = data_.draw(st.sampled_from(["format", "extra"]))
+    if data_.draw(st.booleans()):
+        index[key] = data_.draw(st.sampled_from([1, 2, 2.0, 3, "2", True]) | json_trees)
     else:
-        index["tensors"] = data_.draw(junk)
+        del index[key]
     return index
+
+
+def _fuzz_params(blob, data_):
+    """``blob``, a params.bin, truncated, extended, with another magic, or with
+    another row or column count in its header."""
+    edit = data_.draw(st.sampled_from(["truncate", "extend", "magic", "rows", "cols"]))
+    if edit == "truncate":
+        return blob[:data_.draw(st.integers(0, len(blob) - 1))]
+    if edit == "extend":
+        return blob + data_.draw(st.binary(min_size=1, max_size=12))
+    if edit == "magic":
+        return data_.draw(st.binary(min_size=8, max_size=8)
+                          .filter(lambda magic: magic != data.FEATURE_MAGIC)) + blob[8:]
+    at = 8 if edit == "rows" else 12
+    return blob[:at] + struct.pack("<I", data_.draw(st.integers(0, 2**32 - 1))) + blob[at + 4:]
+
+
+def _write_checkpoint_files(directory, index: bytes, params: bytes):
+    (directory / checkpoint.INDEX_FILE).write_bytes(index)
+    (directory / checkpoint.PARAMS_FILE).write_bytes(params)
 
 
 @PROPERTY
 @given(data_=st.data())
 def test_fuzzed_checkpoint_index_loads_or_raises_mmsum_error(fuzz_checkpoint, data_):
-    directory, text = fuzz_checkpoint
+    directory, written = fuzz_checkpoint
+    text = written[checkpoint.INDEX_FILE].decode("utf-8")
     if data_.draw(st.booleans()):
         text = json.dumps(_fuzz_index(json.loads(text), data_))
     else:
         text = _splice(text, data_)
-    (directory / checkpoint.INDEX_FILE).write_text(text, encoding="utf-8")
+    _write_checkpoint_files(directory, text.encode("utf-8"),
+                            written[checkpoint.PARAMS_FILE])
     try:
         params, cfg, vocab = checkpoint.load_checkpoint(directory)
         SummarizerModel(params, cfg, len(vocab))
@@ -224,10 +231,14 @@ def test_fuzzed_checkpoint_index_loads_or_raises_mmsum_error(fuzz_checkpoint, da
         pass
 
 
-def test_checkpoint_tensor_file_name_with_nul_is_checkpoint_error(fuzz_checkpoint):
-    directory, text = fuzz_checkpoint
-    index = json.loads(text)
-    next(iter(index["tensors"].values()))["file"] = "a\x00b"
-    (directory / checkpoint.INDEX_FILE).write_text(json.dumps(index), encoding="utf-8")
-    with pytest.raises(CheckpointError, match="cannot read checkpoint tensor"):
+@PROPERTY
+@given(data_=st.data())
+def test_fuzzed_checkpoint_params_file_is_checkpoint_error(fuzz_checkpoint, data_):
+    """Every edit of params.bin that changes its bytes leaves a file whose
+    header or size is wrong for the configuration."""
+    directory, written = fuzz_checkpoint
+    blob = _fuzz_params(written[checkpoint.PARAMS_FILE], data_)
+    assume(blob != written[checkpoint.PARAMS_FILE])
+    _write_checkpoint_files(directory, written[checkpoint.INDEX_FILE], blob)
+    with pytest.raises(CheckpointError, match="cannot read checkpoint parameters"):
         checkpoint.load_checkpoint(directory)

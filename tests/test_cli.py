@@ -530,6 +530,26 @@ def test_eval_corrupt_checkpoint_index_is_checkpoint_error(cli_corpus, trained_r
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "CHECKPOINT"
 
 
+@pytest.mark.parametrize("edit", [
+    lambda tokens: ["unk", *tokens[1:]],     # no <unk>
+    lambda tokens: [*tokens[:-1], tokens[1]],    # a token twice
+], ids=["no-unk", "repeated-token"])
+def test_eval_bad_checkpoint_vocabulary_is_checkpoint_error(cli_corpus, trained_run,
+                                                            tmp_path, capsys, edit):
+    """Both edits keep the vocabulary's length, so the embedding still fits."""
+    ck = shutil.copytree(trained_run / "checkpoint", tmp_path / "checkpoint")
+    tokens = json.loads((ck / "vocab.json").read_text(encoding="utf-8"))
+    (ck / "vocab.json").write_text(json.dumps(edit(tokens)), encoding="utf-8")
+    assert run_cli("eval", "--checkpoint", str(ck),
+                   "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(tmp_path / "ev")) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    err = json.loads(err)
+    assert err["error"] == "CHECKPOINT" and "vocabulary" in err["message"]
+    assert not (tmp_path / "ev").exists()
+
+
 def test_eval_missing_refs_omits_cos(cli_corpus, trained_run, tmp_path):
     # strip ref_features from a copy of the manifest
     doc = json.loads((cli_corpus / "manifest.json").read_text())

@@ -88,6 +88,14 @@ def test_tokenize_matches_the_reference(text):
     assert tokenize(text) == tokenize_reference(text)
 
 
+def test_literal_unk_in_the_text_is_the_unknown_token():
+    """"<unk>" survives tokenization (its edges are symbols, not punctuation);
+    it must not take a second index, or two tokens would share one and the
+    checkpoint's vocabulary would renumber them."""
+    vocab = data.build_vocab(["b <unk> a", "<UNK> c"])
+    assert vocab == {"<unk>": 0, "a": 1, "b": 2, "c": 3}
+
+
 # ---------------------------------------------------------------------------
 # feature files
 

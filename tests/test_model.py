@@ -1,15 +1,17 @@
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import tiny_config
-from mmsum import checkpoint, model
+from mmsum import checkpoint, data, model
 from mmsum.config import RunConfig
 from mmsum.errors import CheckpointError
-from mmsum.model import SummarizerModel, build_parameters, parameter_spec
+from mmsum.model import (SummarizerModel, build_parameters, check_parameters,
+                         parameter_spec)
 from mmsum.training import make_check_sample
 
 # distinct sizes, so a dimension used in the wrong place changes some shape
@@ -117,6 +119,29 @@ def test_model_rejects_mismatched_parameters():
         SummarizerModel(params, cfg, 7)
 
 
+VOCAB7 = {"<unk>": 0, **{f"w{i}": i for i in range(1, 7)}}
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda p: p.pop("encoders/embedding"), r"missing=\['encoders/embedding'\]"),
+    (lambda p: p.update(extra=np.zeros(2)), r"unexpected=\['extra'\]"),
+    (lambda p: p.update({"fusion/text/f/b2": np.zeros(2)}),
+     r"wrong_shape=\['fusion/text/f/b2'\]"),
+], ids=["missing", "unexpected", "wrong-shape"])
+def test_save_checkpoint_refuses_parameters_off_the_spec(tmp_path, edit, match):
+    """save_checkpoint writes parameter_spec's layout, so it checks the dict
+    against it first, with the model's rule and message, and writes nothing."""
+    cfg = tiny_config()
+    params = build_parameters(cfg, 7, np.random.default_rng(0))
+    assert check_parameters(params, cfg, 7) == parameter_spec(cfg, 7)
+    edit(params)
+    with pytest.raises(CheckpointError, match=match):
+        check_parameters(params, cfg, 7)
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint.save_checkpoint(tmp_path / "ck", params, cfg, VOCAB7)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_model_binding_draws_no_random_numbers(monkeypatch):
     cfg = tiny_config()
     params = build_parameters(cfg, 7, np.random.default_rng(0))
@@ -179,27 +204,77 @@ def test_checkpoint_round_trip(tmp_path):
     checkpoint.save_checkpoint(tmp_path / "ck", params, cfg, vocab)
     loaded, cfg2, vocab2 = checkpoint.load_checkpoint(tmp_path / "ck")
     assert cfg2 == cfg and vocab2 == vocab
+    assert list(loaded) == list(parameter_spec(cfg, len(vocab)))
     for name, arr in params.items():
         npt.assert_array_equal(loaded[name],
                                arr.astype(np.float32).astype(np.float64),
                                err_msg=name)
+    # one 1 x n feature file: every parameter, flattened, in parameter_spec order
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == \
+        ["config.json", "index.json", "params.bin", "vocab.json"]
+    flat = np.concatenate([params[name].ravel() for name in parameter_spec(cfg, 7)])
+    stored = data.read_feature_file(tmp_path / "ck" / "params.bin")
+    assert stored.tobytes() == flat.astype("<f4").reshape(1, -1).tobytes()
+    assert json.loads((tmp_path / "ck" / "index.json").read_text()) == \
+        {"format": 2, "extra": {}}
     # loaded parameters drive a working model
     model = SummarizerModel(loaded, cfg2, len(vocab2))
     sample = make_check_sample(cfg2, np.random.default_rng(0))
     assert model.forward(sample).sent_probs.shape == (2,)
 
 
+def _tree(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_failed_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch):
+    """A save over a checkpoint that fails part-way (here on vocab.json, after
+    params.bin, index.json and config.json) leaves the old checkpoint's bytes
+    and no sibling behind."""
+    cfg, ck = tiny_config(), tmp_path / "ck"
+    old = build_parameters(cfg, 7, np.random.default_rng(1))
+    checkpoint.save_checkpoint(ck, old, cfg, VOCAB7, extra={"run": 1})
+    before = _tree(ck)
+    write_json = checkpoint.write_json
+
+    def fail_on_vocab(path, obj):
+        if path.name == checkpoint.VOCAB_FILE:
+            raise OSError("disk full")
+        write_json(path, obj)
+
+    monkeypatch.setattr(checkpoint, "write_json", fail_on_vocab)
+    with pytest.raises(OSError, match="disk full"):
+        checkpoint.save_checkpoint(ck, build_parameters(cfg, 7, np.random.default_rng(2)),
+                                   cfg, VOCAB7, extra={"run": 2})
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert _tree(ck) == before
+    loaded, _, _ = checkpoint.load_checkpoint(ck)
+    for name, arr in old.items():
+        assert loaded[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
+
+
+def test_save_over_a_directory_replaces_it_whole(tmp_path):
+    """Files of an old-layout checkpoint, and the .tmp and .old siblings a
+    killed save leaves, are gone after a save."""
+    cfg, ck = tiny_config(), tmp_path / "ck"
+    for directory in (ck, tmp_path / "ck.tmp", tmp_path / "ck.old"):
+        directory.mkdir()
+        (directory / "encoders__embedding.bin").write_bytes(b"stale")
+    params = build_parameters(cfg, 7, np.random.default_rng(3))
+    assert checkpoint.save_checkpoint(ck, params, cfg, VOCAB7) == ck
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert sorted(_tree(ck)) == ["config.json", "index.json", "params.bin", "vocab.json"]
+    checkpoint.save_checkpoint(tmp_path / "other", params, cfg, VOCAB7)
+    assert _tree(ck) == _tree(tmp_path / "other")
+
+
 @pytest.mark.parametrize("filename,content", [
     ("index.json", "{not json"),
     ("index.json", "{}"),
     ("index.json", "[]"),
-    ("index.json", '{"tensors": {"encoders/embedding": {}}}'),
-    ("index.json", '{"tensors": {"encoders/embedding": '
-                   '{"file": "encoders__embedding.bin", "shape": ["a"]}}}'),
-    ("index.json", '{"tensors": {"encoders/embedding": '
-                   '{"file": "encoders__embedding.bin", "shape": [3.0, 2]}}}'),
-    ("index.json", '{"tensors": {"encoders/embedding": '
-                   '{"file": "encoders__embedding.bin", "shape": [-3, -2]}}}'),
+    ("index.json", '{"tensors": {"encoders/embedding": {}}}'),   # the old layout
+    ("index.json", '{"extra": {}}'),
+    ("index.json", '{"format": 1, "extra": {}}'),
     ("index.json", None),
     ("config.json", "{not json"),
     ("config.json", "[1, 2]"),
@@ -208,7 +283,11 @@ def test_checkpoint_round_trip(tmp_path):
     ("vocab.json", "7"),
     ("vocab.json", "[[1]]"),
     ("vocab.json", None),
-    ("encoders__embedding.bin", None),
+    ("vocab.json", '["a", "<unk>", "b"]'),
+    ("vocab.json", '["<unk>", "a", "a"]'),
+    ("vocab.json", "[]"),
+    ("params.bin", None),
+    ("params.bin", "M2SMFEAT"),
 ])
 def test_unreadable_checkpoint_is_checkpoint_error(tmp_path, filename, content):
     """A corrupt (or, for None, deleted) checkpoint file."""
