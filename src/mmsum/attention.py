@@ -68,11 +68,9 @@ def concat_product_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> 
 def bilinear_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> Tensor:
     _check_dims(q_states, aset.W_q, "query")
     _check_dims(k_states, aset.W_k, "key")
-    r = ad.tanh(q_states @ aset.W_q + aset.b_q)    # (NQ, d_a)
-    q = ad.tanh(k_states @ aset.W_k + aset.b_k)    # (NK, d_a)
-    interaction = (r * aset.V) @ ad.transpose(q)   # sum_d V_d * r_id * q_jd
-    nq = q_states.shape[0]
-    return interaction + (q @ aset.V) + ad.reshape(r @ aset.V, (nq, 1))
+    r = ad.dense(q_states, aset.W_q, aset.b_q, "tanh")    # (NQ, d_a)
+    q = ad.dense(k_states, aset.W_k, aset.b_k, "tanh")    # (NK, d_a)
+    return ad.bilinear(r, q, aset.V)
 
 
 def context(scores: Tensor, values: Tensor) -> AttentionContext:

@@ -2,17 +2,23 @@
 
 Float64 tape with just the operations the summarizer needs: broadcasting
 arithmetic, matmul, activations, row gather/scatter, row softmax, a few
-shape utilities, and ``bilstm_sequence``, both directions of a BiLSTM over a
-whole right-padded batch as a single node, its hidden size read off the (4h,)
-bias. Its padding contract: the output is zero at padded positions, which send
-no gradient to X and whose values change nothing. Both directions share one
-recurrence loop over time-major buffers, the reverse direction stored in its
-own step order. Gradients are exact and are cross-checked against central
-finite differences by the gradient-check harness and the test suite.
+shape utilities, and four fused layers, each a single node: ``dense``
+(act(X @ W + b)), ``bilinear`` (the gated-projection attention score),
+``bernoulli_log_likelihood`` (clipped), and ``bilstm_sequence``, both
+directions of a BiLSTM over a whole right-padded batch, its hidden size read
+off the (4h,) bias. The BiLSTM's padding contract: the output is zero at
+padded positions, which send no gradient to X and whose values change
+nothing. Both directions share one recurrence loop over time-major buffers,
+the reverse direction stored in its own step order. Gradients are exact and
+are cross-checked against central finite differences by the gradient-check
+harness and the test suite.
 
-Every op but ``take_rows`` and ``bilstm_sequence`` records its node through
-``_op``: it gives its forward value and one gradient rule per parent, and the
-builder does the rest of the backward bookkeeping.
+The elementwise and shape ops record their node through ``_op``: an op gives
+its forward value and one gradient rule per parent, and the builder does the
+rest of the backward bookkeeping. ``take_rows`` and the fused layers give
+``_node`` a hand-written backward. The fused layers compute the same numpy
+expressions in the same order as the compositions of single ops they stand
+for, so values and gradients are bitwise those of the compositions.
 """
 from __future__ import annotations
 
@@ -172,31 +178,29 @@ def mul(a, b):
     return _op(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
+def _grad_left(g, a, b):
+    """The gradient of a @ b with respect to a, given the upstream g; a 1-D b
+    is one column."""
+    b2 = b.reshape(b.shape[0], -1)
+    return (g.reshape(-1, b2.shape[1]) @ b2.T).reshape(a.shape)
+
+
+def _grad_right(g, a, b):
+    """The gradient of a @ b with respect to b; a 1-D a is one row."""
+    a2 = a.reshape(-1, a.shape[-1])
+    return (a2.T @ g.reshape(len(a2), -1)).reshape(b.shape)
+
+
 def matmul(a, b):
-    """a @ b for 1-D and 2-D operands (a may have more leading axes). In
-    backward a 1-D left operand is one row and a 1-D right operand one column."""
+    """a @ b for 1-D and 2-D operands (a may have more leading axes)."""
     a, b = as_tensor(a), as_tensor(b)
-
-    def grad_a(g):
-        b2 = b.data.reshape(b.data.shape[0], -1)
-        return (g.reshape(-1, b2.shape[1]) @ b2.T).reshape(a.data.shape)
-
-    def grad_b(g):
-        a2 = a.data.reshape(-1, a.data.shape[-1])
-        return (a2.T @ g.reshape(len(a2), -1)).reshape(b.data.shape)
-
-    return _op(a.data @ b.data, (a, b), grad_a, grad_b)
+    return _op(a.data @ b.data, (a, b), lambda g: _grad_left(g, a.data, b.data),
+               lambda g: _grad_right(g, a.data, b.data))
 
 
 def transpose(a):
     a = as_tensor(a)
     return _op(a.data.T, (a,), _transposed)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-    return _op(out_data, (a,), lambda g: g * (1.0 - out_data * out_data))
 
 
 def _sigmoid(x):
@@ -205,10 +209,27 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a):
+# activation name -> (forward, rule mapping the upstream gradient g and the
+# output y to the input's gradient)
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
+    "sigmoid": (_sigmoid, lambda g, y: g * y * (1.0 - y)),
+}
+
+
+def _activation(name, a):
+    f, rule = _ACTIVATIONS[name]
     a = as_tensor(a)
-    out_data = _sigmoid(a.data)
-    return _op(out_data, (a,), lambda g: g * out_data * (1.0 - out_data))
+    out_data = f(a.data)
+    return _op(out_data, (a,), lambda g: rule(g, out_data))
+
+
+def tanh(a):
+    return _activation("tanh", a)
+
+
+def sigmoid(a):
+    return _activation("sigmoid", a)
 
 
 def log(a):
@@ -301,6 +322,69 @@ def softmax_rows(a):
         return out_data * (g - (g * out_data).sum(axis=1, keepdims=True))
 
     return _op(out_data, (a,), rule)
+
+
+def dense(X, W, b, act):
+    """act(X @ W + b) as one node, with act "tanh" or "sigmoid". W is (D, F),
+    or (D,) for one output unit, and b broadcasts against X @ W. Backward
+    keeps only the output, which both activations' derivatives read."""
+    X, W, b = parents = as_tensor(X), as_tensor(W), as_tensor(b)
+    f, rule = _ACTIVATIONS[act]
+    out = f(X.data @ W.data + b.data)
+
+    def bw(g):
+        dz = rule(g, out)
+        if X.requires_grad:
+            _acc(X, _grad_left(dz, X.data, W.data))
+        if W.requires_grad:
+            _acc(W, _grad_right(dz, X.data, W.data))
+        if b.requires_grad:
+            _acc(b, _unbroadcast(dz, b.data.shape))
+
+    return _node(out, parents, bw)
+
+
+def bilinear(r, q, V):
+    """The gated-projection score (r*V) @ q.T + q @ V + (r @ V)[:, None] of
+    (NQ, d) rows r against (NK, d) rows q with a (d,) weight V, (NQ, NK), as
+    one node. Backward adds each parent's terms in the order that the
+    composition of single ops for that expression does, and the tape lists q
+    before r so that backward runs q's subgraph first, as it does there;
+    both keep the gradients bitwise equal to the composition's."""
+    r, q, V = as_tensor(r), as_tensor(q), as_tensor(V)
+    rV = r.data * V.data
+    out = rV @ q.data.T + q.data @ V.data + (r.data @ V.data)[:, None]
+
+    def bw(g):
+        g_rV = g @ q.data
+        g_q, g_r = g.sum(axis=0), g.sum(axis=1)
+        if r.requires_grad:
+            _acc(r, g_rV * V.data)
+            _acc(r, _grad_left(g_r, r.data, V.data))
+        if q.requires_grad:
+            _acc(q, (rV.T @ g).T)
+            _acc(q, _grad_left(g_q, q.data, V.data))
+        if V.requires_grad:
+            _acc(V, (g_rV * r.data).sum(axis=0))
+            _acc(V, _grad_right(g_q, q.data, V.data))
+            _acc(V, _grad_right(g_r, r.data, V.data))
+
+    return _node(out, (q, r, V), bw)
+
+
+def bernoulli_log_likelihood(p, y, eps):
+    """y log p + (1 - y) log(1 - p) per unit, for constant labels y, with p
+    clipped to [eps, 1 - eps]; a clipped p gets zero gradient."""
+    p = as_tensor(p)
+    pc = np.clip(p.data, eps, 1.0 - eps)
+    not_y, not_pc = 1.0 - y, 1.0 - pc
+    out = np.log(pc) * y + np.log(not_pc) * not_y
+
+    def bw(g):
+        inside = (p.data >= eps) & (p.data <= 1.0 - eps)
+        _acc(p, ((g * y) / pc - (g * not_y) / not_pc) * inside)
+
+    return _node(out, (p,), bw)
 
 
 def _step_buffer(steps, shape, keep):

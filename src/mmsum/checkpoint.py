@@ -23,14 +23,20 @@ VOCAB_FILE = "vocab.json"
 PARAMS_FILE = "params.bin"
 
 
+def _sibling(directory: Path, suffix: str) -> Path:
+    return directory.with_name(directory.name + suffix)
+
+
 def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
                     vocab: dict[str, int], extra: dict | None = None) -> Path:
     """Write the checkpoint into a sibling ``<directory>.tmp``, then swap that
-    in for ``directory``: a checkpoint is replaced whole or left as it was."""
+    in for ``directory``, the old one moved aside to ``<directory>.old`` until
+    the new one is in place: a checkpoint is replaced whole or left as it was,
+    and a process killed between the two renames leaves the old one whole in
+    ``<directory>.old``, where ``load_checkpoint`` finds it."""
     directory = Path(directory)
     spec = check_parameters(params, cfg, len(vocab))
-    tmp = directory.with_name(directory.name + ".tmp")
-    old = directory.with_name(directory.name + ".old")
+    tmp, old = _sibling(directory, ".tmp"), _sibling(directory, ".old")
     shutil.rmtree(tmp, ignore_errors=True)
     try:
         tmp.mkdir(parents=True)
@@ -44,8 +50,8 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    shutil.rmtree(old, ignore_errors=True)
     if directory.exists():
+        shutil.rmtree(old, ignore_errors=True)
         os.rename(directory, old)
     os.rename(tmp, directory)
     shutil.rmtree(old, ignore_errors=True)
@@ -53,7 +59,11 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
 
 
 def load_checkpoint(directory):
+    """Read a checkpoint; with no ``directory``, read the ``<directory>.old``
+    that a save killed between its two renames leaves."""
     directory = Path(directory)
+    if not directory.exists() and _sibling(directory, ".old").exists():
+        directory = _sibling(directory, ".old")
     index = read_json(directory / INDEX_FILE, dict, "checkpoint index", CheckpointError)
     if index.get("format") != FORMAT:
         raise CheckpointError(f"checkpoint {directory} is not in format {FORMAT}; "

@@ -49,8 +49,7 @@ def scorer_prob(X: Tensor, p: ScorerParams) -> Tensor:
     if X.shape[1] != p.W1.shape[0]:
         raise FusionError(f"scorer input dim {X.shape[1]} does not match "
                           f"weight rows {p.W1.shape[0]}")
-    h = ad.tanh(X @ p.W1 + p.b1)
-    return ad.sigmoid(h @ p.w2 + p.b2)
+    return ad.dense(ad.dense(X, p.W1, p.b1, "tanh"), p.w2, p.b2, "sigmoid")
 
 
 def _pair(state, ctx) -> tuple[Tensor, Tensor]:

@@ -92,17 +92,11 @@ def _greedy_search(raw_sentences: tuple, gold_summary: tuple, cap: int):
 # ---------------------------------------------------------------------------
 # losses and rewards
 
-def _log_likelihood(probs: Tensor, y: np.ndarray) -> Tensor:
-    """Bernoulli log-likelihood y·log p + (1 − y)·log(1 − p) per unit, p clipped."""
-    p = ad.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    return y * ad.log(p) + (1.0 - y) * ad.log(1.0 - p)
-
-
 def ce_loss(probs: Tensor, labels) -> Tensor:
     y = np.asarray(labels, dtype=np.float64)
     if probs.shape[0] != y.shape[0]:
         raise LossError(f"got {probs.shape[0]} probabilities for {y.shape[0]} labels")
-    return -ad.tmean(_log_likelihood(probs, y))
+    return -ad.tmean(ad.bernoulli_log_likelihood(probs, y, PROB_EPS))
 
 
 @dataclass(frozen=True)
@@ -159,7 +153,8 @@ def video_loss(frame_probs: Tensor, frame_states, rng, baseline: float):
                          rep=reward_rep(states, selected))
     total = rewards.div + rewards.rep
 
-    log_pi = ad.tsum(_log_likelihood(frame_probs, actions.astype(np.float64)))
+    log_pi = ad.tsum(ad.bernoulli_log_likelihood(frame_probs, actions.astype(np.float64),
+                                                  PROB_EPS))
     surrogate = (-(total - baseline)) * log_pi
     new_baseline = BASELINE_DECAY * baseline + (1.0 - BASELINE_DECAY) * total
     return surrogate, rewards, new_baseline, actions

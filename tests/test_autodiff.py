@@ -86,6 +86,95 @@ def test_matmul_gradients_match_finite_differences(rng, a_shape, b_shape):
     npt.assert_allclose(b.grad, numeric_grad(fn, b.data), rtol=1e-6, atol=1e-8)
 
 
+def bilinear_reference(r, q, V):
+    """The gated-projection score as a composition of single ops."""
+    return (r * V) @ ad.transpose(q) + (q @ V) + ad.reshape(r @ V, (r.shape[0], 1))
+
+
+def log_likelihood_reference(probs, y, eps):
+    """The clipped Bernoulli log-likelihood as a composition of single ops."""
+    p = ad.clip(probs, eps, 1.0 - eps)
+    return y * ad.log(p) + (1.0 - y) * ad.log(1.0 - p)
+
+
+LABELS = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+EPS = 1e-7
+
+# name -> (fused op, reference composition, input shapes)
+FUSED_OPS = {
+    "dense-tanh": (lambda X, W, b: ad.dense(X, W, b, "tanh"),
+                   lambda X, W, b: ad.tanh(X @ W + b), [(4, 3), (3, 5), (5,)]),
+    "dense-sigmoid": (lambda X, W, b: ad.dense(X, W, b, "sigmoid"),
+                      lambda X, W, b: ad.sigmoid(X @ W + b), [(4, 3), (3, 5), (5,)]),
+    "dense-1d-weight": (lambda X, W, b: ad.dense(X, W, b, "sigmoid"),
+                        lambda X, W, b: ad.sigmoid(X @ W + b), [(4, 3), (3,), (1,)]),
+    "dense-1d-weight-one-row": (lambda X, W, b: ad.dense(X, W, b, "tanh"),
+                                lambda X, W, b: ad.tanh(X @ W + b), [(1, 3), (3,), (1,)]),
+    "bilinear": (ad.bilinear, bilinear_reference, [(3, 4), (5, 4), (4,)]),
+    "bilinear-one-key": (ad.bilinear, bilinear_reference, [(3, 4), (1, 4), (4,)]),
+    "log-likelihood": (lambda p: ad.bernoulli_log_likelihood(p, LABELS, EPS),
+                       lambda p: log_likelihood_reference(p, LABELS, EPS), [(6,)]),
+}
+
+
+def fused_inputs(rng, name):
+    """Data for the inputs of one fused op; probabilities for the log-likelihood."""
+    shapes = FUSED_OPS[name][2]
+    if name == "log-likelihood":
+        return [rng.uniform(0.05, 0.95, size=shapes[0])]
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("name", FUSED_OPS)
+def test_fused_op_is_bitwise_its_composition(rng, name):
+    """Output and every input gradient equal those of the composition of
+    single ops it replaces, bit for bit."""
+    fused, reference, _ = FUSED_OPS[name]
+    data = fused_inputs(rng, name)
+    runs = []
+    for op in (fused, reference):
+        inputs = [Tensor(a, requires_grad=True) for a in data]
+        out = op(*inputs)
+        upstream = np.random.default_rng(1).normal(size=out.shape)
+        ad.backward(ad.tsum(out * upstream))
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in inputs])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("name", FUSED_OPS)
+def test_fused_op_gradients_match_finite_differences(rng, name):
+    fused = FUSED_OPS[name][0]
+    inputs = [Tensor(a, requires_grad=True) for a in fused_inputs(rng, name)]
+    upstream = rng.normal(size=fused(*inputs).shape)
+    ad.backward(ad.tsum(fused(*inputs) * upstream))
+
+    def fn():
+        with ad.no_grad():
+            return float((fused(*inputs).data * upstream).sum())
+
+    for t in inputs:
+        npt.assert_allclose(t.grad, numeric_grad(fn, t.data), rtol=1e-6, atol=1e-8)
+
+
+def test_log_likelihood_gradient_is_zero_where_p_is_clipped():
+    p = Tensor(np.array([0.0, 1.0, 0.3, 0.0, 1.0, 0.6]), requires_grad=True)
+    ad.backward(ad.tsum(ad.bernoulli_log_likelihood(p, LABELS, EPS)))
+    ref = Tensor(p.data, requires_grad=True)
+    ad.backward(ad.tsum(log_likelihood_reference(ref, LABELS, EPS)))
+    npt.assert_array_equal(p.grad[[0, 1, 3, 4]], 0.0)
+    assert np.all(p.grad[[2, 5]] != 0.0)
+    npt.assert_array_equal(p.grad, ref.grad)
+
+
+@pytest.mark.parametrize("name", FUSED_OPS)
+def test_fused_op_records_nothing_under_no_grad(rng, name):
+    inputs = [Tensor(a, requires_grad=True) for a in fused_inputs(rng, name)]
+    with ad.no_grad():
+        out = FUSED_OPS[name][0](*inputs)
+    assert not out.requires_grad
+    assert out._bw is None and out._parents == ()
+
+
 def bilstm_params(rng, D, h, scale=0.6):
     """fw_W, fw_b, bw_W, bw_b of a BiLSTM, uniform in [-scale, scale]."""
     return [Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)

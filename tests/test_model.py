@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -251,6 +252,52 @@ def test_failed_save_leaves_the_previous_checkpoint_whole(tmp_path, monkeypatch)
     loaded, _, _ = checkpoint.load_checkpoint(ck)
     for name, arr in old.items():
         assert loaded[name].tobytes() == arr.astype(np.float32).astype(np.float64).tobytes()
+
+
+def test_save_killed_between_renames_leaves_a_loadable_checkpoint(tmp_path, monkeypatch):
+    """A save whose second rename (ck.tmp -> ck) fails leaves no ck: load
+    reads the old checkpoint from ck.old, a save that fails again keeps it,
+    and the next save that completes replaces it."""
+    cfg, ck = tiny_config(), tmp_path / "ck"
+    first, second, third = (build_parameters(cfg, 7, np.random.default_rng(seed))
+                            for seed in (1, 2, 3))
+    checkpoint.save_checkpoint(ck, first, cfg, VOCAB7)
+    before = _tree(ck)
+    rename = os.rename
+
+    def rename_failing_on_call(n):
+        calls = itertools.count(1)
+
+        def fake(src, dst):
+            if next(calls) == n:
+                raise OSError("killed")
+            rename(src, dst)
+
+        return fake
+
+    monkeypatch.setattr(os, "rename", rename_failing_on_call(2))
+    with pytest.raises(OSError, match="killed"):
+        checkpoint.save_checkpoint(ck, second, cfg, VOCAB7)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.old", "ck.tmp"]
+
+    def loaded_bytes():
+        return [arr.tobytes() for arr in checkpoint.load_checkpoint(ck)[0].values()]
+
+    def stored_bytes(params):
+        return [arr.astype(np.float32).astype(np.float64).tobytes()
+                for arr in params.values()]
+
+    assert loaded_bytes() == stored_bytes(first)
+    # with no ck the save has one rename, which fails here too
+    monkeypatch.setattr(os, "rename", rename_failing_on_call(1))
+    with pytest.raises(OSError, match="killed"):
+        checkpoint.save_checkpoint(ck, second, cfg, VOCAB7)
+    assert _tree(tmp_path / "ck.old") == before
+    assert loaded_bytes() == stored_bytes(first)
+    monkeypatch.undo()
+    checkpoint.save_checkpoint(ck, third, cfg, VOCAB7)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert loaded_bytes() == stored_bytes(third)
 
 
 def test_save_over_a_directory_replaces_it_whole(tmp_path):

@@ -12,7 +12,7 @@ from mmsum.autodiff import Tensor
 from mmsum.data import Document
 from mmsum.errors import (ConfigError, LabelError, LossError, RewardError,
                           TrainingError)
-from mmsum.model import build_parameters
+from mmsum.model import SummarizerModel, build_parameters
 from mmsum.training import (Adagrad, EarlyStopping, bistream_loss, ce_loss,
                             greedy_labels, labeling_score, reward_div, reward_rep,
                             video_loss)
@@ -546,3 +546,27 @@ def test_gradient_check_reports_every_block():
     params = build_parameters(cfg, 7, np.random.default_rng(0))
     assert set(report["blocks"]) == set(params)
     assert report["n_params"] == sum(v.size for v in params.values())
+
+
+def test_tape_size_at_the_gradient_check_config():
+    """Nodes backward visits from the joint loss after one forward at the
+    gradient-check config (bi-hop attention, late+ fusion, the video loss on).
+    Each dense layer, bilinear score and log-likelihood is one node; a change
+    that splits one into single ops again moves this count."""
+    cfg = tiny_config()
+    rng = np.random.default_rng(0)
+    sample = training.make_check_sample(cfg, rng)
+    model = SummarizerModel(build_parameters(cfg, training.CHECK_VOCAB_SIZE, rng),
+                            cfg, training.CHECK_VOCAB_SIZE)
+    out = model.forward(sample)
+    surrogate = video_loss(out.frame_probs, out.frame_states,
+                           np.random.default_rng(0), 0.0)[0]
+    loss = bistream_loss(ce_loss(out.sent_probs, [1.0, 0.0]), surrogate,
+                         cfg.alpha_ts, cfg.alpha_vs)
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    assert len(seen) == 134
