@@ -13,6 +13,12 @@ Three score functions over query states Q and key states K:
 "none" skips alignment and uses the last value state as the context for
 every query. "bihop" without a transcript (None or no rows) is one bilinear
 pass with the hop-2 set. Weight rows always softmax-normalize to 1.
+
+On the tape, each score function is one node after its projections
+(``additive_score``, or ``bilinear`` over two ``dense`` projections), and
+each read-out, the softmax and the weighted sum of values, is one ``attend``
+node. The weights an AttentionContext carries are a constant Tensor, off
+the tape; gradients flow through the contexts.
 """
 from __future__ import annotations
 
@@ -47,7 +53,7 @@ class AttentionParams:
 @dataclass
 class AttentionContext:
     contexts: Tensor   # (NQ, D_ctx)
-    weights: Tensor    # (NQ, NK), rows sum to 1
+    weights: Tensor    # (NQ, NK), rows sum to 1; a constant, off the tape
 
 
 def _check_dims(states: Tensor, W: Tensor, what: str):
@@ -59,10 +65,7 @@ def _check_dims(states: Tensor, W: Tensor, what: str):
 def concat_product_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> Tensor:
     _check_dims(q_states, aset.W_q, "query")
     _check_dims(k_states, aset.W_k, "key")
-    nq, nk = q_states.shape[0], k_states.shape[0]
-    a = ad.reshape(q_states @ aset.W_q, (nq, 1, -1))
-    b = ad.reshape(k_states @ aset.W_k, (1, nk, -1))
-    return ad.tanh(a + b + aset.b_joint) @ aset.V     # (NQ, NK, d_a) @ (d_a,)
+    return ad.additive_score(q_states, k_states, aset.W_q, aset.W_k, aset.b_joint, aset.V)
 
 
 def bilinear_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> Tensor:
@@ -80,8 +83,8 @@ def context(scores: Tensor, values: Tensor) -> AttentionContext:
     if scores.shape[1] != values.shape[0]:
         raise AttentionError(
             f"score columns {scores.shape[1]} != value rows {values.shape[0]}")
-    weights = ad.softmax_rows(scores)
-    return AttentionContext(contexts=weights @ values, weights=weights)
+    contexts, weights = ad.attend(scores, values)
+    return AttentionContext(contexts=contexts, weights=Tensor(weights))
 
 
 def last_state_context(values: Tensor, n_queries: int) -> AttentionContext:

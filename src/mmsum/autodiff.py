@@ -1,24 +1,30 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Float64 tape with just the operations the summarizer needs: broadcasting
-arithmetic, matmul, activations, row gather/scatter, row softmax, a few
-shape utilities, and four fused layers, each a single node: ``dense``
-(act(X @ W + b)), ``bilinear`` (the gated-projection attention score),
-``bernoulli_log_likelihood`` (clipped), and ``bilstm_sequence``, both
-directions of a BiLSTM over a whole right-padded batch, its hidden size read
-off the (4h,) bias. The BiLSTM's padding contract: the output is zero at
-padded positions, which send no gradient to X and whose values change
-nothing. Both directions share one recurrence loop over time-major buffers,
-the reverse direction stored in its own step order. Gradients are exact and
-are cross-checked against central finite differences by the gradient-check
+add and mul, sums, row gather/scatter, a few shape utilities, and fused
+layers, each a single node: ``dense`` (act(X @ W + b)); the attention
+scores ``bilinear`` (gated projection) and ``additive_score`` (Bahdanau,
+Cho & Bengio, arXiv:1409.0473); ``attend``, the row softmax and the
+weighted sum of values; ``tensor_fusion``, the [s; 1] (x) [c; 1] product
+(Zadeh et al., arXiv:1707.07250); ``late_decision``, the late(+) fusion
+penalties, pair and decision head; ``bernoulli_log_likelihood`` (clipped);
+and ``bilstm_sequence``, both directions of a BiLSTM over a whole
+right-padded batch or one (T, D) sequence, its hidden size read off the
+(4h,) bias. The BiLSTM's padding contract: the output is zero at padded
+positions, which send no gradient to X and whose values change nothing. Both
+directions share one recurrence loop over time-major buffers, the reverse
+direction stored in its own step order. Gradients are exact and are
+cross-checked against central finite differences by the gradient-check
 harness and the test suite.
 
-The elementwise and shape ops record their node through ``_op``: an op gives
-its forward value and one gradient rule per parent, and the builder does the
-rest of the backward bookkeeping. ``take_rows`` and the fused layers give
-``_node`` a hand-written backward. The fused layers compute the same numpy
-expressions in the same order as the compositions of single ops they stand
-for, so values and gradients are bitwise those of the compositions.
+``add``, ``mul``, ``tsum``, ``concat`` and ``reshape`` record their node
+through ``_op``: an op gives its forward value and one gradient rule per
+parent, and the builder does the rest of the backward bookkeeping.
+``take_rows`` and the fused layers give ``_node`` a hand-written backward.
+The fused layers compute the same numpy expressions in the same order as
+the compositions of single ops they stand for, and list their parents so
+that backward walks the rest of the graph in the same order, so values and
+gradients are bitwise those of the compositions.
 """
 from __future__ import annotations
 
@@ -79,12 +85,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -92,12 +92,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 def as_tensor(x):
@@ -160,17 +154,9 @@ def _identity(g):
     return g
 
 
-_transposed = operator.attrgetter("T")
-
-
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return _op(a.data + b.data, (a, b), _identity, _identity)
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _op(a.data - b.data, (a, b), _identity, np.negative)
 
 
 def mul(a, b):
@@ -191,18 +177,6 @@ def _grad_right(g, a, b):
     return (a2.T @ g.reshape(len(a2), -1)).reshape(b.shape)
 
 
-def matmul(a, b):
-    """a @ b for 1-D and 2-D operands (a may have more leading axes)."""
-    a, b = as_tensor(a), as_tensor(b)
-    return _op(a.data @ b.data, (a, b), lambda g: _grad_left(g, a.data, b.data),
-               lambda g: _grad_right(g, a.data, b.data))
-
-
-def transpose(a):
-    a = as_tensor(a)
-    return _op(a.data.T, (a,), _transposed)
-
-
 def _sigmoid(x):
     """Logistic function that never overflows exp."""
     e = np.exp(-np.abs(x))
@@ -215,54 +189,6 @@ _ACTIVATIONS = {
     "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
     "sigmoid": (_sigmoid, lambda g, y: g * y * (1.0 - y)),
 }
-
-
-def _activation(name, a):
-    f, rule = _ACTIVATIONS[name]
-    a = as_tensor(a)
-    out_data = f(a.data)
-    return _op(out_data, (a,), lambda g: rule(g, out_data))
-
-
-def tanh(a):
-    return _activation("tanh", a)
-
-
-def sigmoid(a):
-    return _activation("sigmoid", a)
-
-
-def log(a):
-    a = as_tensor(a)
-    return _op(np.log(a.data), (a,), lambda g: g / a.data)
-
-
-def power(a, exponent):
-    """Elementwise a**p for a constant float p; a**0 is a constant.
-
-    The derivative at a == 0 with 0 < p < 1 is unbounded; it is defined as 0
-    here so that saturated fusion weights never poison the tape with inf.
-    """
-    p = float(exponent)
-    a = as_tensor(a)
-    out_data = np.power(a.data, p)
-    if p == 0.0:
-        return Tensor(out_data)
-    if p == 1.0:
-        return _op(out_data, (a,), _identity)
-
-    def rule(g):
-        nonzero = a.data != 0.0
-        base = np.where(nonzero, a.data, 1.0)
-        return g * np.where(nonzero, p * np.power(base, p - 1.0), 0.0)
-
-    return _op(out_data, (a,), rule)
-
-
-def clip(a, lo, hi):
-    a = as_tensor(a)
-    return _op(np.clip(a.data, lo, hi), (a,),
-               lambda g: g * ((a.data >= lo) & (a.data <= hi)))
 
 
 def tsum(a, axis=None):
@@ -310,18 +236,6 @@ def take_rows(a, indices):
 def reshape(a, shape):
     a = as_tensor(a)
     return _op(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
-
-
-def softmax_rows(a):
-    """Row-wise softmax with max subtraction for numerical stability."""
-    a = as_tensor(a)
-    e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
-    out_data = e / e.sum(axis=1, keepdims=True)
-
-    def rule(g):
-        return out_data * (g - (g * out_data).sum(axis=1, keepdims=True))
-
-    return _op(out_data, (a,), rule)
 
 
 def dense(X, W, b, act):
@@ -387,6 +301,140 @@ def bernoulli_log_likelihood(p, y, eps):
     return _node(out, (p,), bw)
 
 
+def _power_grad(g, a, p):
+    """The gradient of a**p for a constant p other than 0, given the upstream
+    g. Its slope at a == 0 with 0 < p < 1 is unbounded; it is taken as 0, so
+    that a saturated fusion weight never puts inf on the tape."""
+    if p == 1.0:
+        return g
+    nonzero = a != 0.0
+    base = np.where(nonzero, a, 1.0)
+    return g * np.where(nonzero, p * np.power(base, p - 1.0), 0.0)
+
+
+def late_decision(f, g, head=None, beta=None, prose=False):
+    """The late-fusion decision over the (n,) unimodal scores f and g, (n,),
+    as one node. The pair [a, b] goes through the decision head ``head`` =
+    (W1, b1, w2, b2), a tanh dense layer and then a sigmoid one, or is
+    averaged when ``head`` is None. Without ``beta`` the pair is [f, g]. With
+    it, each score is scaled by a confidence penalty, a = (1 - g)^beta f and
+    b = (1 - f)^beta g, or with ``prose`` a = f^beta f and b = g^beta g; a
+    zero base gets slope 0, and beta = 0 sends no gradient through the
+    penalty. Backward gives f and g each term in the order of the
+    composition of single ops for the same expression."""
+    f, g = as_tensor(f), as_tensor(g)
+    head = () if head is None else tuple(as_tensor(t) for t in head)
+    n = f.data.shape[0]
+    if beta is None:
+        a, b = f.data, g.data
+    else:
+        p = float(beta)
+        bases = (f.data, g.data) if prose else (1.0 - g.data, 1.0 - f.data)
+        ws, wc = np.power(bases[0], p), np.power(bases[1], p)
+        a, b = ws * f.data, wc * g.data
+    pair = np.concatenate([a.reshape(n, 1), b.reshape(n, 1)], axis=1)
+    if head:
+        W1, b1, w2, b2 = head
+        hid = np.tanh(pair @ W1.data + b1.data)
+        out = _sigmoid(hid @ w2.data + b2.data)
+    else:
+        out = pair.sum(axis=1) * (1.0 / 2)
+
+    def bw(u):
+        if head:
+            dz2 = _ACTIVATIONS["sigmoid"][1](u, out)
+            dz1 = _ACTIVATIONS["tanh"][1](_grad_left(dz2, hid, w2.data), hid)
+            for X, W, bias, dz in ((hid, w2, b2, dz2), (pair, W1, b1, dz1)):
+                if W.requires_grad:
+                    _acc(W, _grad_right(dz, X, W.data))
+                if bias.requires_grad:
+                    _acc(bias, _unbroadcast(dz, bias.data.shape))
+            d_pair = _grad_left(dz1, pair, W1.data)
+            ga, gb = d_pair[:, 0], d_pair[:, 1]
+        else:
+            ga = gb = u * (1.0 / 2)
+        if beta is None:
+            f_terms, g_terms = [ga], [gb]
+        elif p == 0.0:      # constant penalties
+            f_terms, g_terms = [ga * ws], [gb * wc]
+        else:
+            d_s = _power_grad(ga * f.data, bases[0], p)
+            d_c = _power_grad(gb * g.data, bases[1], p)
+            if prose:
+                f_terms, g_terms = [ga * ws, d_s], [gb * wc, d_c]
+            else:
+                f_terms, g_terms = [ga * ws, -d_c], [-d_s, gb * wc]
+        for t, terms in ((f, f_terms), (g, g_terms)):
+            if t.requires_grad:
+                for term in terms:
+                    _acc(t, term)
+
+    return _node(out, (f, g) + head, bw)
+
+
+def attend(scores, values):
+    """Row-softmax (NQ, NK) scores, max-subtracted, and take the weighted sum
+    of (NK, D) values: (NQ, D), as one node. Also returns the weights as a
+    plain array."""
+    scores, values = as_tensor(scores), as_tensor(values)
+    e = np.exp(scores.data - scores.data.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        if values.requires_grad:
+            _acc(values, _grad_right(g, w, values.data))
+        if scores.requires_grad:
+            gw = _grad_left(g, w, values.data)
+            _acc(scores, w * (gw - (gw * w).sum(axis=1, keepdims=True)))
+
+    return _node(w @ values.data, (scores, values), bw), w
+
+
+def additive_score(q, k, W_q, W_k, b, V):
+    """The additive attention score V . tanh(q_i W_q + k_j W_k + b) of (NQ, Dq)
+    queries q against (NK, Dk) keys k, (NQ, NK), as one node. Backward keeps
+    the (NQ, NK, d) tanh. The tape lists the parents so that backward visits
+    them in the order the composition of single ops does."""
+    q, k, W_q, W_k, b, V = (as_tensor(t) for t in (q, k, W_q, W_k, b, V))
+    nq, nk = q.data.shape[0], k.data.shape[0]
+    t = np.tanh((q.data @ W_q.data).reshape(nq, 1, -1)
+                + (k.data @ W_k.data).reshape(1, nk, -1) + b.data)
+
+    def bw(g):
+        if V.requires_grad:
+            _acc(V, _grad_right(g, t, V.data))
+        dz = _ACTIVATIONS["tanh"][1](_grad_left(g, t, V.data), t)
+        if b.requires_grad:
+            _acc(b, _unbroadcast(dz, b.data.shape))
+        d = t.shape[2]
+        for x, W, shape in ((q, W_q, (nq, 1, d)), (k, W_k, (1, nk, d))):
+            dxw = _unbroadcast(dz, shape).reshape(x.data.shape[0], d)
+            if x.requires_grad:
+                _acc(x, _grad_left(dxw, x.data, W.data))
+            if W.requires_grad:
+                _acc(W, _grad_right(dxw, x.data, W.data))
+
+    return _node(t @ V.data, (q, W_q, k, W_k, b, V), bw)
+
+
+def tensor_fusion(S, C):
+    """Row i is [S_i; 1] (x) [C_i; 1] flattened, for (n, ds) rows S and
+    (n, dc) rows C: (n, (ds + 1)(dc + 1)), as one node."""
+    S, C = as_tensor(S), as_tensor(C)
+    n = S.data.shape[0]
+    one = np.ones((n, 1))
+    s1 = np.concatenate([S.data, one], axis=1).reshape(n, -1, 1)
+    c1 = np.concatenate([C.data, one], axis=1).reshape(n, 1, -1)
+
+    def bw(g):
+        g = g.reshape(n, s1.shape[1], c1.shape[2])
+        for x, own, other in ((S, s1, c1), (C, c1, s1)):
+            if x.requires_grad:
+                _acc(x, _unbroadcast(g * other, own.shape).reshape(n, -1)[:, :-1])
+
+    return _node((s1 * c1).reshape(n, -1), (S, C), bw)
+
+
 def _step_buffer(steps, shape, keep):
     """A (steps, *shape) buffer, or, when ``keep`` is false, one step's buffer
     seen ``steps`` times through a zero stride, so each step overwrites it.
@@ -432,14 +480,16 @@ def _weight_grad(x, h_prev, dz):
     return dW
 
 
-def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths):
+def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
     """Both directions of a BiLSTM over a right-padded batch, as one tape node.
 
-    X is (B, T, D) and sequence k is X[k, :lengths[k]]; each W is (D + h, 4h)
-    over [x; h] with gate order i|f|o|g and each b is (4h,), which sets the
-    hidden size h. Returns (B, T, 2h), the forward states beside the backward
-    states. Padding contract: at positions t >= lengths[k] the output is zero,
-    X gets zero gradient, and finite values of X change nothing.
+    X is (B, T, D) and sequence k is X[k, :lengths[k]] (every sequence is
+    whole when ``lengths`` is None); each W is (D + h, 4h) over [x; h] with
+    gate order i|f|o|g and each b is (4h,), which sets the hidden size h.
+    Returns (B, T, 2h), the forward states beside the backward states. A
+    (T, D) X is one sequence and maps to (T, 2h). Padding contract: at
+    positions t >= lengths[k] the output is zero, X gets zero gradient, and
+    finite values of X change nothing.
 
     The recurrence runs over time-major (T, 2, B, .) buffers indexed by step.
     Direction 0 is stored in time order and direction 1 in its own step order
@@ -460,12 +510,13 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths):
     """
     X, fw_W, fw_b, bw_W, bw_b = parents = tuple(
         as_tensor(t) for t in (X, fw_W, fw_b, bw_W, bw_b))
-    B, T, D = X.data.shape
+    x = X.data if X.data.ndim == 3 else X.data[None]
+    B, T, D = x.shape
     h = fw_b.data.shape[0] // 4
-    lengths = np.asarray(lengths, dtype=np.intp)
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths, dtype=np.intp)
     pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
     pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
-    Xt = X.data.transpose(1, 0, 2).reshape(T * B, D)
+    Xt = x.transpose(1, 0, 2).reshape(T * B, D)
 
     A = np.empty((T, 2, B, 4 * h))
     np.add((Xt @ fw_W.data[:D]).reshape(T, B, 4 * h), fw_b.data, out=A[:, 0])
@@ -486,10 +537,13 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths):
     out[:, :, :h] = H[1:, 0].transpose(1, 0, 2)
     out[:, :, h:] = H[:0:-1, 1].transpose(1, 0, 2)
     out[pad.T] = 0.0
+    if X.data.ndim == 2:
+        out = out[0]
     if not keep:
         return Tensor(out)
 
     def bw(g):
+        g = g.reshape(B, T, 2 * h)
         I, F, O, G = (A[..., k * h:(k + 1) * h] for k in range(4))
         U = np.empty((T, 2, B, h))      # upstream, in step order
         U[:, 0] = g[:, :, :h].transpose(1, 0, 2)
@@ -522,8 +576,8 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths):
         dZb = dZ[1, ::-1].reshape(T * B, 4 * h)     # a copy, in time order
         if X.requires_grad:
             _acc(X, (dZf @ fw_W.data[:D].T + dZb @ bw_W.data[:D].T)
-                 .reshape(T, B, D).transpose(1, 0, 2))
-        Xt = X.data.transpose(1, 0, 2).reshape(T * B, D)
+                 .reshape(T, B, D).transpose(1, 0, 2).reshape(X.data.shape))
+        Xt = x.transpose(1, 0, 2).reshape(T * B, D)
         for W, b, dz, h_prev in ((fw_W, fw_b, dZf, H[:-1, 0]),
                                  (bw_W, bw_b, dZb, H[-2::-1, 1])):
             if W.requires_grad:
@@ -534,8 +588,12 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths):
     return _node(out, parents, bw)
 
 
-def backward(t):
-    """Run reverse-mode accumulation from ``t`` (seeded with ones)."""
+def _walk(t):
+    """The nodes backward runs from ``t``, parents after every child that
+    feeds them: a depth-first post-order, reversed by the caller. Only nodes
+    with a backward are pushed, so the parameter leaves are never walked; a
+    leaf was popped and appended with nothing in between, so this leaves the
+    order of the other nodes as it was."""
     order = []
     visited = set()
     stack = [(t, False)]
@@ -549,10 +607,16 @@ def backward(t):
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p._bw is not None and id(p) not in visited:
                 stack.append((p, False))
+    return order
+
+
+def backward(t):
+    """Run reverse-mode accumulation from ``t`` (seeded with ones)."""
+    order = _walk(t)
     t.grad = np.ones_like(t.data)
     for node in reversed(order):
-        # grad can stay None when no child contributed (e.g. x**0 is constant)
+        # only ``t`` itself can lack a backward, when it is a leaf
         if node._bw is not None and node.grad is not None:
             node._bw(node.grad)

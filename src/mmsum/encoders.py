@@ -63,12 +63,7 @@ def bilstm(X: Tensor, p: BiLSTM, lengths=None) -> Tensor:
     if X.shape[-1] != p.input_dim:
         raise EncodeError(f"input dim {X.shape[-1]} does not match encoder "
                           f"input dim {p.input_dim}")
-    single = X.ndim == 2
-    if single:
-        lengths = [X.shape[0]]
-        X = ad.reshape(X, (1,) + X.shape)
-    out = ad.bilstm_sequence(X, p.fw_W, p.fw_b, p.bw_W, p.bw_b, lengths)
-    return ad.reshape(out, out.shape[1:]) if single else out
+    return ad.bilstm_sequence(X, p.fw_W, p.fw_b, p.bw_W, p.bw_b, lengths)
 
 
 def encode_words(sentences, enc: EncoderParams) -> tuple[Tensor, np.ndarray]:

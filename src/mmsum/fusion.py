@@ -13,12 +13,14 @@ Four strategies:
 f, g and the joint/F heads are one-hidden-layer feedforward networks with a
 sigmoid output. F may also be plain averaging (head set to None), which is a
 legitimate decision-level combiner, not just a test stub.
+
+On the tape, each scorer is two ``dense`` nodes. The tensor feature is one
+``tensor_fusion`` node, and everything after f and g (the penalties, the
+pair and F) is one ``late_decision`` node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -44,11 +46,15 @@ class FusionHead:
     prose_weights: bool = False         # self-confidence variant of late_plus
 
 
+def _check_input(d_in: int, p: ScorerParams):
+    if d_in != p.W1.shape[0]:
+        raise FusionError(f"scorer input dim {d_in} does not match "
+                          f"weight rows {p.W1.shape[0]}")
+
+
 def scorer_prob(X: Tensor, p: ScorerParams) -> Tensor:
     """(N, d_in) -> (N,) probabilities via tanh hidden layer + sigmoid."""
-    if X.shape[1] != p.W1.shape[0]:
-        raise FusionError(f"scorer input dim {X.shape[1]} does not match "
-                          f"weight rows {p.W1.shape[0]}")
+    _check_input(X.shape[1], p)
     return ad.dense(ad.dense(X, p.W1, p.b1, "tanh"), p.w2, p.b2, "sigmoid")
 
 
@@ -68,13 +74,7 @@ def fuse_early(state, ctx, head: FusionHead) -> Tensor:
 
 def fuse_tensor(state, ctx, head: FusionHead) -> Tensor:
     S, C = _pair(state, ctx)
-    # row i is the outer product [S[i];1] (x) [C[i];1] flattened, as one
-    # broadcast product
-    n = S.shape[0]
-    one = Tensor(np.ones((n, 1)))
-    s1 = ad.reshape(ad.concat([S, one], axis=1), (n, -1, 1))
-    c1 = ad.reshape(ad.concat([C, one], axis=1), (n, 1, -1))
-    return scorer_prob(ad.reshape(s1 * c1, (n, -1)), head.joint)
+    return scorer_prob(ad.tensor_fusion(S, C), head.joint)
 
 
 def unimodal_decisions(state, ctx, head: FusionHead):
@@ -82,12 +82,14 @@ def unimodal_decisions(state, ctx, head: FusionHead):
     return scorer_prob(S, head.f), scorer_prob(C, head.g)
 
 
-def _decide(f_vals: Tensor, g_vals: Tensor, head: FusionHead) -> Tensor:
-    n = f_vals.shape[0]
-    pair = ad.concat([ad.reshape(f_vals, (n, 1)), ad.reshape(g_vals, (n, 1))], axis=1)
-    if head.F is None:
-        return ad.tmean(pair, axis=1)
-    return scorer_prob(pair, head.F)
+def _decide(f_vals: Tensor, g_vals: Tensor, head: FusionHead, beta=None) -> Tensor:
+    """F over the pair of decisions, each scaled by its late+ penalty when
+    ``beta`` is given."""
+    F = head.F
+    if F is not None:
+        _check_input(2, F)
+        F = (F.W1, F.b1, F.w2, F.b2)
+    return ad.late_decision(f_vals, g_vals, F, beta, head.prose_weights)
 
 
 def fuse_late(state, ctx, head: FusionHead) -> Tensor:
@@ -99,13 +101,7 @@ def fuse_late_plus(state, ctx, head: FusionHead) -> Tensor:
     if head.beta < 0:
         raise FusionError(f"beta must be >= 0, got {head.beta}")
     f_vals, g_vals = unimodal_decisions(state, ctx, head)
-    if head.prose_weights:
-        w_s = f_vals ** head.beta
-        w_c = g_vals ** head.beta
-    else:
-        w_s = (1.0 - g_vals) ** head.beta
-        w_c = (1.0 - f_vals) ** head.beta
-    return _decide(w_s * f_vals, w_c * g_vals, head)
+    return _decide(f_vals, g_vals, head, head.beta)
 
 
 _DISPATCH = {

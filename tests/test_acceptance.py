@@ -196,11 +196,12 @@ def test_criterion_5_attention_invariants(rng):
     for _ in range(1000):
         nq, nk = int(rng.integers(1, 6)), int(rng.integers(1, 7))
         scores = rng.normal(size=(nq, nk)) * rng.uniform(0.1, 30)
-        w = ad.softmax_rows(Tensor(scores)).data
+        keys = Tensor(np.eye(nk))
+        w = context(Tensor(scores), keys).weights.data
         if not (np.all(w >= 0) and np.allclose(w.sum(axis=1), 1.0, atol=1e-6)):
             rows_ok = False
             break
-        shifted = ad.softmax_rows(Tensor(scores + rng.normal(size=(nq, 1)))).data
+        shifted = context(Tensor(scores + rng.normal(size=(nq, 1))), keys).weights.data
         if not np.allclose(w, shifted, atol=1e-6):
             shift_ok = False
             break

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed_ops as ops
 from conftest import tiny_config
 from mmsum import autodiff as ad
 from mmsum.autodiff import Tensor
@@ -62,13 +63,13 @@ def lstm_states_reference(X, W, b, hidden, reverse=False):
     c = Tensor(np.zeros(hidden))
     out = [None] * T
     for t in steps:
-        z = ad.concat([ad.take_rows(X, t), h]) @ W + b
-        i = ad.sigmoid(ad.take_rows(z, gate[0]))
-        f = ad.sigmoid(ad.take_rows(z, gate[1]))
-        o = ad.sigmoid(ad.take_rows(z, gate[2]))
-        g = ad.tanh(ad.take_rows(z, gate[3]))
+        z = ops.matmul(ad.concat([ad.take_rows(X, t), h]), W) + b
+        i = ops.sigmoid(ad.take_rows(z, gate[0]))
+        f = ops.sigmoid(ad.take_rows(z, gate[1]))
+        o = ops.sigmoid(ad.take_rows(z, gate[2]))
+        g = ops.tanh(ad.take_rows(z, gate[3]))
         c = f * c + i * g
-        h = o * ad.tanh(c)
+        h = o * ops.tanh(c)
         out[t] = ad.reshape(h, (1, hidden))
     return ad.concat(out, axis=0)
 

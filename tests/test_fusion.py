@@ -2,13 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from composed_ops import outer
 from mmsum import autodiff as ad
 from mmsum import fusion
 from mmsum.autodiff import Tensor
 from mmsum.errors import FusionError
 from mmsum.fusion import (FusionHead, ScorerParams, fuse, fuse_early, fuse_late,
                           fuse_late_plus, fuse_tensor, unimodal_decisions)
-from test_autodiff import outer
 
 
 def outer_with_bias(state, ctx) -> Tensor:

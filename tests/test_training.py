@@ -6,10 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed_ops
 from conftest import tiny_config
 from mmsum import autodiff as ad, training
 from mmsum.autodiff import Tensor
-from mmsum.data import Document
+from mmsum.data import Document, prepare_for_model
 from mmsum.errors import (ConfigError, LabelError, LossError, RewardError,
                           TrainingError)
 from mmsum.model import SummarizerModel, build_parameters
@@ -548,12 +549,9 @@ def test_gradient_check_reports_every_block():
     assert report["n_params"] == sum(v.size for v in params.values())
 
 
-def test_tape_size_at_the_gradient_check_config():
-    """Nodes backward visits from the joint loss after one forward at the
-    gradient-check config (bi-hop attention, late+ fusion, the video loss on).
-    Each dense layer, bilinear score and log-likelihood is one node; a change
-    that splits one into single ops again moves this count."""
-    cfg = tiny_config()
+def _joint_loss_at_check_sample(cfg):
+    """The joint loss after one forward at the gradient-check sample, with the
+    video loss on."""
     rng = np.random.default_rng(0)
     sample = training.make_check_sample(cfg, rng)
     model = SummarizerModel(build_parameters(cfg, training.CHECK_VOCAB_SIZE, rng),
@@ -561,12 +559,86 @@ def test_tape_size_at_the_gradient_check_config():
     out = model.forward(sample)
     surrogate = video_loss(out.frame_probs, out.frame_states,
                            np.random.default_rng(0), 0.0)[0]
-    loss = bistream_loss(ce_loss(out.sent_probs, [1.0, 0.0]), surrogate,
+    return bistream_loss(ce_loss(out.sent_probs, [1.0, 0.0]), surrogate,
                          cfg.alpha_ts, cfg.alpha_vs)
+
+
+def _tape_size(cfg) -> int:
+    """Nodes, parameters included, that the joint loss reaches."""
+    loss = _joint_loss_at_check_sample(cfg)
     seen, stack = {id(loss)}, [loss]
     while stack:
         for p in stack.pop()._parents:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    assert len(seen) == 134
+    return len(seen)
+
+
+def test_tape_size_at_the_gradient_check_config():
+    """Nodes the joint loss reaches after one forward at the gradient-check
+    config (bi-hop attention, late+ fusion, the video loss on). Each dense
+    layer, attention score and read-out, late-fusion decision, BiLSTM and
+    log-likelihood is one node; a change that splits one into single ops again
+    moves this count."""
+    assert _tape_size(tiny_config()) == 105
+
+
+@pytest.mark.parametrize("attention,fusion_mode,nodes", [
+    ("concat_product", "late_plus", 75),
+    ("bilinear", "tensor", 61),
+])
+def test_tape_size_in_the_other_score_and_fusion_modes(attention, fusion_mode, nodes):
+    """The same count where the additive score and the tensor-fusion product
+    are one node each."""
+    assert _tape_size(tiny_config(attention=attention, fusion=fusion_mode)) == nodes
+
+
+def test_backward_walk_skips_leaves_and_keeps_the_order_of_the_rest():
+    """The walk pushes only nodes with a backward; the walk that also pushed
+    every parameter leaf gives the same order once its leaves are dropped."""
+    loss = _joint_loss_at_check_sample(tiny_config())
+    old = composed_ops.walk_reference(loss)
+    new = ad._walk(loss)
+    assert len(new) < len(old)
+    assert [id(n) for n in new] == [id(n) for n in old if n._bw is not None]
+
+
+def _steps_record(cfg, samples, vocab_size, steps=3):
+    """Losses, outputs and every parameter gradient of a few joint-loss
+    training steps, and the parameters they end at, as bytes."""
+    model = SummarizerModel(build_parameters(cfg, vocab_size, np.random.default_rng(0)),
+                            cfg, vocab_size)
+    optimizer = Adagrad(model.params, lr=0.1)
+    action_rng, baseline, record = np.random.default_rng(1), 0.0, []
+    for step in range(steps):
+        sample = samples[step % len(samples)]
+        out = model.forward(sample)
+        n = out.sent_probs.shape[0]
+        surrogate, _, baseline, _ = video_loss(out.frame_probs, out.frame_states,
+                                               action_rng, baseline)
+        loss = bistream_loss(ce_loss(out.sent_probs, np.arange(n) % 2), surrogate,
+                             cfg.alpha_ts, cfg.alpha_vs)
+        ad.backward(loss)
+        record += [t.data.tobytes() for t in (loss, out.sent_probs, out.frame_probs)]
+        record += [p.grad.tobytes() for p in model.params.values()]
+        optimizer.step()
+    return record + [p.data.tobytes() for p in model.params.values()]
+
+
+@pytest.mark.parametrize("attention", ["none", "concat_product", "bilinear", "bihop"])
+@pytest.mark.parametrize("fusion_mode", ["early", "tensor", "late", "late_plus"])
+def test_fused_ops_train_bitwise_like_their_compositions(micro_corpus, monkeypatch,
+                                                         attention, fusion_mode):
+    """In every attention x fusion mode, three training steps on the fused ops
+    give the same losses, outputs, gradients and parameters, bit for bit, as
+    the same steps on the compositions of single ops they replace."""
+    _, samples, vocab = micro_corpus
+    cfg = tiny_config(attention=attention, fusion=fusion_mode, hidden=3, embed_dim=3,
+                      attn_dim=4, fusion_dim=3, feature_dim=8)
+    samples = [prepare_for_model(s, cfg.fps_group, cfg.seed) for s in samples[:2]]
+    fused = _steps_record(cfg, samples, len(vocab))
+    with monkeypatch.context() as m:
+        composed_ops.use_compositions(m)
+        composed = _steps_record(cfg, samples, len(vocab))
+    assert fused == composed
