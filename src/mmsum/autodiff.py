@@ -7,13 +7,16 @@ scores ``bilinear`` (gated projection) and ``additive_score`` (Bahdanau,
 Cho & Bengio, arXiv:1409.0473); ``attend``, the row softmax and the
 weighted sum of values; ``tensor_fusion``, the [s; 1] (x) [c; 1] product
 (Zadeh et al., arXiv:1707.07250); ``late_decision``, the late(+) fusion
-penalties, pair and decision head; ``bernoulli_log_likelihood`` (clipped);
-and ``bilstm_sequence``, both directions of a BiLSTM over a whole
+penalties, pair and decision head; the loss nodes ``log_likelihood_sum``,
+the clipped Bernoulli log-likelihood summed and then scaled (the CE loss
+and the REINFORCE surrogate), and ``weighted_sum``, the mix of the two
+losses; and ``bilstm_sequence``, both directions of a BiLSTM over a whole
 right-padded batch or one (T, D) sequence, its hidden size read off the
 (4h,) bias. The BiLSTM's padding contract: the output is zero at padded
-positions, which send no gradient to X and whose values change nothing. Both
-directions share one recurrence loop over time-major buffers, the reverse
-direction stored in its own step order. Gradients are exact and are
+positions, which send no gradient to X and whose values change nothing. A
+batch with no sequence shorter than T has no padding, and skips the masks.
+Both directions share one recurrence loop over time-major buffers, the
+reverse direction stored in its own step order. Gradients are exact and are
 cross-checked against central finite differences by the gradient-check
 harness and the test suite.
 
@@ -24,7 +27,8 @@ parent, and the builder does the rest of the backward bookkeeping.
 The fused layers compute the same numpy expressions in the same order as
 the compositions of single ops they stand for, and list their parents so
 that backward walks the rest of the graph in the same order, so values and
-gradients are bitwise those of the compositions.
+gradients are bitwise those of the compositions. A loss node replays its
+composition's chain of scalar products in order, forward and backward.
 """
 from __future__ import annotations
 
@@ -89,9 +93,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def as_tensor(x):
@@ -201,12 +202,6 @@ def tsum(a, axis=None):
     return _op(a.data.sum(axis=axis), (a,), rule)
 
 
-def tmean(a, axis=None):
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
-
-
 def concat(parts, axis=0):
     parts = tuple([as_tensor(p) for p in parts])
     out_data = np.concatenate([p.data for p in parts], axis=axis)
@@ -286,19 +281,45 @@ def bilinear(r, q, V):
     return _node(out, (q, r, V), bw)
 
 
-def bernoulli_log_likelihood(p, y, eps):
-    """y log p + (1 - y) log(1 - p) per unit, for constant labels y, with p
-    clipped to [eps, 1 - eps]; a clipped p gets zero gradient."""
+def log_likelihood_sum(p, y, eps, scales=()):
+    """The sum over units of y log p + (1 - y) log(1 - p), for constant labels
+    y with p clipped to [eps, 1 - eps], then times each of ``scales`` in
+    turn, as one node; (1/n, -1.0) makes it the mean negative log-likelihood.
+    A clipped p gets zero gradient. Backward multiplies the upstream gradient
+    by the scales in reverse order, as the chain of single-op nodes would."""
     p = as_tensor(p)
     pc = np.clip(p.data, eps, 1.0 - eps)
     not_y, not_pc = 1.0 - y, 1.0 - pc
-    out = np.log(pc) * y + np.log(not_pc) * not_y
+    out = (np.log(pc) * y + np.log(not_pc) * not_y).sum()
+    for c in scales:
+        out = out * c
 
     def bw(g):
+        for c in reversed(scales):
+            g = g * c
+        g = g + 0.0     # each node of the chain took a copy: -0.0 turns to 0.0
         inside = (p.data >= eps) & (p.data <= 1.0 - eps)
         _acc(p, ((g * y) / pc - (g * not_y) / not_pc) * inside)
 
     return _node(out, (p,), bw)
+
+
+def weighted_sum(tensors, weights):
+    """tensors[0] * weights[0] + tensors[1] * weights[1] + ..., for constant
+    weights, added left to right, as one node."""
+    tensors = tuple(as_tensor(t) for t in tensors)
+    out = tensors[0].data * weights[0]
+    for t, w in zip(tensors[1:], weights[1:]):
+        out = out + t.data * w
+
+    def bw(g):
+        if len(tensors) > 1:
+            g = g + 0.0     # the sum's node hands each term a copy
+        for t, w in zip(tensors, weights):
+            if t.requires_grad:
+                _acc(t, g * w)
+
+    return _node(out, tensors, bw)
 
 
 def _power_grad(g, a, p):
@@ -444,24 +465,25 @@ def _step_buffer(steps, shape, keep):
     if keep:
         return np.empty((steps,) + shape)
     one = np.empty(shape)
-    return np.lib.stride_tricks.as_strided(one, (steps,) + shape, (0,) + one.strides)
+    return np.ndarray((steps,) + shape, buffer=one, strides=(0,) + one.strides)
 
 
-def _lstm_steps(A, fw_Wh, bw_Wh, H, C, TC):
+def _lstm_steps(A, Wh2, H, C, TC):
     """The recurrence of ``bilstm_sequence`` over its step-major buffers, in
-    place: A holds the input pre-activations with i|f|o halved and becomes
-    the gate activations; H[s + 1], C[s + 1] and TC[s] get the state, cell
-    and tanh(cell) after step s."""
-    h = H.shape[-1]
-    Wh2 = np.stack([fw_Wh, bw_Wh])      # (2, h, 4h)
-    Wh2[..., :3 * h] *= 0.5
-    I, F, O, G = (A[..., k * h:(k + 1) * h] for k in range(4))
-    hz, ig = np.empty(A.shape[1:]), np.empty(H.shape[1:])
-    for a, ifo, i, f, o, g, c_prev, c, tc, h_prev, h_next in zip(
-            A, A[..., :3 * h], I, F, O, G, C[:-1], C[1:], TC, H[:-1], H[1:]):
+    place: A, (T, 4, 2, B, h) and gate-major within a step, holds the input
+    pre-activations with i|f|o halved and becomes the gate activations; Wh2
+    is the (2, h, 4h) recurrent weights with i|f|o halved; H[s + 1], C[s + 1]
+    and TC[s] get the state, cell and tanh(cell) after step s."""
+    _, _, B, h = H.shape
+    hz, ig = np.empty((2, B, 4 * h)), np.empty((2, B, h))
+    hz4 = hz.reshape(2, B, 4, h).transpose(2, 0, 1, 3)      # gate-major view
+    c_prev, h_prev = C[0], H[0]     # then each step's c and h_next
+    for a, i, f, o, g, c, tc, h_next in zip(
+            A, *A.transpose(1, 0, 2, 3, 4), C[1:], TC, H[1:]):
         np.matmul(h_prev, Wh2, out=hz)
-        a += hz
+        a += hz4
         np.tanh(a, out=a)
+        ifo = a[:3]
         ifo *= 0.5
         ifo += 0.5
         np.multiply(f, c_prev, out=c)
@@ -469,6 +491,15 @@ def _lstm_steps(A, fw_Wh, bw_Wh, H, C, TC):
         c += ig
         np.tanh(c, out=tc)
         np.multiply(o, tc, out=h_next)
+        c_prev, h_prev = c, h_next
+
+
+def _recurrent_weights(fw_W, bw_W, D):
+    """The two directions' (h, 4h) recurrent weights as one C-order (2, h, 4h)
+    array, by two copies (``np.stack`` costs several times more per call)."""
+    Wh = np.empty((2, fw_W.shape[0] - D, fw_W.shape[1]))
+    Wh[0], Wh[1] = fw_W[D:], bw_W[D:]
+    return Wh
 
 
 def _weight_grad(x, h_prev, dz):
@@ -495,11 +526,16 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
     Direction 0 is stored in time order and direction 1 in its own step order
     (step s reads time T-1-s), so each step's (2, B, .) slice is contiguous and
     its recurrent product is one matmul batched over the two directions. The
+    gate buffer is (T, 4, 2, B, h), gate-major within a step, so that each
+    gate's slice of a step is contiguous too. The
     input pre-activations are zeroed at padding, and a step with zero input
     from h = c = 0 stays at 0, so the reverse direction crosses its leading
     padding and starts from zeros at each sequence's last token. The forward
     direction runs on through its trailing padding; zeroing the output, the
-    upstream gradient and dZ there, outside the loop, cuts it off.
+    upstream gradient and dZ there, outside the loop, cuts it off. When no
+    sequence is shorter than T (``lengths`` None or all equal to T) there is
+    no padding, and the mask and its four zeroing assignments, each a no-op
+    then, are skipped.
 
     sigmoid(z) = 0.5 tanh(z / 2) + 0.5, so the i|f|o pre-activations are
     halved (exact in binary) and one tanh covers all four gates. The input
@@ -508,35 +544,45 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
     only when a gradient is recorded. Backward is hand-written BPTT over both
     directions in one reversed loop.
     """
-    X, fw_W, fw_b, bw_W, bw_b = parents = tuple(
-        as_tensor(t) for t in (X, fw_W, fw_b, bw_W, bw_b))
+    X, fw_W, fw_b, bw_W, bw_b = parents = (
+        as_tensor(X), as_tensor(fw_W), as_tensor(fw_b), as_tensor(bw_W), as_tensor(bw_b))
     x = X.data if X.data.ndim == 3 else X.data[None]
     B, T, D = x.shape
     h = fw_b.data.shape[0] // 4
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths, dtype=np.intp)
-    pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
-    pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
+    pad = pad2 = None
+    if lengths is not None:
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if (lengths < T).any():
+            pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
+            pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
     Xt = x.transpose(1, 0, 2).reshape(T * B, D)
 
-    A = np.empty((T, 2, B, 4 * h))
-    np.add((Xt @ fw_W.data[:D]).reshape(T, B, 4 * h), fw_b.data, out=A[:, 0])
-    np.add((Xt @ bw_W.data[:D]).reshape(T, B, 4 * h)[::-1], bw_b.data, out=A[:, 1])
+    A = np.empty((T, 4, 2, B, h))       # gate-major within a step
+    Ag = A.transpose(0, 2, 3, 1, 4)     # (T, 2, B, 4, h), the GEMMs' order
+    np.add((Xt @ fw_W.data[:D]).reshape(T, B, 4, h), fw_b.data.reshape(4, h),
+           out=Ag[:, 0])
+    np.add((Xt @ bw_W.data[:D]).reshape(T, B, 4, h)[::-1], bw_b.data.reshape(4, h),
+           out=Ag[:, 1])
     del Xt              # backward rebuilds it rather than hold a copy
-    A[pad2] = 0.0       # assignment, not a product, so no inf or nan survives
-    A[..., :3 * h] *= 0.5
+    if pad is not None:
+        Ag[pad2] = 0.0  # assignment, not a product, so no inf or nan survives
+    A[:, :3] *= 0.5
 
     keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
     H = np.zeros((T + 1, 2, B, h))      # H[s + 1] is the state after step s
     C = _step_buffer(T + 1, (2, B, h), keep)
     C[0] = 0.0
     TC = _step_buffer(T, (2, B, h), keep)
-    _lstm_steps(A, fw_W.data[D:], bw_W.data[D:], H, C, TC)
+    Wh2 = _recurrent_weights(fw_W.data, bw_W.data, D)
+    Wh2[..., :3 * h] *= 0.5
+    _lstm_steps(A, Wh2, H, C, TC)
     if not keep:
         A = None        # nothing reads it again; free it before out
     out = np.empty((B, T, 2 * h))
     out[:, :, :h] = H[1:, 0].transpose(1, 0, 2)
     out[:, :, h:] = H[:0:-1, 1].transpose(1, 0, 2)
-    out[pad.T] = 0.0
+    if pad is not None:
+        out[pad.T] = 0.0
     if X.data.ndim == 2:
         out = out[0]
     if not keep:
@@ -544,34 +590,55 @@ def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
 
     def bw(g):
         g = g.reshape(B, T, 2 * h)
-        I, F, O, G = (A[..., k * h:(k + 1) * h] for k in range(4))
+        I, F, O, G = A.transpose(1, 0, 2, 3, 4)
         U = np.empty((T, 2, B, h))      # upstream, in step order
         U[:, 0] = g[:, :, :h].transpose(1, 0, 2)
         U[:, 1] = g[:, ::-1, h:].transpose(1, 0, 2)
-        U[pad2] = 0.0
+        if pad is not None:
+            U[pad2] = 0.0
         # dz = [dc, dc, dh, dc] * local, with local the gate derivatives. Each
         # step scales all four gates by dc and then overwrites o, so the o
-        # column starts at zero rather than unset.
+        # column starts at zero rather than unset. The products swap operands
+        # at most: I * (1 - I) is taken as (1 - I) * I and O * (1 - TC^2) as
+        # (1 - TC^2) * O, which are bitwise the same.
         dZ = np.zeros((2, T, B, 4 * h))     # direction-major for the weight GEMMs
         local = dZ.transpose(1, 0, 2, 3)
-        np.multiply(G, I * (1.0 - I), out=local[..., :h])
-        np.multiply(C[:-1], F * (1.0 - F), out=local[..., h:2 * h])
-        np.multiply(I, 1.0 - G * G, out=local[..., 3 * h:])
-        local_o = TC * O * (1.0 - O)
-        dc_dh = O * (1.0 - TC * TC)
-        WhT = np.stack([fw_W.data[D:].T, bw_W.data[D:].T])     # (2, 4h, h)
-        dh, dc, tmp = np.zeros((2, B, h)), np.zeros((2, B, h)), np.empty((2, B, h))
-        dZ4 = dZ.reshape(2, T, B, 4, h)
-        for s in range(T - 1, -1, -1):
-            dh += U[s]
-            np.multiply(dh, dc_dh[s], out=tmp)
+        not_ifo = 1.0 - A[:, :3]
+        local_o = TC * O
+        local_o *= not_ifo[:, 2]
+        not_ifo[:, :2] *= A[:, :2]
+        np.multiply(G, not_ifo[:, 0], out=local[..., :h])
+        np.multiply(C[:-1], not_ifo[:, 1], out=local[..., h:2 * h])
+        local_g = local[..., 3 * h:]
+        np.multiply(G, G, out=local_g)
+        np.subtract(1.0, local_g, out=local_g)
+        local_g *= I
+        dc_dh = TC * TC
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= O
+        del not_ifo
+        # a transposed view of a C-order (2, h, 4h) array: a C-order
+        # (2, 4h, h) copy sends the recurrent product down another BLAS path
+        # and changes the gradients in the last bit
+        WhT = _recurrent_weights(fw_W.data, bw_W.data, D).transpose(0, 2, 1)
+        dh, dc, tmp = np.zeros((3, 2, B, h))
+        dc3 = dc[:, :, None]
+        dZ4 = dZ.reshape(2, T, B, 4, h).transpose(1, 0, 2, 3, 4)
+        # step views in reverse step order; the last step's dh and dc are
+        # never read, so its recurrent product is skipped
+        for s, u, dcdh, lo, dz, dz4, dz_o, f in zip(
+                range(T - 1, -1, -1), U[::-1], dc_dh[::-1], local_o[::-1],
+                local[::-1], dZ4[::-1], dZ4[::-1, :, :, 2], F[::-1]):
+            dh += u
+            np.multiply(dh, dcdh, out=tmp)
             dc += tmp
-            dz4 = dZ4[:, s]
-            dz4 *= dc[:, :, None]
-            np.multiply(local_o[s], dh, out=dz4[:, :, 2])
-            np.matmul(dZ[:, s], WhT, out=dh)
-            dc *= F[s]
-        dZ[pad2.transpose(1, 0, 2)] = 0.0
+            dz4 *= dc3
+            np.multiply(lo, dh, out=dz_o)
+            if s:
+                np.matmul(dz, WhT, out=dh)
+                dc *= f
+        if pad is not None:
+            dZ[pad2.transpose(1, 0, 2)] = 0.0
         dZf = dZ[0].reshape(T * B, 4 * h)
         dZb = dZ[1, ::-1].reshape(T * B, 4 * h)     # a copy, in time order
         if X.requires_grad:

@@ -60,9 +60,13 @@ def tokenize(text: str) -> list[str]:
 
 def build_vocab(texts) -> dict[str, int]:
     """Deterministic vocabulary: sorted unique tokens, index 0 is <unk>."""
+    return _vocab_of(tokenize(text) for text in texts)
+
+
+def _vocab_of(token_lists) -> dict[str, int]:
     seen = set()
-    for text in texts:
-        seen.update(tokenize(text))
+    for tokens in token_lists:
+        seen.update(tokens)
     seen.discard(UNK_TOKEN)     # a literal "<unk>" in the text is the unknown token
     return {tok: i for i, tok in enumerate([UNK_TOKEN, *sorted(seen)])}
 
@@ -226,18 +230,19 @@ def _lines(text: str) -> list[str]:
 
 def load_sample(manifest: DatasetManifest, entry: ManifestEntry, vocab,
                 min_frames: int = 1) -> Sample:
-    return _load_sample(manifest, entry, vocab, min_frames, _read_text)
+    return _load_sample(manifest, entry, vocab, min_frames, _read_text, tokenize)
 
 
-def _load_sample(manifest, entry, vocab, min_frames, read) -> Sample:
-    """``load_sample`` with the text files read by ``read(path)``."""
+def _load_sample(manifest, entry, vocab, min_frames, read, tokens) -> Sample:
+    """``load_sample`` with the text files read by ``read(path)`` and each
+    sentence line and transcript tokenized by ``tokens(text)``."""
     root = manifest.root
     raw_sentences = _lines(read(root / entry.document))
     if not raw_sentences:
         raise IngestionError(f"document has no sentences: {entry.document}")
     sentences = []
     for line in raw_sentences:
-        toks = tokenize(line)
+        toks = tokens(line)
         if not toks:
             raise IngestionError(f"sentence tokenizes to nothing in {entry.document}: {line!r}")
         sentences.append(encode_tokens(toks, vocab))
@@ -250,7 +255,7 @@ def _load_sample(manifest, entry, vocab, min_frames, read) -> Sample:
         raise IngestionError(f"non-finite frame features in {entry.features}")
 
     transcript_text = read(root / entry.transcript)
-    transcript_tokens = encode_tokens(tokenize(transcript_text), vocab)
+    transcript_tokens = encode_tokens(tokens(transcript_text), vocab)
 
     gold = _lines(read(root / entry.summary))
     refs = read_feature_file(root / entry.ref_features) if entry.ref_features else None
@@ -271,16 +276,25 @@ def _load_sample(manifest, entry, vocab, min_frames, read) -> Sample:
 
 
 def load_dataset(manifest: DatasetManifest, min_frames: int = 1):
-    """Load all samples, reading each text file once, with the vocabulary
-    built from documents + transcripts (the checkpoint owns it afterwards)."""
+    """Load all samples, reading each text file once and tokenizing each
+    distinct sentence line and transcript once, with the vocabulary built
+    from those tokens (the checkpoint owns it afterwards). A document's
+    tokens are its lines' tokens, since every line break is whitespace to
+    ``str.split`` and ends a final sigma's word, so this vocabulary is
+    ``build_vocab`` over the documents and transcripts."""
     root, texts = manifest.root, {}
     for e in manifest.entries:
         for path in (root / e.document, root / e.transcript, root / e.summary):
             if path not in texts:
                 texts[path] = _read_text(path)
-    vocab = build_vocab(texts[root / rel] for e in manifest.entries
-                        for rel in (e.document, e.transcript))
-    samples = [_load_sample(manifest, e, vocab, min_frames, texts.__getitem__)
+    tokens = {}
+    for e in manifest.entries:
+        for text in (*_lines(texts[root / e.document]), texts[root / e.transcript]):
+            if text not in tokens:
+                tokens[text] = tokenize(text)
+    vocab = _vocab_of(tokens.values())
+    samples = [_load_sample(manifest, e, vocab, min_frames, texts.__getitem__,
+                            tokens.__getitem__)
                for e in manifest.entries]
     return samples, vocab
 

@@ -5,7 +5,10 @@ The text stream trains with cross entropy against greedily constructed
 binary sentence labels. The video stream trains with REINFORCE on a
 diversity + representativeness reward over the sampled frame selection,
 against a moving-average baseline; the surrogate carries a negated advantage
-so that minimizing the mixed loss maximizes reward.
+so that minimizing the mixed loss maximizes reward. Each loss is one tape
+node: the CE and the surrogate are ``autodiff.log_likelihood_sum`` nodes
+(scaled by -1/n, and by minus the advantage), and their alpha-weighted mix
+is one ``autodiff.weighted_sum`` node.
 
 Adagrad owns the model's memory once it is built: every parameter, gradient
 and accumulator is a view of one flat store. Between steps each ``p.grad``
@@ -96,7 +99,7 @@ def ce_loss(probs: Tensor, labels) -> Tensor:
     y = np.asarray(labels, dtype=np.float64)
     if probs.shape[0] != y.shape[0]:
         raise LossError(f"got {probs.shape[0]} probabilities for {y.shape[0]} labels")
-    return -ad.tmean(ad.bernoulli_log_likelihood(probs, y, PROB_EPS))
+    return ad.log_likelihood_sum(probs, y, PROB_EPS, (1.0 / y.shape[0], -1.0))
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,16 @@ class RewardPair:
     rep: float   # exp(-mean min distance to the selection), in (0, 1]
 
 
+def _selection(selected) -> list[int]:
+    return sorted(set(int(i) for i in selected))
+
+
 def reward_div(states, selected) -> float:
     """Mean (1 - cosine) over ordered pairs of distinct selected frames."""
-    sel = sorted(set(int(i) for i in selected))
+    return _reward_div(states, _selection(selected))
+
+
+def _reward_div(states, sel) -> float:
     if len(sel) < 2:
         return 0.0
     x = np.asarray(states)[sel]
@@ -124,7 +134,10 @@ def reward_div(states, selected) -> float:
 def reward_rep(states, selected) -> float:
     """How well the selection covers all frames: exp of minus the mean
     distance from each frame to its nearest selected frame."""
-    sel = sorted(set(int(i) for i in selected))
+    return _reward_rep(states, _selection(selected))
+
+
+def _reward_rep(states, sel) -> float:
     if not sel:
         raise RewardError("representativeness needs a nonempty selection")
     x = np.asarray(states)
@@ -146,16 +159,15 @@ def video_loss(frame_probs: Tensor, frame_states, rng, baseline: float):
     if not actions.any():
         actions = np.zeros(p.shape[0], dtype=bool)
         actions[int(np.argmax(p))] = True
-    selected = np.flatnonzero(actions)
+    selected = np.flatnonzero(actions).tolist()     # sorted, no repeats
 
     states = frame_states.data if isinstance(frame_states, Tensor) else frame_states
-    rewards = RewardPair(div=reward_div(states, selected),
-                         rep=reward_rep(states, selected))
+    rewards = RewardPair(div=_reward_div(states, selected),
+                         rep=_reward_rep(states, selected))
     total = rewards.div + rewards.rep
 
-    log_pi = ad.tsum(ad.bernoulli_log_likelihood(frame_probs, actions.astype(np.float64),
-                                                  PROB_EPS))
-    surrogate = (-(total - baseline)) * log_pi
+    surrogate = ad.log_likelihood_sum(frame_probs, actions.astype(np.float64), PROB_EPS,
+                                      (-(total - baseline),))
     new_baseline = BASELINE_DECAY * baseline + (1.0 - BASELINE_DECAY) * total
     return surrogate, rewards, new_baseline, actions
 
@@ -166,13 +178,12 @@ def bistream_loss(ce: Tensor | None, video_surrogate: Tensor | None,
         raise ConfigError("loss weights must be >= 0")
     if alpha_ts == 0 and alpha_vs == 0:
         raise ConfigError("at least one of alpha_ts, alpha_vs must be positive")
-    total = None
-    if ce is not None and alpha_ts > 0:
-        total = alpha_ts * ce
-    if video_surrogate is not None and alpha_vs > 0:
-        term = alpha_vs * video_surrogate
-        total = term if total is None else total + term
-    return Tensor(0.0) if total is None else total
+    terms = [(t, w) for t, w in ((ce, alpha_ts), (video_surrogate, alpha_vs))
+             if t is not None and w > 0]
+    if not terms:
+        return Tensor(0.0)
+    tensors, weights = zip(*terms)
+    return ad.weighted_sum(tensors, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +234,7 @@ class Adagrad:
         for lo in range(0, n, self.BLOCK):
             w, g, acc = self._store[:, lo:lo + self.BLOCK]
             b, b2 = scratch[:, :g.size]
-            np.multiply(g, g, out=b)
+            np.square(g, out=b)
             acc += b
             np.sqrt(acc, out=b)
             b += self.eps

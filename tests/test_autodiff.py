@@ -31,7 +31,7 @@ def numeric_grad(fn, x, step=1e-6):
     lambda a, b: ad.tsum(mm(a, b)),
     lambda a, b: ad.tsum(ops.sub(ops.tanh(a) * ops.sigmoid(tr(b)) + a, tr(b))),
     lambda a, b: ad.tsum(ops.softmax_rows(mm(a, b))),
-    lambda a, b: ad.tmean(ops.log(ops.sigmoid(mm(a, b)) + 1.0)),
+    lambda a, b: ops.tmean(ops.log(ops.sigmoid(mm(a, b)) + 1.0)),
     lambda a, b: ad.tsum(pw(ad.concat([a, tr(b)], axis=0), 2.0)),
     lambda a, b: ad.tsum(mm(ops.tanh(ad.reshape(a, (3, 1, 4)) + ad.reshape(tr(b), (1, 3, 4))),
                             ad.tsum(b, axis=1))),
@@ -87,6 +87,7 @@ def test_matmul_gradients_match_finite_differences(rng, a_shape, b_shape):
 
 LABELS = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 EPS = 1e-7
+SCALES = (1.0 / 6, -1.0)     # ce_loss's mean and sign
 HEAD = [(2, 3), (3,), (3,), (1,)]   # the decision head F: W1, b1, w2, b2
 
 
@@ -120,8 +121,19 @@ FUSED_OPS = {
                                 [(1, 3), (3,), (1,)]),
     "bilinear": (ad.bilinear, ops.bilinear_reference, [(3, 4), (5, 4), (4,)]),
     "bilinear-one-key": (ad.bilinear, ops.bilinear_reference, [(3, 4), (1, 4), (4,)]),
-    "log-likelihood": (lambda p: ad.bernoulli_log_likelihood(p, LABELS, EPS),
-                       lambda p: ops.log_likelihood_reference(p, LABELS, EPS), [(6,)]),
+    "log-likelihood": (lambda p: ad.log_likelihood_sum(p, LABELS, EPS),
+                       lambda p: ops.log_likelihood_sum_reference(p, LABELS, EPS), [(6,)]),
+    "log-likelihood-scaled": (lambda p: ad.log_likelihood_sum(p, LABELS, EPS, SCALES),
+                              lambda p: ops.log_likelihood_sum_reference(p, LABELS, EPS,
+                                                                         SCALES),
+                              [(6,)]),
+    "log-likelihood-one-unit": (
+        lambda p: ad.log_likelihood_sum(p, LABELS[:1], EPS, SCALES),
+        lambda p: ops.log_likelihood_sum_reference(p, LABELS[:1], EPS, SCALES), [(1,)]),
+    "weighted-sum": (lambda a, b: ad.weighted_sum((a, b), (0.7, 1.3)),
+                     lambda a, b: ops.weighted_sum_reference((a, b), (0.7, 1.3)), [(), ()]),
+    "weighted-sum-one-term": (lambda a: ad.weighted_sum((a,), (0.7,)),
+                              lambda a: ops.weighted_sum_reference((a,), (0.7,)), [()]),
     "late": (*late(), [(5,), (5,)] + HEAD),
     "late-mean": (*late(head=False), [(5,), (5,)]),
     "late-plus": (*late(0.3), [(5,), (5,)] + HEAD),
@@ -152,7 +164,8 @@ def fused_inputs(rng, name):
     """Data for the inputs of one fused op; probabilities for the
     log-likelihood and for the scores f and g of a late-fusion decision."""
     shapes = FUSED_OPS[name][2]
-    n_probs = 1 if name == "log-likelihood" else 2 if name.startswith("late") else 0
+    n_probs = (1 if name.startswith("log-likelihood")
+               else 2 if name.startswith("late") else 0)
     return ([rng.uniform(0.05, 0.95, size=shape) for shape in shapes[:n_probs]]
             + [rng.normal(size=shape) for shape in shapes[n_probs:]])
 
@@ -190,9 +203,9 @@ def test_fused_op_gradients_match_finite_differences(rng, name):
 
 def test_log_likelihood_gradient_is_zero_where_p_is_clipped():
     p = Tensor(np.array([0.0, 1.0, 0.3, 0.0, 1.0, 0.6]), requires_grad=True)
-    ad.backward(ad.tsum(ad.bernoulli_log_likelihood(p, LABELS, EPS)))
+    ad.backward(ad.log_likelihood_sum(p, LABELS, EPS, SCALES))
     ref = Tensor(p.data, requires_grad=True)
-    ad.backward(ad.tsum(ops.log_likelihood_reference(ref, LABELS, EPS)))
+    ad.backward(ops.log_likelihood_sum_reference(ref, LABELS, EPS, SCALES))
     npt.assert_array_equal(p.grad[[0, 1, 3, 4]], 0.0)
     assert np.all(p.grad[[2, 5]] != 0.0)
     npt.assert_array_equal(p.grad, ref.grad)
@@ -432,3 +445,43 @@ def test_softmax_rows_sum_to_one(rng):
     npt.assert_allclose(p.data.sum(axis=1), np.ones(5), atol=1e-12)
     _, weights = ad.attend(e, Tensor(np.eye(7)))
     npt.assert_array_equal(weights, p.data)
+
+
+# name -> (B, T, lengths) of a BiLSTM input; B = 0 is one (T, D) sequence
+ORACLE_BATCHES = {
+    "one-step": (0, 1, None),
+    "one-sequence": (0, 24, None),
+    "ragged": (5, 7, [7, 2, 1, 5, 3]),
+    "lengths-all-T": (3, 6, [6, 6, 6]),
+    "no-lengths": (3, 6, None),
+}
+
+
+@pytest.mark.parametrize("recording", ["all", "x-without-grad", "no-grad"])
+@pytest.mark.parametrize("batch", ORACLE_BATCHES)
+def test_bilstm_sequence_is_bytewise_its_oracle(rng, batch, recording):
+    """The output and every gradient of ``bilstm_sequence`` are byte for byte
+    those of the node it replaced (``composed_ops.bilstm_sequence_oracle``),
+    signed zeros included: with and without padding, with X a constant (the
+    frame encoder's input), and under ``no_grad``."""
+    B, T, lengths = ORACLE_BATCHES[batch]
+    D, h = 5, 16
+    shape = (B, T) if B else (T,)
+    x = rng.normal(size=shape + (D,))
+    weights = [rng.uniform(-0.5, 0.5, size=s) for s in ((D + h, 4 * h), 4 * h) * 2]
+    upstream = rng.normal(size=shape + (2 * h,))
+    upstream[..., ::7] = -0.0
+    runs = []
+    for op in (ad.bilstm_sequence, ops.bilstm_sequence_oracle):
+        X = Tensor(x, requires_grad=recording == "all")
+        params = [Tensor(w, requires_grad=True) for w in weights]
+        with ad.no_grad() if recording == "no-grad" else contextlib.nullcontext():
+            out = op(X, *params, lengths)
+        if recording != "no-grad":
+            ad.backward(ad.tsum(out * upstream))
+        grads = [t.grad for t in [X] + params]
+        runs.append([out.data.tobytes()] + [None if g is None else g.tobytes()
+                                            for g in grads])
+    assert runs[0] == runs[1]
+    assert (runs[0][1] is None) == (recording != "all")
+    assert all(g is not None for g in runs[0][2:]) == (recording != "no-grad")

@@ -19,7 +19,8 @@ from mmsum import data
 from mmsum.data import (FEATURE_MAGIC, DatasetManifest, SynthConfig, load_manifest,
                         read_feature_file, split_dataset, subsample_frames,
                         synth_generate, tokenize, write_feature_file)
-from mmsum.errors import ConfigError, FormatError, IngestionError, SchemaError, SplitError
+from mmsum.errors import (ConfigError, FormatError, IngestionError, MMSumError, SchemaError,
+                          SplitError)
 from mmsum.training import greedy_labels
 
 PROPERTY = settings(max_examples=50, derandomize=True, database=None, deadline=None,
@@ -473,3 +474,78 @@ def test_load_dataset_reads_each_text_file_once(tmp_path, monkeypatch):
                                                        ref.ref_image_features],
                              strict=True):
             npt.assert_array_equal(got, want)
+
+
+def load_dataset_reference(manifest, min_frames=1):
+    """``load_dataset`` as it was: every text file read, the vocabulary
+    tokenized from the whole documents and transcripts, then each sample
+    loaded, and its texts tokenized again, by ``load_sample``."""
+    root = manifest.root
+    for e in manifest.entries:
+        for rel in (e.document, e.transcript, e.summary):
+            data._read_text(root / rel)
+    vocab = data.build_vocab(data._read_text(root / rel) for e in manifest.entries
+                             for rel in (e.document, e.transcript))
+    return [data.load_sample(manifest, e, vocab, min_frames)
+            for e in manifest.entries], vocab
+
+
+def dataset_outcome(load, manifest):
+    """The vocabulary and every id array a loader gives, or its first error."""
+    try:
+        samples, vocab = load(manifest)
+    except MMSumError as exc:
+        return type(exc).__name__, str(exc)
+    return vocab, [[(ids.dtype.str, ids.tobytes())
+                    for ids in s.document.sentences + [s.transcript.tokens]]
+                   for s in samples]
+
+
+@pytest.mark.parametrize("synth", [SynthConfig(), SynthConfig(n_samples=5, n_sentences=25,
+                                                              sentence_len=20,
+                                                              vocab_size=2000,
+                                                              transcript_len=150)],
+                         ids=["tiny", "paper-text"])
+def test_load_dataset_tokenizes_like_the_tokenize_twice_path(tmp_path, synth):
+    manifest = synth_generate(synth, seed=2, out_dir=tmp_path / "d")
+    got = dataset_outcome(data.load_dataset, manifest)
+    assert got == dataset_outcome(load_dataset_reference, manifest)
+    assert isinstance(got[0], dict) and len(got[1]) == synth.n_samples
+
+
+@pytest.fixture(scope="module")
+def text_corpus(tmp_path_factory):
+    return synth_generate(SynthConfig(n_samples=3), seed=6,
+                          out_dir=tmp_path_factory.mktemp("text_corpus"))
+
+
+# line breaks that str.splitlines knows beyond \n, final sigmas, the
+# unknown token, punctuation, and anything else
+TEXT_PIECES = st.one_of(st.sampled_from(["\r\n", "\r", "\n", "\x1c", "\u2028", "\x85",
+                                         " ", "\u03a3", "\u039f\u0394\u039f\u03a3",
+                                         "a\u03a3.", "\u03a3'", "<unk>", "...", "w001",
+                                         "W001"]),
+                        st.characters(exclude_categories=["Cs"]))
+TEXTS = st.lists(TEXT_PIECES, max_size=12).map("".join)
+# mostly lines with a word in them, so that most corpora load
+LINE = st.tuples(TEXTS, st.sampled_from(["w001", "\u039f\u0394\u039f\u03a3", "<unk>"]),
+                 TEXTS).map(" ".join)
+DOCS = st.one_of(st.lists(LINE, min_size=1, max_size=4).map("\n".join), TEXTS)
+
+
+@PROPERTY
+@given(docs=st.lists(DOCS, min_size=3, max_size=3),
+       transcripts=st.lists(TEXTS, min_size=3, max_size=3),
+       not_utf8=st.sampled_from([None] * 6 + [0, 2]))
+def test_load_dataset_tokenizes_hypothesis_texts_like_the_tokenize_twice_path(
+        text_corpus, docs, transcripts, not_utf8):
+    """Documents and transcripts of arbitrary text give the same vocabulary,
+    id arrays or first error (an empty document, a sentence that tokenizes
+    to nothing, a file that is not UTF-8) as tokenizing each text twice."""
+    root = text_corpus.root
+    for k, (e, doc, transcript) in enumerate(zip(text_corpus.entries, docs, transcripts)):
+        (root / e.document).write_text(doc, encoding="utf-8", newline="")
+        (root / e.transcript).write_bytes(b"\xff" if k == not_utf8
+                                          else transcript.encode("utf-8"))
+    assert (dataset_outcome(data.load_dataset, text_corpus)
+            == dataset_outcome(load_dataset_reference, text_corpus))

@@ -276,6 +276,62 @@ def test_bistream_both_zero_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the fused losses against the compositions of single ops they replace
+
+# name -> (sentence probabilities, frame probabilities, alpha_ts, alpha_vs);
+# "clipped" has p below eps, above 1 - eps and at both bounds
+LOSS_CASES = {
+    "ce-only": ([0.2, 0.7, 0.4, 0.9], [0.3, 0.8, 0.5, 0.6], 1.0, 0.0),
+    "video-only": ([0.2, 0.7, 0.4, 0.9], [0.3, 0.8, 0.5, 0.6], 0.0, 1.0),
+    "both": ([0.2, 0.7, 0.4, 0.9], [0.3, 0.8, 0.5, 0.6], 3.33, 1.0),
+    "clipped": ([0.0, 1e-7, 1.0 - 1e-7, 1.0, 1e-9, 0.5],
+                [1.0, 1e-9, 1e-7, 1.0 - 1e-7, 0.5], 3.33, 1.0),
+    "one-sentence": ([0.6], [0.4, 0.9, 0.2], 3.33, 1.0),
+}
+
+
+def _losses_record(sent_probs, frame_probs, alpha_ts, alpha_vs):
+    """Value and probability gradient of ``ce_loss`` and of the video
+    surrogate, each backward on its own, then of their ``bistream_loss``, as
+    bytes (None for a gradient that was never set)."""
+    sent_probs, frame_probs = np.array(sent_probs), np.array(frame_probs)
+    labels = np.arange(sent_probs.size) % 2 == 0
+    states = np.random.default_rng(4).normal(size=(frame_probs.size, 3))
+
+    def losses():
+        sp = Tensor(sent_probs, requires_grad=True)
+        fp = Tensor(frame_probs, requires_grad=True)
+        ce = ce_loss(sp, labels)
+        surrogate, rewards, baseline, actions = video_loss(
+            fp, states, np.random.default_rng(3), 0.25)
+        return sp, fp, ce, surrogate, (rewards, baseline, actions.tobytes())
+
+    record = []
+    for pick in ("ce", "surrogate", "bistream"):
+        sp, fp, ce, surrogate, video = losses()
+        loss = (ce if pick == "ce" else surrogate if pick == "surrogate"
+                else bistream_loss(ce, surrogate, alpha_ts, alpha_vs))
+        ad.backward(loss)
+        record += [loss.data.tobytes(), video] + [
+            None if t.grad is None else t.grad.tobytes() for t in (sp, fp)]
+    return record
+
+
+@pytest.mark.parametrize("case", LOSS_CASES)
+def test_fused_losses_are_bitwise_their_compositions(monkeypatch, case):
+    """``ce_loss``, the surrogate of ``video_loss`` and ``bistream_loss``, each
+    one tape node, give the values and probability gradients of the
+    compositions of single ops they replace, bit for bit."""
+    fused = _losses_record(*LOSS_CASES[case])
+    with monkeypatch.context() as m:
+        composed_ops.use_compositions(m)
+        composed = _losses_record(*LOSS_CASES[case])
+    assert fused == composed
+    assert (fused[-2] is None) == (LOSS_CASES[case][2] == 0.0)
+    assert (fused[-1] is None) == (LOSS_CASES[case][3] == 0.0)
+
+
+# ---------------------------------------------------------------------------
 # optimizer / early stopping
 
 def test_adagrad_zero_lr_keeps_parameters():
@@ -460,6 +516,56 @@ def test_train_model_matches_the_per_tensor_reference(tiny_split, monkeypatch):
         assert flat.final_params[k].tobytes() == v.tobytes(), k
 
 
+def trim_alternate_lines(path):
+    """Drop the last 2 tokens of lines 1, 5, 9, ... and the last 5 of lines
+    3, 7, ... of a text file (counting from 0), as CI's ragged run does."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cut = {1: 2, 3: 5}
+    path.write_text("".join(" ".join(line.split()[:-cut[i % 4]] if i % 4 in cut else
+                                     line.split()) + "\n"
+                            for i, line in enumerate(lines)), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def ragged_split(tmp_path_factory):
+    """The train/val split of a synthetic corpus whose documents hold
+    sentences of 8, 6 and 3 tokens, so every word batch is padded."""
+    from mmsum.data import SynthConfig, load_dataset, synth_generate
+    manifest = synth_generate(SynthConfig(n_samples=8, n_sentences=6), seed=5,
+                              out_dir=tmp_path_factory.mktemp("ragged_corpus"))
+    for e in manifest.entries:
+        trim_alternate_lines(manifest.root / e.document)
+    samples, vocab = load_dataset(manifest)
+    assert all(len({len(s) for s in sample.document.sentences}) == 3 for sample in samples)
+    by_id = {s.document.id: s for s in samples}
+    return [[by_id[e.id] for e in manifest.entries_for(name)]
+            for name in ("train", "val")] + [len(vocab)]
+
+
+@pytest.mark.parametrize("attention,fusion_mode", [
+    ("bihop", "late_plus"), ("concat_product", "tensor"), ("bilinear", "early")])
+def test_training_on_ragged_sentences_is_bitwise_the_compositions(
+        ragged_split, monkeypatch, attention, fusion_mode):
+    """Two epochs of ``train_model`` on padded word batches end at the same
+    parameters and metrics, byte for byte, on the fused ops as on the
+    compositions and the BiLSTM oracle they replace."""
+    train, val, vocab_size = ragged_split
+    cfg = tiny_config(attention=attention, fusion=fusion_mode, hidden=4, embed_dim=4,
+                      attn_dim=4, fusion_dim=4, feature_dim=16, lr=0.05, epochs=2,
+                      seed=5)
+    runs = []
+    for composed in (False, True):
+        with monkeypatch.context() as m:
+            if composed:
+                composed_ops.use_compositions(m)
+            result = training.train_model(train, val, cfg, vocab_size)
+        runs.append((result.metrics,
+                     [(k, v.tobytes()) for k, v in result.best_params.items()],
+                     [(k, v.tobytes()) for k, v in result.final_params.items()]))
+    assert runs[0][0][-1]["epoch"] == 2
+    assert runs[0] == runs[1]
+
+
 def test_early_stopping_monotone_worsening_stops_after_patience_plus_one():
     stopper = EarlyStopping(patience=3)
     evaluations = 0
@@ -578,16 +684,16 @@ def _tape_size(cfg) -> int:
 def test_tape_size_at_the_gradient_check_config():
     """Nodes the joint loss reaches after one forward at the gradient-check
     config (bi-hop attention, late+ fusion, the video loss on). Each dense
-    layer, attention score and read-out, late-fusion decision, BiLSTM and
-    log-likelihood is one node; a change that splits one into single ops again
-    moves this count."""
-    assert _tape_size(tiny_config()) == 105
+    layer, attention score and read-out, late-fusion decision, BiLSTM, the
+    CE loss, the REINFORCE surrogate and their weighted sum is one node; a
+    change that splits one into single ops again moves this count."""
+    assert _tape_size(tiny_config()) == 98
 
 
 @pytest.mark.parametrize("attention,fusion_mode,nodes", [
-    ("concat_product", "late_plus", 75),
-    ("bilinear", "tensor", 61),
-])
+    ("concat_product", "late_plus", 68),
+    ("bilinear", "tensor", 54),
+], ids=["concat_product-late_plus", "bilinear-tensor"])
 def test_tape_size_in_the_other_score_and_fusion_modes(attention, fusion_mode, nodes):
     """The same count where the additive score and the tensor-fusion product
     are one node each."""
