@@ -10,15 +10,19 @@ weighted sum of values; ``tensor_fusion``, the [s; 1] (x) [c; 1] product
 penalties, pair and decision head; the loss nodes ``log_likelihood_sum``,
 the clipped Bernoulli log-likelihood summed and then scaled (the CE loss
 and the REINFORCE surrogate), and ``weighted_sum``, the mix of the two
-losses; and ``bilstm_sequence``, both directions of a BiLSTM over a whole
-right-padded batch or one (T, D) sequence, its hidden size read off the
+losses; and ``bilstm_sequences``, both directions of a BiLSTM over each of
+several groups of sequences with their own weights, each group a whole
+right-padded batch or one (T, D) sequence, the hidden size read off the
 (4h,) bias. The BiLSTM's padding contract: the output is zero at padded
 positions, which send no gradient to X and whose values change nothing. A
-batch with no sequence shorter than T has no padding, and skips the masks.
-Both directions share one recurrence loop over time-major buffers, the
-reverse direction stored in its own step order. Gradients are exact and are
-cross-checked against central finite differences by the gradient-check
-harness and the test suite.
+group with no sequence shorter than T has no padding, and skips the masks.
+All directions of all groups share one recurrence loop over time-major
+buffers, the reverse direction stored in its own step order. Sorted longest
+first, the groups run in phases: a phase covers the steps in which the same
+groups are live, over contiguous buffers of just those groups, and a phase
+of one group runs exactly as a one-group node does. Gradients are exact and
+are cross-checked against central finite differences by the
+gradient-check harness and the test suite.
 
 ``add``, ``mul``, ``tsum``, ``concat`` and ``reshape`` record their node
 through ``_op``: an op gives its forward value and one gradient rule per
@@ -468,19 +472,29 @@ def _step_buffer(steps, shape, keep):
     return np.ndarray((steps,) + shape, buffer=one, strides=(0,) + one.strides)
 
 
-def _lstm_steps(A, Wh2, H, C, TC):
-    """The recurrence of ``bilstm_sequence`` over its step-major buffers, in
-    place: A, (T, 4, 2, B, h) and gate-major within a step, holds the input
-    pre-activations with i|f|o halved and becomes the gate activations; Wh2
-    is the (2, h, 4h) recurrent weights with i|f|o halved; H[s + 1], C[s + 1]
-    and TC[s] get the state, cell and tanh(cell) after step s."""
-    _, _, B, h = H.shape
-    hz, ig = np.empty((2, B, 4 * h)), np.empty((2, B, h))
-    hz4 = hz.reshape(2, B, 4, h).transpose(2, 0, 1, 3)      # gate-major view
-    c_prev, h_prev = C[0], H[0]     # then each step's c and h_next
-    for a, i, f, o, g, c, tc, h_next in zip(
-            A, *A.transpose(1, 0, 2, 3, 4), C[1:], TC, H[1:]):
-        np.matmul(h_prev, Wh2, out=hz)
+def _to_front(a, axis):
+    """``a`` with its (negative) ``axis`` moved to the front, as a view;
+    ``np.moveaxis`` costs about 20 times as much per call."""
+    k = a.ndim + axis
+    return a.transpose((k, *range(k), *range(k + 1, a.ndim)))
+
+
+def _lstm_steps(A, Wh, H, C, TC):
+    """The recurrence of one phase of ``bilstm_sequences`` over its step-major
+    buffers, in place. A, (S, 4, *lead, B, h) and gate-major within a step,
+    holds the input pre-activations with i|f|o halved and becomes the gate
+    activations; lead is (2,), the directions, for one group and (n, 2) for n
+    groups. Wh, (*lead, h, 4h), holds the recurrent weights with i|f|o
+    halved, so each step's recurrent product is one matmul batched over the
+    directions and stacked over the groups. From H[0] and C[0], H[s + 1],
+    C[s + 1] and TC[s] get the state, cell and tanh(cell) after step s."""
+    *lead, B, h = H.shape[1:]
+    hz, ig = np.empty((*lead, B, 4 * h)), np.empty(H.shape[1:])
+    hz4 = _to_front(hz.reshape(*lead, B, 4, h), -2)     # gate-major view
+    c_prev = C[0]       # then each step's c
+    for a, i, f, o, g, c, tc, h_prev, h_next in zip(
+            A, *A.swapaxes(0, 1), C[1:], TC, H, H[1:]):
+        np.matmul(h_prev, Wh, out=hz)
         a += hz4
         np.tanh(a, out=a)
         ifo = a[:3]
@@ -491,15 +505,35 @@ def _lstm_steps(A, Wh2, H, C, TC):
         c += ig
         np.tanh(c, out=tc)
         np.multiply(o, tc, out=h_next)
-        c_prev, h_prev = c, h_next
+        c_prev = c
 
 
-def _recurrent_weights(fw_W, bw_W, D):
-    """The two directions' (h, 4h) recurrent weights as one C-order (2, h, 4h)
-    array, by two copies (``np.stack`` costs several times more per call)."""
-    Wh = np.empty((2, fw_W.shape[0] - D, fw_W.shape[1]))
-    Wh[0], Wh[1] = fw_W[D:], bw_W[D:]
-    return Wh
+def _gate_grads(A, C, TC):
+    """The gate derivatives of one phase for its BPTT loop: dZ, (*lead, S, B,
+    4h) with the steps inside for the weight GEMMs, and its step-major view
+    hold [i, f, 0, g] derivatives (the loop scales all four gates by dc and
+    then overwrites o, so the o column starts at zero rather than unset),
+    beside the o derivative and dc/dh. The products swap operands at most:
+    I * (1 - I) is taken as (1 - I) * I and O * (1 - TC^2) as
+    (1 - TC^2) * O, which are bitwise the same."""
+    S, _, *lead, B, h = A.shape
+    I, F, O, G = A.swapaxes(0, 1)
+    dZ = np.zeros((*lead, S, B, 4 * h))
+    local = _to_front(dZ, -3)
+    not_ifo = 1.0 - A[:, :3]
+    local_o = TC * O
+    local_o *= not_ifo[:, 2]
+    not_ifo[:, :2] *= A[:, :2]
+    np.multiply(G, not_ifo[:, 0], out=local[..., :h])
+    np.multiply(C[:-1], not_ifo[:, 1], out=local[..., h:2 * h])
+    local_g = local[..., 3 * h:]
+    np.multiply(G, G, out=local_g)
+    np.subtract(1.0, local_g, out=local_g)
+    local_g *= I
+    dc_dh = TC * TC
+    np.subtract(1.0, dc_dh, out=dc_dh)
+    dc_dh *= O
+    return dZ, local, local_o, dc_dh
 
 
 def _weight_grad(x, h_prev, dz):
@@ -511,148 +545,223 @@ def _weight_grad(x, h_prev, dz):
     return dW
 
 
-def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
-    """Both directions of a BiLSTM over a right-padded batch, as one tape node.
+def _joined(parts):
+    """Per-phase pieces of one group's buffer as one array: the piece itself
+    when the group is live in one phase, else one copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    X is (B, T, D) and sequence k is X[k, :lengths[k]] (every sequence is
-    whole when ``lengths`` is None); each W is (D + h, 4h) over [x; h] with
-    gate order i|f|o|g and each b is (4h,), which sets the hidden size h.
-    Returns (B, T, 2h), the forward states beside the backward states. A
-    (T, D) X is one sequence and maps to (T, 2h). Padding contract: at
-    positions t >= lengths[k] the output is zero, X gets zero gradient, and
-    finite values of X change nothing.
 
-    The recurrence runs over time-major (T, 2, B, .) buffers indexed by step.
-    Direction 0 is stored in time order and direction 1 in its own step order
-    (step s reads time T-1-s), so each step's (2, B, .) slice is contiguous and
-    its recurrent product is one matmul batched over the two directions. The
-    gate buffer is (T, 4, 2, B, h), gate-major within a step, so that each
-    gate's slice of a step is contiguous too. The
-    input pre-activations are zeroed at padding, and a step with zero input
-    from h = c = 0 stays at 0, so the reverse direction crosses its leading
-    padding and starts from zeros at each sequence's last token. The forward
-    direction runs on through its trailing padding; zeroing the output, the
-    upstream gradient and dZ there, outside the loop, cuts it off. When no
-    sequence is shorter than T (``lengths`` None or all equal to T) there is
-    no padding, and the mask and its four zeroing assignments, each a no-op
-    then, are skipped.
+def _slice_of(node, data, lo):
+    """Group output ``data``, which starts at ``lo`` in the flat output of
+    ``node``, as a node whose gradient is assigned into the node's."""
+    def bw(g):
+        if node.grad is None:
+            node.grad = np.zeros(node.data.shape)
+        node.grad[lo:lo + g.size].reshape(g.shape)[...] = g
+
+    return _node(data, (node,), bw)
+
+
+def bilstm_sequences(groups):
+    """Both directions of a BiLSTM over each of several groups of sequences,
+    as one tape node with one recurrence loop. Returns one Tensor per group.
+
+    A group is (X, fw_W, fw_b, bw_W, bw_b) or (..., lengths), with its own
+    weights. X is a right-padded (B, T, D) batch whose sequence k is
+    X[k, :lengths[k]] (whole when ``lengths`` is None or missing), or one
+    (T, D) sequence; each W is (D + h, 4h) over [x; h] with gate order
+    i|f|o|g and each b is (4h,), which sets the hidden size h. A group maps to
+    (B, T, 2h), or (T, 2h), the forward states beside the backward states. B
+    and h are shared by all groups; T and D are each group's own. Padding
+    contract: at positions t >= lengths[k] the output is zero, X gets zero
+    gradient, and finite values of X change nothing.
+
+    The recurrence runs over time-major buffers indexed by step. Direction 0
+    is stored in time order and direction 1 in its own step order (step s
+    reads time T-1-s), so both directions of a group are live exactly for
+    s < T. The groups are sorted longest first, stably, and the steps cut
+    into phases: a phase covers the steps in which its first n groups are
+    live, over contiguous (S, n, 2, B, .) buffers, group-major, so that the
+    first groups' rows and weights are a contiguous prefix; each step's
+    recurrent product is one matmul, batched over the two directions and
+    stacked over the n groups' weights. A phase's last state carries into the
+    next as its first groups' rows, and backward carries dh and dc back the
+    same way, from zero for the groups that join. A phase of one group runs
+    on (S, 2, B, .) views, the arrays of a one-group node. Gates are
+    gate-major within a step, (S, 4, n, 2, B, h), so each gate's slice of a
+    step is contiguous too. Input pre-activations are zeroed at padding; a
+    step with zero input from h = c = 0 stays at 0, so the reverse direction
+    starts from zeros at each sequence's last token. Zeroing the output, the
+    upstream gradient and dZ at padding, outside the loop, cuts off the
+    forward direction's trailing padding. A group with no sequence shorter
+    than T skips the masks.
 
     sigmoid(z) = 0.5 tanh(z / 2) + 0.5, so the i|f|o pre-activations are
     halved (exact in binary) and one tanh covers all four gates. The input
-    GEMM runs once per direction for all steps, and its buffer turns into the
-    gate activations in place. The cell states and tanh(c) are kept per step
-    only when a gradient is recorded. Backward is hand-written BPTT over both
-    directions in one reversed loop.
+    GEMMs and the X, weight and bias gradients run per group over its own T
+    rows, each with the shape a one-group node gives it. The cell states and
+    tanh(c) are kept per step only when a gradient is recorded. Backward is
+    hand-written BPTT over both directions, the phases walked last first.
+    Several groups share one flat output, handed out by a slice node per
+    group. Parents are listed last group first, so backward walks the last
+    group's input first.
     """
-    X, fw_W, fw_b, bw_W, bw_b = parents = (
-        as_tensor(X), as_tensor(fw_W), as_tensor(fw_b), as_tensor(bw_W), as_tensor(bw_b))
-    x = X.data if X.data.ndim == 3 else X.data[None]
-    B, T, D = x.shape
-    h = fw_b.data.shape[0] // 4
-    pad = pad2 = None
-    if lengths is not None:
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if (lengths < T).any():
-            pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
-            pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
-    Xt = x.transpose(1, 0, 2).reshape(T * B, D)
-
-    A = np.empty((T, 4, 2, B, h))       # gate-major within a step
-    Ag = A.transpose(0, 2, 3, 1, 4)     # (T, 2, B, 4, h), the GEMMs' order
-    np.add((Xt @ fw_W.data[:D]).reshape(T, B, 4, h), fw_b.data.reshape(4, h),
-           out=Ag[:, 0])
-    np.add((Xt @ bw_W.data[:D]).reshape(T, B, 4, h)[::-1], bw_b.data.reshape(4, h),
-           out=Ag[:, 1])
-    del Xt              # backward rebuilds it rather than hold a copy
-    if pad is not None:
-        Ag[pad2] = 0.0  # assignment, not a product, so no inf or nan survives
-    A[:, :3] *= 0.5
-
+    seqs, parents = [], ()
+    for group in groups:
+        ts = tuple(map(as_tensor, group[:5]))
+        x = ts[0].data if ts[0].data.ndim == 3 else ts[0].data[None]
+        pad2 = None
+        if len(group) > 5 and group[5] is not None:
+            lengths = np.asarray(group[5], dtype=np.intp)
+            if (lengths < x.shape[1]).any():
+                pad = np.arange(x.shape[1])[:, None] >= lengths     # (T, B), time order
+                pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
+        seqs.append((x.shape[1], x, ts, pad2))
+        parents = ts + parents
+    B, h = seqs[0][1].shape[0], seqs[0][2][2].data.shape[0] // 4
     keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
-    H = np.zeros((T + 1, 2, B, h))      # H[s + 1] is the state after step s
-    C = _step_buffer(T + 1, (2, B, h), keep)
-    C[0] = 0.0
-    TC = _step_buffer(T, (2, B, h), keep)
-    Wh2 = _recurrent_weights(fw_W.data, bw_W.data, D)
-    Wh2[..., :3 * h] *= 0.5
-    _lstm_steps(A, Wh2, H, C, TC)
+    start = [0]         # group k's (B, T, 2h) block of the one flat output
+    for s in seqs:
+        start.append(start[-1] + B * s[0] * 2 * h)
+    flat = np.empty(start[-1])
+    # longest first, stably; (s0, s1, n) in step order: steps s0 <= s < s1
+    # run the first n sorted groups
+    order = sorted(range(len(seqs)), key=[s[0] for s in seqs].__getitem__, reverse=True)
+    phases, s0 = [], 0
+    for n in range(len(order), 0, -1):
+        s1 = seqs[order[n - 1]][0]
+        if s1 > s0:
+            phases.append((s0, s1, n))
+            s0 = s1
+    As = [np.empty((s1 - s0, 4, n, 2, B, h)) for s0, s1, n in phases]
+    # the recurrent weights as one C-order array, by copies (``np.stack``
+    # costs several times more per call)
+    Wh = np.empty((len(order), 2, h, 4 * h))
+    outs = [None] * len(seqs)
+    sorted_seqs = []    # (phases live, pad2, output, output in step order)
+    for j, k in enumerate(order):
+        T, x, (X, fw_W, fw_b, bw_W, bw_b), pad2 = seqs[k]
+        D = x.shape[2]
+        Wh[j, 0], Wh[j, 1] = fw_W.data[D:], bw_W.data[D:]
+        Xt = x.transpose(1, 0, 2).reshape(T * B, D)
+        zf = (Xt @ fw_W.data[:D]).reshape(T, B, 4, h)
+        zb = (Xt @ bw_W.data[:D]).reshape(T, B, 4, h)[::-1]
+        live = 0
+        for (s0, s1, n), A in zip(phases, As):
+            if n <= j:
+                break
+            live += 1
+            Ag = A.transpose(0, 2, 3, 4, 1, 5)[:, j]    # (S, 2, B, 4, h), the GEMMs' order
+            np.add(zf[s0:s1], fw_b.data.reshape(4, h), out=Ag[:, 0])
+            np.add(zb[s0:s1], bw_b.data.reshape(4, h), out=Ag[:, 1])
+            if pad2 is not None:    # assignment, so no inf or nan survives
+                Ag[pad2[s0:s1]] = 0.0
+        out = flat[start[k]:start[k + 1]].reshape(B, T, 2 * h)
+        sorted_seqs.append((live, pad2, out, out[:, ::-1]))
+        outs[k] = out if X.data.ndim == 3 else out[0]
+    del Xt, zf, zb      # backward rebuilds Xt rather than hold a copy
+    for A in As:
+        A[:, :3] *= 0.5
+    WhT = Wh.copy() if keep else None   # backward's, not halved
+    Wh[..., :3 * h] *= 0.5
+
+    Hs, Cs, TCs = [], [], []
+    for (s0, s1, n), A in zip(phases, As):
+        H = np.empty((s1 - s0 + 1, n, 2, B, h))     # H[s + 1]: state after step s
+        C = _step_buffer(s1 - s0 + 1, (n, 2, B, h), keep)
+        TC = _step_buffer(s1 - s0, (n, 2, B, h), keep)
+        H[0] = Hs[-1][-1, :n] if Hs else 0.0
+        C[0] = Cs[-1][-1, :n] if Cs else 0.0
+        if n == 1:
+            _lstm_steps(A[:, :, 0], Wh[0], H[:, 0], C[:, 0], TC[:, 0])
+        else:
+            _lstm_steps(A, Wh[:n], H, C, TC)
+        for j, (_, _, out, out_steps) in enumerate(sorted_seqs[:n]):
+            out[:, s0:s1, :h] = H[1:, j, 0].transpose(1, 0, 2)
+            out_steps[:, s0:s1, h:] = H[1:, j, 1].transpose(1, 0, 2)
+        Hs.append(H), Cs.append(C), TCs.append(TC)
     if not keep:
-        A = None        # nothing reads it again; free it before out
-    out = np.empty((B, T, 2 * h))
-    out[:, :, :h] = H[1:, 0].transpose(1, 0, 2)
-    out[:, :, h:] = H[:0:-1, 1].transpose(1, 0, 2)
-    if pad is not None:
-        out[pad.T] = 0.0
-    if X.data.ndim == 2:
-        out = out[0]
+        As = None       # nothing reads them again
+    for _, pad2, out, _ in sorted_seqs:
+        if pad2 is not None:
+            out[pad2[:, 0].T] = 0.0
     if not keep:
-        return Tensor(out)
+        return [Tensor(out) for out in outs]
 
     def bw(g):
-        g = g.reshape(B, T, 2 * h)
-        I, F, O, G = A.transpose(1, 0, 2, 3, 4)
-        U = np.empty((T, 2, B, h))      # upstream, in step order
-        U[:, 0] = g[:, :, :h].transpose(1, 0, 2)
-        U[:, 1] = g[:, ::-1, h:].transpose(1, 0, 2)
-        if pad is not None:
-            U[pad2] = 0.0
-        # dz = [dc, dc, dh, dc] * local, with local the gate derivatives. Each
-        # step scales all four gates by dc and then overwrites o, so the o
-        # column starts at zero rather than unset. The products swap operands
-        # at most: I * (1 - I) is taken as (1 - I) * I and O * (1 - TC^2) as
-        # (1 - TC^2) * O, which are bitwise the same.
-        dZ = np.zeros((2, T, B, 4 * h))     # direction-major for the weight GEMMs
-        local = dZ.transpose(1, 0, 2, 3)
-        not_ifo = 1.0 - A[:, :3]
-        local_o = TC * O
-        local_o *= not_ifo[:, 2]
-        not_ifo[:, :2] *= A[:, :2]
-        np.multiply(G, not_ifo[:, 0], out=local[..., :h])
-        np.multiply(C[:-1], not_ifo[:, 1], out=local[..., h:2 * h])
-        local_g = local[..., 3 * h:]
-        np.multiply(G, G, out=local_g)
-        np.subtract(1.0, local_g, out=local_g)
-        local_g *= I
-        dc_dh = TC * TC
-        np.subtract(1.0, dc_dh, out=dc_dh)
-        dc_dh *= O
-        del not_ifo
-        # a transposed view of a C-order (2, h, 4h) array: a C-order
-        # (2, 4h, h) copy sends the recurrent product down another BLAS path
-        # and changes the gradients in the last bit
-        WhT = _recurrent_weights(fw_W.data, bw_W.data, D).transpose(0, 2, 1)
-        dh, dc, tmp = np.zeros((3, 2, B, h))
-        dc3 = dc[:, :, None]
-        dZ4 = dZ.reshape(2, T, B, 4, h).transpose(1, 0, 2, 3, 4)
-        # step views in reverse step order; the last step's dh and dc are
-        # never read, so its recurrent product is skipped
-        for s, u, dcdh, lo, dz, dz4, dz_o, f in zip(
-                range(T - 1, -1, -1), U[::-1], dc_dh[::-1], local_o[::-1],
-                local[::-1], dZ4[::-1], dZ4[::-1, :, :, 2], F[::-1]):
-            dh += u
-            np.multiply(dh, dcdh, out=tmp)
-            dc += tmp
-            dz4 *= dc3
-            np.multiply(lo, dh, out=dz_o)
-            if s:
-                np.matmul(dz, WhT, out=dh)
-                dc *= f
-        if pad is not None:
-            dZ[pad2.transpose(1, 0, 2)] = 0.0
-        dZf = dZ[0].reshape(T * B, 4 * h)
-        dZb = dZ[1, ::-1].reshape(T * B, 4 * h)     # a copy, in time order
-        if X.requires_grad:
-            _acc(X, (dZf @ fw_W.data[:D].T + dZb @ bw_W.data[:D].T)
-                 .reshape(T, B, D).transpose(1, 0, 2).reshape(X.data.shape))
-        Xt = x.transpose(1, 0, 2).reshape(T * B, D)
-        for W, b, dz, h_prev in ((fw_W, fw_b, dZf, H[:-1, 0]),
-                                 (bw_W, bw_b, dZb, H[-2::-1, 1])):
-            if W.requires_grad:
-                _acc(W, _weight_grad(Xt, h_prev.reshape(T * B, h), dz))
-            if b.requires_grad:
-                _acc(b, dz.sum(axis=0))
+        g = g.reshape(-1)
+        dZs, carry = [], None
+        for p in range(len(phases) - 1, -1, -1):
+            (s0, s1, n), A = phases[p], As[p]
+            U = np.empty((s1 - s0, n, 2, B, h))     # upstream, in step order
+            for j, (_, pad2, _, _) in enumerate(sorted_seqs[:n]):
+                gk = g[start[order[j]]:start[order[j] + 1]].reshape(B, -1, 2 * h)
+                U[:, j, 0] = gk[:, s0:s1, :h].transpose(1, 0, 2)
+                U[:, j, 1] = gk[:, ::-1][:, s0:s1, h:].transpose(1, 0, 2)
+                if pad2 is not None:
+                    U[:, j][pad2[s0:s1]] = 0.0
+            dh, dc, tmp = np.zeros((3, n, 2, B, h))
+            if carry is not None:       # the groups that join here start at 0
+                dh[:len(carry[0])], dc[:len(carry[0])] = carry
+            # a phase of one group runs on the arrays of a one-group node
+            Ap, Cp, TCp, Up, dhp, dcp, tmpp, WhTp = (
+                (A[:, :, 0], Cs[p][:, 0], TCs[p][:, 0], U[:, 0], dh[0], dc[0], tmp[0], WhT[0])
+                if n == 1 else (A, Cs[p], TCs[p], U, dh, dc, tmp, WhT[:n]))
+            # a transposed view of a C-order block: a C-order (., 4h, h) copy
+            # sends the recurrent product down another BLAS path and changes
+            # the gradients in the last bit
+            WhTp = WhTp.swapaxes(-1, -2)
+            dZ, local, local_o, dc_dh = _gate_grads(Ap, Cp, TCp)
+            dc3 = dcp[..., None, :]
+            dZ4 = _to_front(dZ.reshape(*dZ.shape[:-1], 4, h), -4)
+            # step views in reverse step order; the last step's dh and dc are
+            # never read, so its recurrent product is skipped
+            for s, u, dcdh, lo, dz, dz4, dz_o, f in zip(
+                    range(s1 - 1, s0 - 1, -1), Up[::-1], dc_dh[::-1], local_o[::-1],
+                    local[::-1], dZ4[::-1], dZ4[::-1, ..., 2, :],
+                    Ap[::-1, 1]):
+                dhp += u
+                np.multiply(dhp, dcdh, out=tmpp)
+                dcp += tmpp
+                dz4 *= dc3
+                np.multiply(lo, dhp, out=dz_o)
+                if s:
+                    np.matmul(dz, WhTp, out=dhp)
+                    dcp *= f
+            carry = dh, dc
+            dZ = dZ.reshape(n, 2, s1 - s0, B, 4 * h)
+            for j, (_, pad2, _, _) in enumerate(sorted_seqs[:n]):
+                if pad2 is not None:
+                    dZ[j][pad2[s0:s1].transpose(1, 0, 2)] = 0.0
+            dZs.insert(0, dZ)
+        for j, (k, (live, _, _, _)) in enumerate(zip(order, sorted_seqs)):
+            T, x, (X, fw_W, fw_b, bw_W, bw_b), _ = seqs[k]
+            D = x.shape[2]
+            # in time order; the reverse direction's is its step order reversed
+            dZf = _joined([dZ[j, 0] for dZ in dZs[:live]]).reshape(T * B, 4 * h)
+            dZb = _joined([dZ[j, 1, ::-1] for dZ in dZs[live - 1::-1]]).reshape(T * B, 4 * h)
+            if X.requires_grad:
+                _acc(X, (dZf @ fw_W.data[:D].T + dZb @ bw_W.data[:D].T)
+                     .reshape(T, B, D).transpose(1, 0, 2).reshape(X.data.shape))
+            Xt = x.transpose(1, 0, 2).reshape(T * B, D)
+            # the state before each step
+            for W, b, dz, h_prev in (
+                    (fw_W, fw_b, dZf, _joined([H[:-1, j, 0] for H in Hs[:live]])),
+                    (bw_W, bw_b, dZb, _joined([H[-2::-1, j, 1] for H in Hs[live - 1::-1]]))):
+                if W.requires_grad:
+                    _acc(W, _weight_grad(Xt, h_prev.reshape(T * B, h), dz))
+                if b.requires_grad:
+                    _acc(b, dz.sum(axis=0))
 
-    return _node(out, parents, bw)
+    if len(seqs) == 1:
+        return [_node(outs[0], parents, bw)]
+    node = _node(flat, parents, bw)
+    return [_slice_of(node, out, a) for out, a in zip(outs, start)]
+
+
+def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
+    """``bilstm_sequences`` over the one group X: its Tensor alone."""
+    return bilstm_sequences([(X, fw_W, fw_b, bw_W, bw_b, lengths)])[0]
 
 
 def _walk(t):

@@ -181,10 +181,12 @@ def run_ablate_cell(splits: dict, vocab_size: int, cfg_dict: dict, cell: dict) -
     try:
         cfg = config_from_dict({**cfg_dict, **cell["config"]})
         result = training.train_model(splits["train"], splits["val"], cfg, vocab_size)
-        model = SummarizerModel(result.best_params, cfg, vocab_size)
+        # the best epoch's validation pass already ran the val forwards
         val_prepared = [data.prepare_for_model(s, cfg.fps_group, cfg.seed)
                         for s in splits["val"]]
-        report = evaluation.evaluate_dataset(val_prepared, model)
+        report = evaluation.score_summaries(val_prepared, [
+            evaluation.select(sent, frame, cfg.k_sentences, cfg.k_frames)
+            for sent, frame in result.best_val_probs])
         mean = report["corpus_mean"]
         row.update(status="ok",
                    train_loss=result.metrics[-1]["train_loss"],

@@ -164,30 +164,35 @@ def top_k_indices(probs: np.ndarray, k: int, what: str) -> list[int]:
     return sorted(int(i) for i in ranked)
 
 
-def summarize(sample: Sample, model, k_sentences: int | None = None,
-              k_frames: int | None = None) -> SummaryOutput:
+def select(sent_probs: np.ndarray, frame_probs: np.ndarray | None,
+           k_sentences: int, k_frames: int) -> SummaryOutput:
     """Top-k sentences and frames by extraction probability, original order."""
-    cfg = model.cfg
-    k_s = cfg.k_sentences if k_sentences is None else k_sentences
-    k_f = cfg.k_frames if k_frames is None else k_frames
-    with ad.no_grad():
-        out = model.forward(sample)
-    sent_probs = out.sent_probs.data.copy()
-    frame_probs = out.frame_probs.data.copy() if out.frame_probs is not None else None
-    frame_idx = [] if frame_probs is None else top_k_indices(frame_probs, k_f, "frames")
+    frame_idx = [] if frame_probs is None else top_k_indices(frame_probs, k_frames, "frames")
     return SummaryOutput(
-        sentence_indices=top_k_indices(sent_probs, k_s, "sentences"),
+        sentence_indices=top_k_indices(sent_probs, k_sentences, "sentences"),
         frame_indices=frame_idx,
         sentence_probs=sent_probs,
         frame_probs=frame_probs,
     )
 
 
-def evaluate_dataset(samples: list[Sample], model) -> dict:
-    """Per-sample and corpus-mean ROUGE (plus Cos where references exist)."""
+def summarize(sample: Sample, model, k_sentences: int | None = None,
+              k_frames: int | None = None) -> SummaryOutput:
+    """`select` over the model's probabilities for one sample."""
+    cfg = model.cfg
+    with ad.no_grad():
+        out = model.forward(sample)
+    return select(out.sent_probs.data.copy(),
+                  out.frame_probs.data.copy() if out.frame_probs is not None else None,
+                  cfg.k_sentences if k_sentences is None else k_sentences,
+                  cfg.k_frames if k_frames is None else k_frames)
+
+
+def score_summaries(samples: list[Sample], summaries: list[SummaryOutput]) -> dict:
+    """Per-sample and corpus-mean ROUGE (plus Cos where references exist) of
+    each sample's summary."""
     per_sample = []
-    for s in samples:
-        out = summarize(s, model)
+    for s, out in zip(samples, summaries):
         cand = [tokenize(s.document.raw_sentences[i]) for i in out.sentence_indices]
         ref = [tokenize(line) for line in s.gold_summary]
         score = rouge_all(cand, ref)
@@ -217,6 +222,11 @@ def evaluate_dataset(samples: list[Sample], model) -> dict:
         "cos": float(np.mean(cos_vals)) if cos_vals else None,
     }
     return {"per_sample": per_sample, "corpus_mean": corpus}
+
+
+def evaluate_dataset(samples: list[Sample], model) -> dict:
+    """`score_summaries` of the model's summary of each sample."""
+    return score_summaries(samples, [summarize(s, model) for s in samples])
 
 
 def write_report(report: dict, out_path, fmt: str = "json") -> list[Path]:

@@ -133,17 +133,11 @@ class SummarizerModel:
         return cls(**{f: self.params.get(f"{prefix}/{f}") for f in fields})
 
     def forward(self, sample) -> ForwardResult:
-        enc = self.encoder
-        sents = encoders.encode_sentences(sample.document, enc)
-        if enc.frame is None:
+        sents, frames, t_states = encoders.encode_sample(sample, self.encoder)
+        if frames is None:
             probs = fusion.scorer_prob(sents, self.text_head.f)
             return ForwardResult(sent_probs=probs, frame_probs=None, frame_states=None,
                                  sent_attn=None, frame_attn=None)
-
-        frames = encoders.encode_frames(sample.frames, enc)
-        t_states = None
-        if enc.transcript is not None:
-            t_states = encoders.encode_transcript(sample.transcript.tokens, enc)
 
         sent_attn = attention.sentence_context(self.attn, sents, frames, t_states)
         frame_attn = attention.frame_context(self.attn, frames, sents, t_states)

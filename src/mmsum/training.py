@@ -272,17 +272,22 @@ class TrainResult:
     metrics: list[dict]
     best_val_loss: float
     epochs_run: int
+    # each val sample's sentence and frame probabilities at the best epoch
+    best_val_probs: list[tuple[np.ndarray, np.ndarray | None]]
 
 
-def _validation_ce(model, samples, labels) -> float:
-    losses = []
+def _validation_ce(model, samples, labels) -> tuple[float, list]:
+    """The mean CE over the val samples not excluded from it, and every val
+    sample's sentence and frame probabilities."""
+    losses, probs = [], []
     with ad.no_grad():
         for sample, lab in zip(samples, labels):
-            if lab.exclude_from_ce:
-                continue
             out = model.forward(sample)
-            losses.append(float(ce_loss(out.sent_probs, lab.labels).data))
-    return float(np.mean(losses)) if losses else 0.0
+            probs.append((out.sent_probs.data,
+                          None if out.frame_probs is None else out.frame_probs.data))
+            if not lab.exclude_from_ce:
+                losses.append(float(ce_loss(out.sent_probs, lab.labels).data))
+    return (float(np.mean(losses)) if losses else 0.0), probs
 
 
 def train_model(train_samples: list[Sample], val_samples: list[Sample],
@@ -308,7 +313,6 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
                             cfg, vocab_size)
     optimizer = Adagrad(model.params, lr=cfg.lr)
     stopper = EarlyStopping(cfg.patience)
-    best_params = model.parameter_arrays()
     baseline = 0.0
 
     video_on = cfg.use_frames and cfg.use_bistream and cfg.alpha_vs > 0
@@ -339,11 +343,11 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
             ad.backward(loss)
             optimizer.step()
 
-        val_loss = _validation_ce(model, val_prep, val_labels)
+        val_loss, val_probs = _validation_ce(model, val_prep, val_labels)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        if stopper.update(val_loss):
-            best_params = model.parameter_arrays()
+        if stopper.update(val_loss):    # always at epoch 1: val_loss < inf
+            best_params, best_val_probs = model.parameter_arrays(), val_probs
         metrics.append({
             "epoch": epoch,
             "train_loss": float(np.mean(epoch_losses)) if epoch_losses else 0.0,
@@ -359,7 +363,7 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
     return TrainResult(best_params=best_params,
                        final_params=model.parameter_arrays(),
                        metrics=metrics, best_val_loss=float(stopper.best),
-                       epochs_run=len(metrics))
+                       epochs_run=len(metrics), best_val_probs=best_val_probs)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,12 @@ def bilstm_sequence_reference(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
     return ad.reshape(out, out.shape[1:])
 
 
+def bilstm_sequences_reference(groups):
+    """One oracle node per group, as the encoders ran before their groups
+    shared a node."""
+    return [bilstm_sequence_reference(*group) for group in groups]
+
+
 def walk_reference(t):
     """backward's walk as it was: every parent that requires a gradient is
     pushed, the parameter leaves too."""
@@ -372,7 +378,7 @@ COMPOSITIONS = {
     "attend": attend_reference,
     "additive_score": additive_score_reference,
     "tensor_fusion": tensor_fusion_reference,
-    "bilstm_sequence": bilstm_sequence_reference,
+    "bilstm_sequences": bilstm_sequences_reference,
     "_walk": walk_reference,
 }
 

@@ -485,3 +485,57 @@ def test_bilstm_sequence_is_bytewise_its_oracle(rng, batch, recording):
     assert runs[0] == runs[1]
     assert (runs[0][1] is None) == (recording != "all")
     assert all(g is not None for g in runs[0][2:]) == (recording != "no-grad")
+
+
+# name -> (B, T and lengths of each group); B = 0 gives each group one (T, D)
+# sequence, as the sentence, frame and transcript encoders of a sample have
+GROUPED_BATCHES = {
+    "equal-lengths": (0, [(6, None), (6, None), (6, None)]),
+    "tied-lengths": (0, [(4, None), (9, None), (4, None)]),
+    "distinct-lengths": (0, [(5, None), (8, None), (24, None)]),
+    "one-step-each": (0, [(1, None), (1, None)]),
+    "one-step-beside-longer": (0, [(1, None), (1, None), (7, None)]),
+    "two-groups": (0, [(6, None), (4, None)]),
+    "one-group": (0, [(7, None)]),
+    "ragged-batch": (5, [(7, [7, 2, 1, 5, 3])]),
+    "ragged-batches": (3, [(5, [5, 2, 4]), (6, None), (3, [3, 3, 1])]),
+}
+
+
+@pytest.mark.parametrize("recording", ["all", "x-without-grad", "no-grad"])
+@pytest.mark.parametrize("batch", GROUPED_BATCHES)
+def test_grouped_bilstm_is_bytewise_the_oracle_per_group(rng, batch, recording):
+    """``bilstm_sequences`` over several groups, each with its own weights and
+    input width, gives each group's output and every gradient byte for byte
+    as the oracle node run on that group alone, signed zeros included: in one
+    phase and in several, with tied lengths, with padding, with X a constant
+    and under ``no_grad``."""
+    B, groups = GROUPED_BATCHES[batch]
+    h = 8
+    data = []
+    for k, (T, lengths) in enumerate(groups):
+        D = 3 + 2 * k
+        shape = (B, T) if B else (T,)
+        upstream = rng.normal(size=shape + (2 * h,))
+        upstream[..., ::5] = -0.0
+        data.append((rng.normal(size=shape + (D,)),
+                     [rng.uniform(-0.5, 0.5, size=s) for s in ((D + h, 4 * h), 4 * h) * 2],
+                     lengths, upstream))
+    runs = []
+    for fused in (True, False):
+        inputs = [(Tensor(x, requires_grad=recording == "all"),
+                   *[Tensor(w, requires_grad=True) for w in weights], lengths)
+                  for x, weights, lengths, _ in data]
+        with ad.no_grad() if recording == "no-grad" else contextlib.nullcontext():
+            outs = (ad.bilstm_sequences(inputs) if fused else
+                    [ops.bilstm_sequence_oracle(*group) for group in inputs])
+        if recording != "no-grad":
+            loss = ad.tsum(outs[0] * data[0][3])
+            for out, (*_, upstream) in zip(outs[1:], data[1:]):
+                loss = loss + ad.tsum(out * upstream)
+            ad.backward(loss)
+        runs.append([out.data.tobytes() for out in outs] + [
+            None if t.grad is None else t.grad.tobytes()
+            for group in inputs for t in group[:5]])
+    assert runs[0] == runs[1]
+    assert all(g is not None for g in runs[0][len(groups):]) == (recording == "all")

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config
 import mmsum
-from mmsum import checkpoint, cli, data
+from mmsum import checkpoint, cli, data, evaluation, training
 from mmsum.config import (ATTENTION_MODES, FUSION_MODES, SEED_ENV_VAR, RunConfig,
                           config_from_dict, resolve_config)
 from mmsum.data import SynthConfig
 from mmsum.errors import ConfigError
+from mmsum.model import SummarizerModel
 
 
 def run_cli(*argv):
@@ -771,3 +773,84 @@ def test_eval_on_corpus_of_other_feature_width_is_config_error(trained_run, tmp_
                    "--manifest", str(wide / "manifest.json"), "--out", str(out)) == 1
     _assert_feature_dim_error(capsys, 8, 16)
     assert not out.exists()
+
+
+def _ablate_cell_against_a_rebuilt_model(micro_corpus, val, **config):
+    """One ablation cell's row, and the report that ``evaluate_dataset`` gives
+    on the same val samples with a model rebuilt from the best parameters of
+    the same training, with the cached best-epoch outputs scored as the cell
+    scores them."""
+    _, samples, vocab = micro_corpus
+    base = dataclasses.asdict(tiny_config(feature_dim=8))
+    splits = {"train": samples[:3], "val": val}
+    row = cli.run_ablate_cell(splits, len(vocab), base,
+                              {"strategy": "+weighted", "config": config})
+    assert row["status"] == "ok", row.get("error")
+    cfg = config_from_dict({**base, **config})
+    result = training.train_model(splits["train"], val, cfg, len(vocab))
+    prepared = [data.prepare_for_model(s, cfg.fps_group, cfg.seed) for s in val]
+    rebuilt = evaluation.evaluate_dataset(
+        prepared, SummarizerModel(result.best_params, cfg, len(vocab)))
+    cached = evaluation.score_summaries(prepared, [
+        evaluation.select(sent, frame, cfg.k_sentences, cfg.k_frames)
+        for sent, frame in result.best_val_probs])
+    return row, result, rebuilt, cached
+
+
+def _assert_cell_scores(row, rebuilt, cached):
+    assert cached == rebuilt
+    assert [row[f"val_{m}"] for m in ("r1", "r2", "rl")] == [
+        rebuilt["corpus_mean"][m] for m in ("r1", "r2", "rl")]
+
+
+@pytest.mark.filterwarnings("ignore:requested")
+@pytest.mark.parametrize("attention", ATTENTION_MODES)
+@pytest.mark.parametrize("fusion_mode", FUSION_MODES)
+def test_ablate_cell_scores_the_best_epochs_val_outputs(micro_corpus, attention,
+                                                         fusion_mode):
+    """A cell scores the val outputs that training kept from its best epoch;
+    the report equals the one from a model rebuilt from the best parameters,
+    in every attention x fusion mode."""
+    _, samples, _ = micro_corpus
+    row, _, rebuilt, cached = _ablate_cell_against_a_rebuilt_model(
+        micro_corpus, samples[3:], attention=attention, fusion=fusion_mode, epochs=1)
+    _assert_cell_scores(row, rebuilt, cached)
+
+
+@pytest.mark.filterwarnings("ignore:requested")
+def test_ablate_cell_scores_the_best_epoch_when_it_is_not_the_last(micro_corpus):
+    """Three epochs with patience 1, where the val loss rises again at
+    epoch 3: the cell scores epoch 2's outputs."""
+    _, samples, _ = micro_corpus
+    row, result, rebuilt, cached = _ablate_cell_against_a_rebuilt_model(
+        micro_corpus, samples[3:], epochs=3, patience=1, lr=0.3, seed=3)
+    val_losses = [m["val_loss"] for m in result.metrics]
+    assert result.epochs_run == 3
+    assert val_losses.index(min(val_losses)) + 1 == 2
+    _assert_cell_scores(row, rebuilt, cached)
+
+
+@pytest.mark.filterwarnings("ignore:requested")
+def test_ablate_cell_scores_a_val_sample_left_out_of_the_val_loss(micro_corpus):
+    """A val sample whose greedy labels are all zero adds nothing to the val
+    CE, but the cell still scores its summary."""
+    _, samples, _ = micro_corpus
+    unlabeled = dataclasses.replace(samples[3], gold_summary=["zzz yyy xxx"])
+    assert training.greedy_labels(unlabeled.document, unlabeled.gold_summary).exclude_from_ce
+    row, _, rebuilt, cached = _ablate_cell_against_a_rebuilt_model(
+        micro_corpus, [unlabeled] + samples[4:], epochs=2)
+    assert len(cached["per_sample"]) == 3
+    _assert_cell_scores(row, rebuilt, cached)
+
+
+def test_ablate_cell_still_warns_on_clamping_and_missing_references(micro_corpus):
+    _, samples, vocab = micro_corpus
+    val = [dataclasses.replace(s, ref_image_features=None) for s in samples[3:]]
+    base = dataclasses.asdict(tiny_config(feature_dim=8, k_frames=5))
+    with pytest.warns(UserWarning) as caught:
+        row = cli.run_ablate_cell({"train": samples[:3], "val": val}, len(vocab), base,
+                                  {"strategy": "+weighted", "config": {"epochs": 1}})
+    assert row["status"] == "ok"
+    messages = [str(w.message) for w in caught]
+    assert "requested 5 frames but only 4 available; clamping" in messages
+    assert "no reference images present; Cos omitted from the report" in messages

@@ -6,12 +6,13 @@ import composed_ops as ops
 from conftest import tiny_config
 from mmsum import autodiff as ad
 from mmsum.autodiff import Tensor
-from mmsum.data import Document
+from mmsum.data import Document, Sample, Transcript
 from mmsum.encoders import (INIT_SCALE, BiLSTM, EncoderParams, bilstm, encode_frames,
+                            encode_sample,
                             encode_sentences, encode_transcript, encode_words,
                             open_forget_gate)
 from mmsum.errors import EncodeError
-from mmsum.model import build_parameters
+from mmsum.model import SummarizerModel, build_parameters
 
 
 def init_lstm_direction(rng, input_dim, hidden, scale=INIT_SCALE):
@@ -324,3 +325,71 @@ def test_bilstm_second_dim_is_always_2h(rng):
         assert (p.hidden, p.input_dim) == (h, 3)
         out = bilstm(Tensor(rng.normal(size=(4, 3))), p)
         assert out.shape == (4, 2 * h)
+
+
+# name -> (config overrides, sentence lengths, frames, transcript tokens)
+SAMPLE_SHAPES = {
+    "bihop": (dict(), [3, 5, 2], 4, 6),
+    "empty-transcript": (dict(), [3, 5, 2], 4, 0),
+    "one-sentence-one-frame": (dict(), [4], 1, 3),
+    "frames-without-transcript": (dict(attention="bilinear"), [3, 5, 2], 4, 6),
+    "text-only": (dict(use_frames=False), [3, 5, 2], 4, 6),
+}
+
+
+def _encoded_sample(shape, seed=0):
+    """``encode_sample`` at one of SAMPLE_SHAPES, its states beside
+    ``encode_sentences``, ``encode_frames`` and ``encode_transcript`` run
+    alone, and every parameter gradient after a backward from the model's
+    probabilities, whose consumers set the order in which backward runs the
+    encoders."""
+    overrides, lengths, n_frames, n_tokens = SAMPLE_SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    cfg = tiny_config(hidden=3, embed_dim=4, feature_dim=5, **overrides)
+    model = SummarizerModel(build_parameters(cfg, 9, rng), cfg, 9)
+    sample = Sample(document=Document(sentences=[rng.integers(0, 9, size=n) for n in lengths],
+                                      raw_sentences=["x"] * len(lengths), id="s"),
+                    frames=rng.normal(size=(n_frames, 5)),
+                    transcript=Transcript(tokens=rng.integers(0, 9, size=n_tokens),
+                                          raw_text="x"),
+                    gold_summary=["x"])
+    enc = model.encoder
+    states = encode_sample(sample, enc)
+    alone = [encode_sentences(sample.document, enc),
+             None if enc.frame is None else encode_frames(sample.frames, enc),
+             None if enc.transcript is None
+             else encode_transcript(sample.transcript.tokens, enc)]
+    out = model.forward(sample)
+    loss = ad.tsum(out.sent_probs * rng.normal(size=len(lengths)))
+    if out.frame_probs is not None:
+        loss = loss + ad.tsum(out.frame_probs * rng.normal(size=n_frames))
+    ad.backward(loss)
+    grads = {name: None if p.grad is None else p.grad.tobytes()
+             for name, p in model.params.items()}
+    return states, alone, grads
+
+
+@pytest.mark.parametrize("shape", SAMPLE_SHAPES)
+def test_encode_sample_is_the_encoders_run_alone(shape):
+    """The one node over a sample's sentence, frame and transcript sequences
+    gives each the states its own encoder gives."""
+    states, alone, _ = _encoded_sample(shape)
+    for t, ref in zip(states, alone):
+        assert (t is None) == (ref is None)
+        if t is not None:
+            assert t.shape == ref.shape
+            assert t.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("shape", SAMPLE_SHAPES)
+def test_encode_sample_gradients_are_bytewise_one_oracle_node_per_encoder(
+        shape, monkeypatch):
+    """States and, through the model, every gradient of ``encode_sample``
+    equal, byte for byte, those of one oracle BiLSTM node per encoder."""
+    fused = _encoded_sample(shape)
+    with monkeypatch.context() as m:
+        ops.use_compositions(m)
+        composed = _encoded_sample(shape)
+    assert [None if t is None else t.data.tobytes() for t in fused[0]] == [
+        None if t is None else t.data.tobytes() for t in composed[0]]
+    assert fused[2] == composed[2]
