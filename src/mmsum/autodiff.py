@@ -16,12 +16,12 @@ right-padded batch or one (T, D) sequence, the hidden size read off the
 (4h,) bias. The BiLSTM's padding contract: the output is zero at padded
 positions, which send no gradient to X and whose values change nothing. A
 group with no sequence shorter than T has no padding, and skips the masks.
-All directions of all groups share one recurrence loop over time-major
-buffers, the reverse direction stored in its own step order. Sorted longest
-first, the groups run in phases: a phase covers the steps in which the same
-groups are live, over contiguous buffers of just those groups, and a phase
-of one group runs exactly as a one-group node does. Gradients are exact and
-are cross-checked against central finite differences by the
+All directions of all groups share one recurrence loop over one
+time-major buffer per quantity, the reverse direction stored in its own
+step order. Sorted longest first, the groups run in phases: a phase covers
+the steps in which the same groups are live and runs on the views of those
+steps and groups, from the state the phase before it left. Gradients are
+exact and are cross-checked against central finite differences by the
 gradient-check harness and the test suite.
 
 ``add``, ``mul``, ``tsum``, ``concat`` and ``reshape`` record their node
@@ -480,24 +480,23 @@ def _to_front(a, axis):
 
 
 def _lstm_steps(A, Wh, H, C, TC):
-    """The recurrence of one phase of ``bilstm_sequences`` over its step-major
-    buffers, in place. A, (S, 4, *lead, B, h) and gate-major within a step,
-    holds the input pre-activations with i|f|o halved and becomes the gate
-    activations; lead is (2,), the directions, for one group and (n, 2) for n
-    groups. Wh, (*lead, h, 4h), holds the recurrent weights with i|f|o
-    halved, so each step's recurrent product is one matmul batched over the
-    directions and stacked over the groups. From H[0] and C[0], H[s + 1],
-    C[s + 1] and TC[s] get the state, cell and tanh(cell) after step s."""
-    *lead, B, h = H.shape[1:]
-    hz, ig = np.empty((*lead, B, 4 * h)), np.empty(H.shape[1:])
-    hz4 = _to_front(hz.reshape(*lead, B, 4, h), -2)     # gate-major view
+    """The recurrence of one phase of ``bilstm_sequences`` over step-major
+    views of its buffers, in place. A, (S, n, 4, 2, B, h), holds the input
+    pre-activations with i|f|o halved and becomes the gate activations. Wh,
+    (n, 2, h, 4h), holds the recurrent weights with i|f|o halved, so each
+    step's recurrent product is one matmul batched over the directions and
+    stacked over the n groups. From H[0] and C[0], H[s + 1], C[s + 1] and
+    TC[s] get the state, cell and tanh(cell) after step s."""
+    n, _, B, h = H.shape[1:]
+    hz, ig = np.empty((n, 2, B, 4 * h)), np.empty(H.shape[1:])
+    hz4 = hz.reshape(n, 2, B, 4, h).transpose(0, 3, 1, 2, 4)    # A's order
     c_prev = C[0]       # then each step's c
     for a, i, f, o, g, c, tc, h_prev, h_next in zip(
-            A, *A.swapaxes(0, 1), C[1:], TC, H, H[1:]):
+            A, *_to_front(A, -4), C[1:], TC, H, H[1:]):
         np.matmul(h_prev, Wh, out=hz)
         a += hz4
         np.tanh(a, out=a)
-        ifo = a[:3]
+        ifo = a[:, :3]
         ifo *= 0.5
         ifo += 0.5
         np.multiply(f, c_prev, out=c)
@@ -508,24 +507,23 @@ def _lstm_steps(A, Wh, H, C, TC):
         c_prev = c
 
 
-def _gate_grads(A, C, TC):
-    """The gate derivatives of one phase for its BPTT loop: dZ, (*lead, S, B,
-    4h) with the steps inside for the weight GEMMs, and its step-major view
-    hold [i, f, 0, g] derivatives (the loop scales all four gates by dc and
-    then overwrites o, so the o column starts at zero rather than unset),
-    beside the o derivative and dc/dh. The products swap operands at most:
+def _gate_grads(A, C, TC, local):
+    """The gate derivatives of one phase for its BPTT loop, from its (S, n, 4,
+    2, B, h) gates A. ``local``, a step-major (S, n, 2, B, 4h) view of the
+    caller's zeroed dZ, gets the [i, f, 0, g] derivatives (the loop scales
+    all four gates by dc and then overwrites o, so the o column starts at
+    zero rather than unset); the o derivative and dc/dh are returned. The
+    products swap operands at most:
     I * (1 - I) is taken as (1 - I) * I and O * (1 - TC^2) as
     (1 - TC^2) * O, which are bitwise the same."""
-    S, _, *lead, B, h = A.shape
-    I, F, O, G = A.swapaxes(0, 1)
-    dZ = np.zeros((*lead, S, B, 4 * h))
-    local = _to_front(dZ, -3)
-    not_ifo = 1.0 - A[:, :3]
+    h = A.shape[-1]
+    I, F, O, G = _to_front(A, -4)
+    not_ifo = 1.0 - A[:, :, :3]
     local_o = TC * O
-    local_o *= not_ifo[:, 2]
-    not_ifo[:, :2] *= A[:, :2]
-    np.multiply(G, not_ifo[:, 0], out=local[..., :h])
-    np.multiply(C[:-1], not_ifo[:, 1], out=local[..., h:2 * h])
+    local_o *= not_ifo[:, :, 2]
+    not_ifo[:, :, :2] *= A[:, :, :2]
+    np.multiply(G, not_ifo[:, :, 0], out=local[..., :h])
+    np.multiply(C[:-1], not_ifo[:, :, 1], out=local[..., h:2 * h])
     local_g = local[..., 3 * h:]
     np.multiply(G, G, out=local_g)
     np.subtract(1.0, local_g, out=local_g)
@@ -533,7 +531,7 @@ def _gate_grads(A, C, TC):
     dc_dh = TC * TC
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= O
-    return dZ, local, local_o, dc_dh
+    return local_o, dc_dh
 
 
 def _weight_grad(x, h_prev, dz):
@@ -543,12 +541,6 @@ def _weight_grad(x, h_prev, dz):
     np.matmul(x.T, dz, out=dW[:x.shape[1]])
     np.matmul(h_prev.T, dz, out=dW[x.shape[1]:])
     return dW
-
-
-def _joined(parts):
-    """Per-phase pieces of one group's buffer as one array: the piece itself
-    when the group is live in one phase, else one copy."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _slice_of(node, data, lo):
@@ -576,21 +568,19 @@ def bilstm_sequences(groups):
     contract: at positions t >= lengths[k] the output is zero, X gets zero
     gradient, and finite values of X change nothing.
 
-    The recurrence runs over time-major buffers indexed by step. Direction 0
-    is stored in time order and direction 1 in its own step order (step s
-    reads time T-1-s), so both directions of a group are live exactly for
-    s < T. The groups are sorted longest first, stably, and the steps cut
-    into phases: a phase covers the steps in which its first n groups are
-    live, over contiguous (S, n, 2, B, .) buffers, group-major, so that the
-    first groups' rows and weights are a contiguous prefix; each step's
-    recurrent product is one matmul, batched over the two directions and
-    stacked over the n groups' weights. A phase's last state carries into the
-    next as its first groups' rows, and backward carries dh and dc back the
-    same way, from zero for the groups that join. A phase of one group runs
-    on (S, 2, B, .) views, the arrays of a one-group node. Gates are
-    gate-major within a step, (S, 4, n, 2, B, h), so each gate's slice of a
-    step is contiguous too. Input pre-activations are zeroed at padding; a
-    step with zero input from h = c = 0 stays at 0, so the reverse direction
+    Each quantity has one time-major buffer over the longest T steps and all
+    N groups, sorted longest first, stably: the gates (S, N, 4, 2, B, h), the
+    states, cells and tanh(c) (S, N, 2, B, h), and in backward the upstream
+    gradient and dZ, group-major (N, 2, S, B, 4h) for the weight GEMMs.
+    Direction 0 is stored in time order and direction 1 in its own step
+    order (step s reads time T-1-s), so both directions of a group are live
+    exactly for s < T. A phase covers the steps in which the first n groups
+    are live and runs on the [:n] views of its steps, from the state the
+    phase before it left; each step's recurrent product is one matmul,
+    batched over the two directions and stacked over the n groups' weights.
+    Backward walks the phases last first through the same views, dh and dc
+    starting at zero. Input pre-activations are zeroed at padding; a step
+    with zero input from h = c = 0 stays at 0, so the reverse direction
     starts from zeros at each sequence's last token. Zeroing the output, the
     upstream gradient and dZ at padding, outside the loop, cuts off the
     forward direction's trailing padding. A group with no sequence shorter
@@ -600,11 +590,10 @@ def bilstm_sequences(groups):
     halved (exact in binary) and one tanh covers all four gates. The input
     GEMMs and the X, weight and bias gradients run per group over its own T
     rows, each with the shape a one-group node gives it. The cell states and
-    tanh(c) are kept per step only when a gradient is recorded. Backward is
-    hand-written BPTT over both directions, the phases walked last first.
-    Several groups share one flat output, handed out by a slice node per
-    group. Parents are listed last group first, so backward walks the last
-    group's input first.
+    tanh(c) are kept per step only when a gradient is recorded. Several
+    groups share one flat output, handed out by a slice node per group.
+    Parents are listed last group first, so backward walks the last group's
+    input first.
     """
     seqs, parents = [], ()
     for group in groups:
@@ -633,56 +622,43 @@ def bilstm_sequences(groups):
         if s1 > s0:
             phases.append((s0, s1, n))
             s0 = s1
-    As = [np.empty((s1 - s0, 4, n, 2, B, h)) for s0, s1, n in phases]
+    N, S = len(order), s0
+    A = np.empty((S, N, 4, 2, B, h))
     # the recurrent weights as one C-order array, by copies (``np.stack``
     # costs several times more per call)
-    Wh = np.empty((len(order), 2, h, 4 * h))
+    Wh = np.empty((N, 2, h, 4 * h))
     outs = [None] * len(seqs)
-    sorted_seqs = []    # (phases live, pad2, output, output in step order)
+    sorted_seqs = []    # (T, pad2, output)
     for j, k in enumerate(order):
         T, x, (X, fw_W, fw_b, bw_W, bw_b), pad2 = seqs[k]
         D = x.shape[2]
         Wh[j, 0], Wh[j, 1] = fw_W.data[D:], bw_W.data[D:]
         Xt = x.transpose(1, 0, 2).reshape(T * B, D)
-        zf = (Xt @ fw_W.data[:D]).reshape(T, B, 4, h)
-        zb = (Xt @ bw_W.data[:D]).reshape(T, B, 4, h)[::-1]
-        live = 0
-        for (s0, s1, n), A in zip(phases, As):
-            if n <= j:
-                break
-            live += 1
-            Ag = A.transpose(0, 2, 3, 4, 1, 5)[:, j]    # (S, 2, B, 4, h), the GEMMs' order
-            np.add(zf[s0:s1], fw_b.data.reshape(4, h), out=Ag[:, 0])
-            np.add(zb[s0:s1], bw_b.data.reshape(4, h), out=Ag[:, 1])
-            if pad2 is not None:    # assignment, so no inf or nan survives
-                Ag[pad2[s0:s1]] = 0.0
+        Ag = A[:T, j].transpose(0, 2, 3, 1, 4)  # (T, 2, B, 4, h), the GEMMs' order
+        np.add((Xt @ fw_W.data[:D]).reshape(T, B, 4, h), fw_b.data.reshape(4, h),
+               out=Ag[:, 0])
+        np.add((Xt @ bw_W.data[:D]).reshape(T, B, 4, h)[::-1], bw_b.data.reshape(4, h),
+               out=Ag[:, 1])
+        if pad2 is not None:    # assignment, so no inf or nan survives
+            Ag[pad2] = 0.0
+        A[:T, j, :3] *= 0.5
         out = flat[start[k]:start[k + 1]].reshape(B, T, 2 * h)
-        sorted_seqs.append((live, pad2, out, out[:, ::-1]))
+        sorted_seqs.append((T, pad2, out))
         outs[k] = out if X.data.ndim == 3 else out[0]
-    del Xt, zf, zb      # backward rebuilds Xt rather than hold a copy
-    for A in As:
-        A[:, :3] *= 0.5
+    del Xt              # backward rebuilds it rather than hold a copy
     WhT = Wh.copy() if keep else None   # backward's, not halved
     Wh[..., :3 * h] *= 0.5
 
-    Hs, Cs, TCs = [], [], []
-    for (s0, s1, n), A in zip(phases, As):
-        H = np.empty((s1 - s0 + 1, n, 2, B, h))     # H[s + 1]: state after step s
-        C = _step_buffer(s1 - s0 + 1, (n, 2, B, h), keep)
-        TC = _step_buffer(s1 - s0, (n, 2, B, h), keep)
-        H[0] = Hs[-1][-1, :n] if Hs else 0.0
-        C[0] = Cs[-1][-1, :n] if Cs else 0.0
-        if n == 1:
-            _lstm_steps(A[:, :, 0], Wh[0], H[:, 0], C[:, 0], TC[:, 0])
-        else:
-            _lstm_steps(A, Wh[:n], H, C, TC)
-        for j, (_, _, out, out_steps) in enumerate(sorted_seqs[:n]):
-            out[:, s0:s1, :h] = H[1:, j, 0].transpose(1, 0, 2)
-            out_steps[:, s0:s1, h:] = H[1:, j, 1].transpose(1, 0, 2)
-        Hs.append(H), Cs.append(C), TCs.append(TC)
-    if not keep:
-        As = None       # nothing reads them again
-    for _, pad2, out, _ in sorted_seqs:
+    H = np.empty((S + 1, N, 2, B, h))   # H[s + 1]: state after step s
+    C = _step_buffer(S + 1, (N, 2, B, h), keep)
+    TC = _step_buffer(S, (N, 2, B, h), keep)
+    H[0] = C[0] = 0.0
+    for s0, s1, n in phases:
+        _lstm_steps(A[s0:s1, :n], Wh[:n], H[s0:s1 + 1, :n], C[s0:s1 + 1, :n],
+                    TC[s0:s1, :n])
+    for j, (T, pad2, out) in enumerate(sorted_seqs):
+        out[:, :, :h] = H[1:T + 1, j, 0].transpose(1, 0, 2)
+        out[:, ::-1, h:] = H[1:T + 1, j, 1].transpose(1, 0, 2)
         if pad2 is not None:
             out[pad2[:, 0].T] = 0.0
     if not keep:
@@ -690,64 +666,55 @@ def bilstm_sequences(groups):
 
     def bw(g):
         g = g.reshape(-1)
-        dZs, carry = [], None
-        for p in range(len(phases) - 1, -1, -1):
-            (s0, s1, n), A = phases[p], As[p]
-            U = np.empty((s1 - s0, n, 2, B, h))     # upstream, in step order
-            for j, (_, pad2, _, _) in enumerate(sorted_seqs[:n]):
-                gk = g[start[order[j]]:start[order[j] + 1]].reshape(B, -1, 2 * h)
-                U[:, j, 0] = gk[:, s0:s1, :h].transpose(1, 0, 2)
-                U[:, j, 1] = gk[:, ::-1][:, s0:s1, h:].transpose(1, 0, 2)
-                if pad2 is not None:
-                    U[:, j][pad2[s0:s1]] = 0.0
-            dh, dc, tmp = np.zeros((3, n, 2, B, h))
-            if carry is not None:       # the groups that join here start at 0
-                dh[:len(carry[0])], dc[:len(carry[0])] = carry
-            # a phase of one group runs on the arrays of a one-group node
-            Ap, Cp, TCp, Up, dhp, dcp, tmpp, WhTp = (
-                (A[:, :, 0], Cs[p][:, 0], TCs[p][:, 0], U[:, 0], dh[0], dc[0], tmp[0], WhT[0])
-                if n == 1 else (A, Cs[p], TCs[p], U, dh, dc, tmp, WhT[:n]))
-            # a transposed view of a C-order block: a C-order (., 4h, h) copy
-            # sends the recurrent product down another BLAS path and changes
-            # the gradients in the last bit
-            WhTp = WhTp.swapaxes(-1, -2)
-            dZ, local, local_o, dc_dh = _gate_grads(Ap, Cp, TCp)
-            dc3 = dcp[..., None, :]
-            dZ4 = _to_front(dZ.reshape(*dZ.shape[:-1], 4, h), -4)
+        U = np.empty((S, N, 2, B, h))   # upstream, in step order
+        for j, (T, pad2, _) in enumerate(sorted_seqs):
+            gk = g[start[order[j]]:start[order[j] + 1]].reshape(B, T, 2 * h)
+            U[:T, j, 0] = gk[:, :, :h].transpose(1, 0, 2)
+            U[:T, j, 1] = gk[:, ::-1, h:].transpose(1, 0, 2)
+            if pad2 is not None:
+                U[:T, j][pad2] = 0.0
+        # group-major with the steps inside, for the weight GEMMs
+        dZ = np.zeros((N, 2, S, B, 4 * h))
+        local, dZ4 = _to_front(dZ, -3), _to_front(dZ.reshape(N, 2, S, B, 4, h), -4)
+        dh, dc, tmp = np.zeros((3, N, 2, B, h))
+        # a transposed view of a C-order block: a C-order (., 4h, h) copy
+        # sends the recurrent product down another BLAS path and changes
+        # the gradients in the last bit
+        WhTv = WhT.swapaxes(-1, -2)
+        for s0, s1, n in reversed(phases):
+            local_o, dc_dh = _gate_grads(A[s0:s1, :n], C[s0:s1 + 1, :n], TC[s0:s1, :n],
+                                         local[s0:s1, :n])
+            dhn, dcn, tmpn, Whn = dh[:n], dc[:n], tmp[:n], WhTv[:n]
+            dc3 = dcn[..., None, :]
             # step views in reverse step order; the last step's dh and dc are
             # never read, so its recurrent product is skipped
             for s, u, dcdh, lo, dz, dz4, dz_o, f in zip(
-                    range(s1 - 1, s0 - 1, -1), Up[::-1], dc_dh[::-1], local_o[::-1],
-                    local[::-1], dZ4[::-1], dZ4[::-1, ..., 2, :],
-                    Ap[::-1, 1]):
-                dhp += u
-                np.multiply(dhp, dcdh, out=tmpp)
-                dcp += tmpp
+                    range(s1 - 1, s0 - 1, -1), U[s0:s1, :n][::-1], dc_dh[::-1],
+                    local_o[::-1], local[s0:s1, :n][::-1], dZ4[s0:s1, :n][::-1],
+                    dZ4[s0:s1, :n, ..., 2, :][::-1], A[s0:s1, :n, 1][::-1]):
+                dhn += u
+                np.multiply(dhn, dcdh, out=tmpn)
+                dcn += tmpn
                 dz4 *= dc3
-                np.multiply(lo, dhp, out=dz_o)
+                np.multiply(lo, dhn, out=dz_o)
                 if s:
-                    np.matmul(dz, WhTp, out=dhp)
-                    dcp *= f
-            carry = dh, dc
-            dZ = dZ.reshape(n, 2, s1 - s0, B, 4 * h)
-            for j, (_, pad2, _, _) in enumerate(sorted_seqs[:n]):
-                if pad2 is not None:
-                    dZ[j][pad2[s0:s1].transpose(1, 0, 2)] = 0.0
-            dZs.insert(0, dZ)
-        for j, (k, (live, _, _, _)) in enumerate(zip(order, sorted_seqs)):
-            T, x, (X, fw_W, fw_b, bw_W, bw_b), _ = seqs[k]
+                    np.matmul(dz, Whn, out=dhn)
+                    dcn *= f
+        for j, (k, (T, pad2, _)) in enumerate(zip(order, sorted_seqs)):
+            _, x, (X, fw_W, fw_b, bw_W, bw_b), _ = seqs[k]
             D = x.shape[2]
+            if pad2 is not None:
+                dZ[j, :, :T][pad2.transpose(1, 0, 2)] = 0.0
             # in time order; the reverse direction's is its step order reversed
-            dZf = _joined([dZ[j, 0] for dZ in dZs[:live]]).reshape(T * B, 4 * h)
-            dZb = _joined([dZ[j, 1, ::-1] for dZ in dZs[live - 1::-1]]).reshape(T * B, 4 * h)
+            dZf = dZ[j, 0, :T].reshape(T * B, 4 * h)
+            dZb = dZ[j, 1, :T][::-1].reshape(T * B, 4 * h)
             if X.requires_grad:
                 _acc(X, (dZf @ fw_W.data[:D].T + dZb @ bw_W.data[:D].T)
                      .reshape(T, B, D).transpose(1, 0, 2).reshape(X.data.shape))
             Xt = x.transpose(1, 0, 2).reshape(T * B, D)
             # the state before each step
-            for W, b, dz, h_prev in (
-                    (fw_W, fw_b, dZf, _joined([H[:-1, j, 0] for H in Hs[:live]])),
-                    (bw_W, bw_b, dZb, _joined([H[-2::-1, j, 1] for H in Hs[live - 1::-1]]))):
+            for W, b, dz, h_prev in ((fw_W, fw_b, dZf, H[:T, j, 0]),
+                                     (bw_W, bw_b, dZb, H[:T, j, 1][::-1])):
                 if W.requires_grad:
                     _acc(W, _weight_grad(Xt, h_prev.reshape(T * B, h), dz))
                 if b.requires_grad:

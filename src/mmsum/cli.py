@@ -73,6 +73,21 @@ def _overrides_from_args(args) -> dict:
     return overrides
 
 
+def _out_dir(path):
+    """``path``, the directory a command writes to, as a Path (None if it is
+    empty or None), checked before any work: a path that is, or lies under,
+    something other than a directory is a CliError."""
+    if not path:
+        return None
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise CliError(f"--out {out}: {p} exists and is not a directory")
+            break
+    return out
+
+
 def _manifest(path):
     if not path:
         raise CliError("a dataset manifest is required (--manifest)")
@@ -114,8 +129,10 @@ def _check_feature_dim(cfg: RunConfig, samples) -> None:
 # commands
 
 def cmd_synth(args) -> int:
+    out = _out_dir(args.out)
+    if out is None:
+        raise CliError("an output directory is required (--out)")
     cfg = resolve_config(args.config, {"seed": args.seed})
-    out = Path(args.out)
     if out.exists() and not args.force:
         raise CliError(f"output directory {out} exists; pass --force to overwrite")
     manifest = data.synth_generate(SynthConfig(**_given_fields(args, SynthConfig)),
@@ -126,12 +143,12 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config, _overrides_from_args(args))
-    if not cfg.out_dir:
+    out = _out_dir(cfg.out_dir)
+    if out is None:
         raise CliError("an output directory is required (--out)")
     manifest, splits, vocab = _load_split(cfg)
     result = training.train_model(splits["train"], splits["val"], cfg, len(vocab))
 
-    out = Path(cfg.out_dir)
     checkpoint.save_checkpoint(out / "checkpoint", result.best_params, cfg, vocab,
                                extra={"best_val_loss": result.best_val_loss,
                                       "epochs_run": result.epochs_run})
@@ -152,6 +169,7 @@ def _model_from_checkpoint(ckpt_dir, args):
 
 
 def cmd_eval(args) -> int:
+    out = _out_dir(args.out or Path(args.checkpoint).parent)
     model, cfg, vocab, saved = _model_from_checkpoint(args.checkpoint, args)
     # an unsplit manifest is split as train split it, whatever --seed eval gets
     manifest = _split_manifest(args.manifest or cfg.manifest, saved)
@@ -163,10 +181,8 @@ def cmd_eval(args) -> int:
     prepared = [data.prepare_for_model(s, cfg.fps_group, cfg.seed) for s in samples]
 
     report = evaluation.evaluate_dataset(prepared, model)
-    out_base = Path(args.out) / f"report_{args.split}" if args.out else \
-        Path(args.checkpoint).parent / f"report_{args.split}"
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    written = evaluation.write_report(report, out_base, fmt=args.format)
+    out.mkdir(parents=True, exist_ok=True)
+    written = evaluation.write_report(report, out / f"report_{args.split}", fmt=args.format)
     mean = report["corpus_mean"]
     cos_txt = f" cos={mean['cos']:.2f}" if mean["cos"] is not None else ""
     print(f"{args.split}: r1={mean['r1']:.4f} r2={mean['r2']:.4f} "
@@ -199,6 +215,7 @@ def run_ablate_cell(splits: dict, vocab_size: int, cfg_dict: dict, cell: dict) -
 
 
 def cmd_ablate(args) -> int:
+    out = _out_dir(args.out)
     if args.workers < 1:
         raise CliError(f"--workers must be >= 1, got {args.workers}")
     cfg = resolve_config(args.config, _overrides_from_args(args))
@@ -248,8 +265,7 @@ def cmd_ablate(args) -> int:
 
     n_failed = sum(1 for r in rows if r["status"] != "ok")
     report = {"epochs": epochs, "cells": rows, "n_failed": n_failed}
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "ablation.json", report)
         print(f"wrote {out / 'ablation.json'}")
@@ -257,6 +273,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_overlap(args) -> int:
+    out = _out_dir(args.out)
     cfg = resolve_config(args.config, _overrides_from_args(args))
     manifest = _manifest(cfg.manifest)
     samples, _ = data.load_dataset(manifest, min_frames=cfg.min_frames)
@@ -267,8 +284,7 @@ def cmd_overlap(args) -> int:
     for key in ("article", "reference"):
         r = report[key]
         print(f"{key:12s}{r['r1']:8.2f}{r['r2']:8.2f}{r['rl']:8.2f}")
-    if args.out:
-        out = Path(args.out)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "overlap.json", report)
         print(f"wrote {out / 'overlap.json'}")

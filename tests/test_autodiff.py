@@ -350,33 +350,6 @@ def test_bilstm_sequence_without_lengths_runs_every_sequence_whole(rng):
     npt.assert_allclose(single, whole[1], rtol=0, atol=1e-15)
 
 
-def test_bilstm_sequence_keeps_no_step_caches_under_no_grad(rng):
-    """At the paper's word-encoder shape, a call under ``no_grad`` holds
-    nothing but its output once it returns, and peaks no higher than a
-    recorded call, which keeps the gate activations, the cell states and
-    tanh(c) for backward."""
-    B, T, D, h = 25, 20, 32, 64
-    X = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
-    params = bilstm_params(rng, D, h, scale=0.08)
-
-    def traced(recording):
-        tracemalloc.start()
-        try:
-            with contextlib.nullcontext() if recording else ad.no_grad():
-                out = ad.bilstm_sequence(X, *params, [T] * B)
-            held, peak = tracemalloc.get_traced_memory()
-            return held - out.data.nbytes, peak
-        finally:
-            tracemalloc.stop()
-
-    held, peak = traced(False)
-    held_recording, peak_recording = traced(True)
-    caches = 8 * (T * 2 * B * 4 * h + (2 * T + 1) * 2 * B * h)   # A, C, tanh(C)
-    assert held < 16 * 1024
-    assert held_recording >= caches
-    assert peak <= peak_recording
-
-
 def test_broadcast_add_unbroadcasts_gradient(rng):
     m = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     row = Tensor(rng.normal(size=4), requires_grad=True)
@@ -487,18 +460,22 @@ def test_bilstm_sequence_is_bytewise_its_oracle(rng, batch, recording):
     assert all(g is not None for g in runs[0][2:]) == (recording != "no-grad")
 
 
-# name -> (B, T and lengths of each group); B = 0 gives each group one (T, D)
-# sequence, as the sentence, frame and transcript encoders of a sample have
+# name -> (B, h, (T, D, lengths) of each group); B = 0 gives each group one
+# (T, D) sequence, as the sentence, frame and transcript encoders of a sample
+# have. The paper entries are a sample and a ragged word batch at the paper's
+# shape.
 GROUPED_BATCHES = {
-    "equal-lengths": (0, [(6, None), (6, None), (6, None)]),
-    "tied-lengths": (0, [(4, None), (9, None), (4, None)]),
-    "distinct-lengths": (0, [(5, None), (8, None), (24, None)]),
-    "one-step-each": (0, [(1, None), (1, None)]),
-    "one-step-beside-longer": (0, [(1, None), (1, None), (7, None)]),
-    "two-groups": (0, [(6, None), (4, None)]),
-    "one-group": (0, [(7, None)]),
-    "ragged-batch": (5, [(7, [7, 2, 1, 5, 3])]),
-    "ragged-batches": (3, [(5, [5, 2, 4]), (6, None), (3, [3, 3, 1])]),
+    "equal-lengths": (0, 8, [(6, 3, None), (6, 5, None), (6, 7, None)]),
+    "tied-lengths": (0, 8, [(4, 3, None), (9, 5, None), (4, 7, None)]),
+    "distinct-lengths": (0, 8, [(5, 3, None), (8, 5, None), (24, 7, None)]),
+    "one-step-each": (0, 8, [(1, 3, None), (1, 5, None)]),
+    "one-step-beside-longer": (0, 8, [(1, 3, None), (1, 5, None), (7, 7, None)]),
+    "two-groups": (0, 8, [(6, 3, None), (4, 5, None)]),
+    "one-group": (0, 8, [(7, 3, None)]),
+    "ragged-batch": (5, 8, [(7, 3, [7, 2, 1, 5, 3])]),
+    "ragged-batches": (3, 8, [(5, 3, [5, 2, 4]), (6, 5, None), (3, 7, [3, 3, 1])]),
+    "paper-sample": (0, 64, [(25, 128, None), (40, 2048, None), (150, 32, None)]),
+    "paper-word-batch": (25, 64, [(20, 32, [20 - 7 * k % 13 for k in range(25)])]),
 }
 
 
@@ -508,18 +485,18 @@ def test_grouped_bilstm_is_bytewise_the_oracle_per_group(rng, batch, recording):
     """``bilstm_sequences`` over several groups, each with its own weights and
     input width, gives each group's output and every gradient byte for byte
     as the oracle node run on that group alone, signed zeros included: in one
-    phase and in several, with tied lengths, with padding, with X a constant
-    and under ``no_grad``."""
-    B, groups = GROUPED_BATCHES[batch]
-    h = 8
+    phase and in several, with tied lengths, with padding, with X a constant,
+    under ``no_grad`` and at the paper's shape. Weights are uniform in
+    [-0.5, 0.5], narrowed for wide inputs so the gates do not saturate."""
+    B, h, groups = GROUPED_BATCHES[batch]
     data = []
-    for k, (T, lengths) in enumerate(groups):
-        D = 3 + 2 * k
+    for T, D, lengths in groups:
         shape = (B, T) if B else (T,)
         upstream = rng.normal(size=shape + (2 * h,))
         upstream[..., ::5] = -0.0
+        scale = 0.5 * min(1.0, 4.0 / np.sqrt(D + h))
         data.append((rng.normal(size=shape + (D,)),
-                     [rng.uniform(-0.5, 0.5, size=s) for s in ((D + h, 4 * h), 4 * h) * 2],
+                     [rng.uniform(-scale, scale, size=s) for s in ((D + h, 4 * h), 4 * h) * 2],
                      lengths, upstream))
     runs = []
     for fused in (True, False):
@@ -539,3 +516,34 @@ def test_grouped_bilstm_is_bytewise_the_oracle_per_group(rng, batch, recording):
             for group in inputs for t in group[:5]])
     assert runs[0] == runs[1]
     assert all(g is not None for g in runs[0][len(groups):]) == (recording == "all")
+
+
+@pytest.mark.parametrize("batch", ["paper-word-batch", "paper-sample"])
+def test_bilstm_sequence_keeps_no_step_caches_under_no_grad(rng, batch):
+    """At the paper's word-encoder shape, and over a sample's sentence, frame
+    and transcript groups, a call under ``no_grad`` holds nothing but its
+    outputs once it returns, and peaks no higher than a recorded call, which
+    keeps the gate activations, the cell states and tanh(c) for backward."""
+    B, h, shapes = GROUPED_BATCHES[batch]
+    groups = [(Tensor(rng.normal(size=((B, T) if B else (T,)) + (D,)), requires_grad=True),
+               *bilstm_params(rng, D, h, scale=0.08), lengths)
+              for T, D, lengths in shapes]
+
+    def traced(recording):
+        tracemalloc.start()
+        try:
+            with contextlib.nullcontext() if recording else ad.no_grad():
+                outs = ad.bilstm_sequences(groups)
+            held, peak = tracemalloc.get_traced_memory()
+            return held - sum(out.data.nbytes for out in outs), peak
+        finally:
+            tracemalloc.stop()
+
+    held, peak = traced(False)
+    held_recording, peak_recording = traced(True)
+    B = max(B, 1)
+    caches = 8 * sum(T * 2 * B * 4 * h + (2 * T + 1) * 2 * B * h    # A, C, tanh(C)
+                     for T, _, _ in shapes)
+    assert held < 16 * 1024
+    assert held_recording >= caches
+    assert peak <= peak_recording

@@ -775,6 +775,43 @@ def test_eval_on_corpus_of_other_feature_width_is_config_error(trained_run, tmp_
     assert not out.exists()
 
 
+# ---------------------------------------------------------------------------
+# --out naming a file
+
+# command -> its arguments but --out, given the corpus and a trained run
+OUT_COMMANDS = {
+    "synth": lambda corpus, run: ("synth", "--seed", "1", "--force", *SMALL_SYNTH),
+    "train": lambda corpus, run: ("train", "--manifest", str(corpus / "manifest.json"),
+                                  *TINY_TRAIN),
+    "eval": lambda corpus, run: ("eval", "--checkpoint", str(run / "checkpoint"),
+                                 "--manifest", str(corpus / "manifest.json")),
+    "ablate": lambda corpus, run: ("ablate", "--manifest", str(corpus / "manifest.json"),
+                                   *TINY_ABLATE),
+    "overlap": lambda corpus, run: ("overlap", "--manifest", str(corpus / "manifest.json")),
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_naming_a_file_is_cli_error_before_any_work(cli_corpus, trained_run, tmp_path,
+                                                        capsys, monkeypatch, command, under):
+    """--out that is a regular file, or a path under one, ends the command
+    with the one-line JSON CLI error before it loads, trains or writes."""
+    for owner, name in ((cli.training, "train_model"), (cli, "run_ablate_cell"),
+                        (cli.data, "synth_generate"), (cli.data, "load_manifest"),
+                        (cli.checkpoint, "load_checkpoint")):
+        monkeypatch.setattr(owner, name, _fail_if_called)
+    file = tmp_path / "out"
+    file.write_text("kept")
+    out = file / "run" if under else file
+    assert run_cli(*OUT_COMMANDS[command](cli_corpus, trained_run), "--out", str(out)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CLI" and str(file) in err["message"]
+    assert list(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
+
+
 def _ablate_cell_against_a_rebuilt_model(micro_corpus, val, **config):
     """One ablation cell's row, and the report that ``evaluate_dataset`` gives
     on the same val samples with a model rebuilt from the best parameters of
