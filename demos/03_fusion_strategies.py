@@ -14,8 +14,8 @@ def scorer(d_in, d_f=8):
     return ScorerParams(W1=t((d_in, d_f)), b1=t((d_f,)), w2=t((d_f,)), b2=t((1,)))
 
 
-state = rng.normal(size=ds)
-ctx = rng.normal(size=dc)
+state = rng.normal(size=(1, ds))   # one (1, d) row each
+ctx = rng.normal(size=(1, dc))
 
 heads = {
     "early": FusionHead(mode="early", joint=scorer(ds + dc)),

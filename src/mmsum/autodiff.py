@@ -1,42 +1,37 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Float64 tape with just the operations the summarizer needs: broadcasting
-add and mul, sums, row gather/scatter, a few shape utilities, and fused
-layers, each a single node: ``dense`` (act(X @ W + b)); the attention
-scores ``bilinear`` (gated projection) and ``additive_score`` (Bahdanau,
-Cho & Bengio, arXiv:1409.0473); ``attend``, the row softmax and the
-weighted sum of values; ``tensor_fusion``, the [s; 1] (x) [c; 1] product
-(Zadeh et al., arXiv:1707.07250); ``late_decision``, the late(+) fusion
-penalties, pair and decision head; the loss nodes ``log_likelihood_sum``,
-the clipped Bernoulli log-likelihood summed and then scaled (the CE loss
-and the REINFORCE surrogate), and ``weighted_sum``, the mix of the two
-losses; and ``bilstm_sequences``, both directions of a BiLSTM over each of
-several groups of sequences with their own weights, each group a whole
-right-padded batch or one (T, D) sequence, the hidden size read off the
-(4h,) bias. The BiLSTM's padding contract: the output is zero at padded
+A float64 tape of layer nodes. Each op is a function that records one node
+through ``_node`` with a hand-written backward; a Tensor has no operators.
+The ops: ``take_rows``, the row gather (embedding lookup); ``concat``;
+``mean_pool``, the sentence pool of the word states; ``dense`` (act(X @ W
++ b)); the attention scores ``bilinear`` (gated projection) and
+``additive_score`` (Bahdanau, Cho & Bengio, arXiv:1409.0473); ``attend``,
+the row softmax and the weighted sum of values; ``tensor_fusion``, the [s;
+1] (x) [c; 1] product (Zadeh et al., arXiv:1707.07250); ``late_decision``,
+the late(+) fusion penalties, pair and decision head; the loss nodes
+``log_likelihood_sum``, the clipped Bernoulli log-likelihood summed and then
+scaled (the CE loss and the REINFORCE surrogate), and ``weighted_sum``, the
+mix of the two losses; and ``bilstm_sequences``, both directions of a BiLSTM
+over each of several groups of sequences with their own weights, each group
+a whole right-padded batch or one (T, D) sequence, the hidden size read off
+the (4h,) bias. The BiLSTM's padding contract: the output is zero at padded
 positions, which send no gradient to X and whose values change nothing. A
 group with no sequence shorter than T has no padding, and skips the masks.
 All directions of all groups share one recurrence loop over one
 time-major buffer per quantity, the reverse direction stored in its own
 step order. Sorted longest first, the groups run in phases: a phase covers
 the steps in which the same groups are live and runs on the views of those
-steps and groups, from the state the phase before it left. Gradients are
-exact and are cross-checked against central finite differences by the
-gradient-check harness and the test suite.
+steps and groups, from the state the phase before it left.
 
-``add``, ``mul``, ``tsum``, ``concat`` and ``reshape`` record their node
-through ``_op``: an op gives its forward value and one gradient rule per
-parent, and the builder does the rest of the backward bookkeeping.
-``take_rows`` and the fused layers give ``_node`` a hand-written backward.
-The fused layers compute the same numpy expressions in the same order as
-the compositions of single ops they stand for, and list their parents so
-that backward walks the rest of the graph in the same order, so values and
-gradients are bitwise those of the compositions. A loss node replays its
-composition's chain of scalar products in order, forward and backward.
+Each node computes the same numpy expressions in the same order as the
+composition of single ops it stands for (kept as test oracles), and lists
+its parents so that backward walks the rest of the graph in the same order,
+so values and gradients are bitwise those of the composition. A loss node
+replays its composition's chain of scalar products in order, forward and
+backward. Gradients are exact and are cross-checked against central finite
+differences by the gradient-check harness and the test suite.
 """
 from __future__ import annotations
-
-import operator
 
 import numpy as np
 
@@ -65,8 +60,9 @@ def grad_enabled():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
 
-    # make numpy defer to the reflected operators instead of broadcasting
-    # elementwise over the Tensor object
+    # numpy refuses a Tensor operand, so ``ndarray * Tensor`` raises
+    # TypeError rather than looping over the Tensor as an object; a Tensor
+    # has no operators, and every op is a function that records one node
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad=False):
@@ -86,17 +82,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def as_tensor(x):
@@ -123,50 +108,6 @@ def _node(data, parents, bw):
         out._parents = parents
         out._bw = bw
     return out
-
-
-def _unbroadcast(g, shape):
-    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def _op(data, parents, *rules):
-    """Record the node with forward value ``data``. Rule k maps the upstream
-    gradient to parent k's gradient; it runs only when that parent requires a
-    gradient, and its result is summed back over broadcast axes and
-    accumulated into the parent."""
-    out = _node(data, parents, None)
-    if out.requires_grad:
-        def bw(g):
-            for p, rule in zip(parents, rules):
-                if p.requires_grad:
-                    gp = rule(g)
-                    if gp.shape != p.data.shape:
-                        gp = _unbroadcast(gp, p.data.shape)
-                    _acc(p, gp)
-
-        out._bw = bw
-    return out
-
-
-def _identity(g):
-    return g
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _op(a.data + b.data, (a, b), _identity, _identity)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _op(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def _grad_left(g, a, b):
@@ -196,28 +137,6 @@ _ACTIVATIONS = {
 }
 
 
-def tsum(a, axis=None):
-    a = as_tensor(a)
-
-    def rule(g):
-        kept = g if axis is None else np.expand_dims(g, axis)
-        return np.broadcast_to(kept, a.data.shape)
-
-    return _op(a.data.sum(axis=axis), (a,), rule)
-
-
-def concat(parts, axis=0):
-    parts = tuple([as_tensor(p) for p in parts])
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    lead = (slice(None),) * (axis % out_data.ndim)
-    rules, lo = [], 0
-    for p in parts:
-        hi = lo + p.data.shape[axis]
-        rules.append(operator.itemgetter(lead + (slice(lo, hi),)))
-        lo = hi
-    return _op(out_data, parts, *rules)
-
-
 def take_rows(a, indices):
     """Row gather (embedding lookup); backward scatter-adds into the table."""
     a = as_tensor(a)
@@ -232,15 +151,48 @@ def take_rows(a, indices):
     return _node(out_data, (a,), bw)
 
 
-def reshape(a, shape):
-    a = as_tensor(a)
-    return _op(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
+def concat(parts, axis=0):
+    """The parts joined along ``axis``, as one node; backward hands each part
+    its slice of the upstream gradient."""
+    parts = tuple(as_tensor(p) for p in parts)
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+
+    def bw(g):
+        lo = 0
+        for p in parts:
+            hi = lo + p.data.shape[axis]
+            if p.requires_grad:
+                _acc(p, g[lead + (slice(lo, hi),)])
+            lo = hi
+
+    return _node(out, parts, bw)
+
+
+def mean_pool(states, lengths, mean=True):
+    """The sum over steps of (B, T, D) right-padded states, which are zero at
+    padding, (B, D), as one node; with ``mean``, each row is then scaled by 1
+    / its length. Forward and backward compute the expressions of a sum node
+    and then a product node, in their order."""
+    states = as_tensor(states)
+    out = states.data.sum(axis=1)
+    if mean:
+        scale = 1.0 / np.asarray(lengths)[:, None]
+        out = out * scale
+
+    def bw(g):
+        if mean:
+            g = g * scale
+        _acc(states, np.broadcast_to(g[:, None], states.data.shape))
+
+    return _node(out, (states,), bw)
 
 
 def dense(X, W, b, act):
-    """act(X @ W + b) as one node, with act "tanh" or "sigmoid". W is (D, F),
-    or (D,) for one output unit, and b broadcasts against X @ W. Backward
-    keeps only the output, which both activations' derivatives read."""
+    """act(X @ W + b) as one node, with act "tanh" or "sigmoid", for (N, D)
+    rows X. W is (D, F) with a (F,) bias b, or (D,) with a (1,) bias for one
+    output unit. Backward keeps only the output, which both activations'
+    derivatives read."""
     X, W, b = parents = as_tensor(X), as_tensor(W), as_tensor(b)
     f, rule = _ACTIVATIONS[act]
     out = f(X.data @ W.data + b.data)
@@ -252,7 +204,7 @@ def dense(X, W, b, act):
         if W.requires_grad:
             _acc(W, _grad_right(dz, X.data, W.data))
         if b.requires_grad:
-            _acc(b, _unbroadcast(dz, b.data.shape))
+            _acc(b, dz.sum(axis=0).reshape(b.data.shape))
 
     return _node(out, parents, bw)
 
@@ -373,7 +325,7 @@ def late_decision(f, g, head=None, beta=None, prose=False):
                 if W.requires_grad:
                     _acc(W, _grad_right(dz, X, W.data))
                 if bias.requires_grad:
-                    _acc(bias, _unbroadcast(dz, bias.data.shape))
+                    _acc(bias, dz.sum(axis=0).reshape(bias.data.shape))
             d_pair = _grad_left(dz1, pair, W1.data)
             ga, gb = d_pair[:, 0], d_pair[:, 1]
         else:
@@ -430,10 +382,9 @@ def additive_score(q, k, W_q, W_k, b, V):
             _acc(V, _grad_right(g, t, V.data))
         dz = _ACTIVATIONS["tanh"][1](_grad_left(g, t, V.data), t)
         if b.requires_grad:
-            _acc(b, _unbroadcast(dz, b.data.shape))
-        d = t.shape[2]
-        for x, W, shape in ((q, W_q, (nq, 1, d)), (k, W_k, (1, nk, d))):
-            dxw = _unbroadcast(dz, shape).reshape(x.data.shape[0], d)
+            _acc(b, dz.sum(axis=(0, 1)))
+        # q's rows broadcast over the keys, axis 1, and k's over the queries
+        for x, W, dxw in ((q, W_q, dz.sum(axis=1)), (k, W_k, dz.sum(axis=0))):
             if x.requires_grad:
                 _acc(x, _grad_left(dxw, x.data, W.data))
             if W.requires_grad:
@@ -453,9 +404,9 @@ def tensor_fusion(S, C):
 
     def bw(g):
         g = g.reshape(n, s1.shape[1], c1.shape[2])
-        for x, own, other in ((S, s1, c1), (C, c1, s1)):
+        for x, other, axis in ((S, c1, 2), (C, s1, 1)):
             if x.requires_grad:
-                _acc(x, _unbroadcast(g * other, own.shape).reshape(n, -1)[:, :-1])
+                _acc(x, (g * other).sum(axis=axis)[:, :-1])
 
     return _node((s1 * c1).reshape(n, -1), (S, C), bw)
 

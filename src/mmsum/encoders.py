@@ -6,12 +6,13 @@ LSTMs sharing one embedding table for text. The word BiLSTM is a single
 recurrence loop, storing the reverse direction in its own step order. Input is
 right-padded: the word encoder runs all sentences of a document as one
 (NS, T_max, E) batch with their lengths, and its states are zero at padding,
-where X gets no gradient and its values change nothing. The sentence, frame
-and transcript BiLSTMs each run one sequence, and once the word states are
-pooled none needs another's output, so ``encode_sample`` runs the three as
-the groups of one such node, in one step loop. Each encoder returns its states
-as one Tensor, (N, 2h) per sentence, frame or transcript token; the hidden
-size h is read off the LSTM bias, which is (4h,)."""
+where X gets no gradient and its values change nothing. One
+``autodiff.mean_pool`` node pools each sentence's word states. The sentence,
+frame and transcript BiLSTMs each run one sequence, and once the word states
+are pooled none needs another's output, so ``encode_sample`` runs the three
+as the groups of one such node, in one step loop. Each encoder returns its
+states as one Tensor, (N, 2h) per sentence, frame or transcript token; the
+hidden size h is read off the LSTM bias, which is (4h,)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -93,10 +94,7 @@ def _pooled_words(document, enc: EncoderParams) -> Tensor:
     """The sentence BiLSTM's input: the mean (or, with ``sum_pool``, the sum)
     of each sentence's word states."""
     word_states, lengths = encode_words(document.sentences, enc)
-    pooled = ad.tsum(word_states, axis=1)       # padding is zero
-    if not enc.sum_pool:
-        pooled = pooled * (1.0 / lengths[:, None])
-    return pooled
+    return ad.mean_pool(word_states, lengths, mean=not enc.sum_pool)
 
 
 def _frame_input(frames, enc: EncoderParams) -> Tensor:

@@ -14,9 +14,10 @@ f, g and the joint/F heads are one-hidden-layer feedforward networks with a
 sigmoid output. F may also be plain averaging (head set to None), which is a
 legitimate decision-level combiner, not just a test stub.
 
-On the tape, each scorer is two ``dense`` nodes. The tensor feature is one
-``tensor_fusion`` node, and everything after f and g (the penalties, the
-pair and F) is one ``late_decision`` node.
+On the tape, each scorer is two ``dense`` nodes. The early feature is one
+``concat`` node, the tensor feature one ``tensor_fusion`` node, and
+everything after f and g (the penalties, the pair and F) is one
+``late_decision`` node. State and context come in as 2-D row blocks.
 """
 from __future__ import annotations
 
@@ -59,9 +60,11 @@ def scorer_prob(X: Tensor, p: ScorerParams) -> Tensor:
 
 
 def _pair(state, ctx) -> tuple[Tensor, Tensor]:
-    """State and context as row blocks (a vector is one row) of equal length."""
+    """State and context, each a 2-D block of rows, with equal row counts."""
     S, C = (ad.as_tensor(x) for x in (state, ctx))
-    S, C = (ad.reshape(t, (1, t.shape[0])) if t.ndim == 1 else t for t in (S, C))
+    if S.ndim != 2 or C.ndim != 2:
+        raise FusionError(f"state and context must be 2-D row blocks, got shapes "
+                          f"{S.shape} and {C.shape}")
     if S.shape[0] != C.shape[0]:
         raise FusionError("state and context row counts differ")
     return S, C

@@ -35,7 +35,7 @@ def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]
     d2 = 2 * h
     spec = {"encoders/embedding": (vocab_size, cfg.embed_dim)}
 
-    def add(prefix, **shapes):
+    def entries(prefix, **shapes):
         spec.update({f"{prefix}/{field}": shape for field, shape in shapes.items()})
 
     def lstm(name, input_dim):
@@ -44,7 +44,7 @@ def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]
             spec[f"encoders/{name}/{d}_b"] = (4 * h,)
 
     def scorer(name, input_dim):
-        add(f"fusion/{name}", W1=(input_dim, df), b1=(df,), w2=(df,), b2=(1,))
+        entries(f"fusion/{name}", W1=(input_dim, df), b1=(df,), w2=(df,), b2=(1,))
 
     lstm("word", cfg.embed_dim)
     lstm("sentence", d2)
@@ -58,11 +58,11 @@ def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]
     if cfg.attention != "none":
         # bihop uses four bilinear sets; the single-hop modes use the first two
         for name in ATTN_SETS[:4 if cfg.attention == "bihop" else 2]:
-            add(f"attention/{name}", W_q=(d2, da), W_k=(d2, da), V=(da,))
+            entries(f"attention/{name}", W_q=(d2, da), W_k=(d2, da), V=(da,))
             if cfg.attention == "concat_product":
-                add(f"attention/{name}", b_joint=(da,))
+                entries(f"attention/{name}", b_joint=(da,))
             else:
-                add(f"attention/{name}", b_q=(da,), b_k=(da,))
+                entries(f"attention/{name}", b_q=(da,), b_k=(da,))
     for side in ("text", "frame"):
         if cfg.fusion == "early":
             scorer(f"{side}/joint", 2 * d2)

@@ -408,7 +408,7 @@ def gradient_check(cfg, seed: int = 0, step: float = 1e-4,
         out = model.forward(sample)
         loss = ce_loss(out.sent_probs, y_sent)
         if out.frame_probs is not None:
-            loss = loss + ce_loss(out.frame_probs, y_frame)
+            loss = ad.weighted_sum((loss, ce_loss(out.frame_probs, y_frame)), (1.0, 1.0))
         return loss
 
     loss = loss_value()

@@ -1,12 +1,16 @@
 """Test oracles built from single autodiff ops.
 
-The single ops here (sub, matmul, transpose, tanh, sigmoid, log, power,
-clip, softmax_rows, tmean) are ones that no package path calls any more. Each
-records its node through ``autodiff._op``, as the package's own ops do. From
-them come the compositions of single ops that each fused op of
-``mmsum.autodiff`` stands for, so a fused op can be checked against its
-composition bit for bit, and ``use_compositions`` runs the model on the
-compositions instead of the fused ops.
+The package's tape holds layer nodes only, each with a hand-written
+backward. The single ops here (add, sub, mul, matmul, transpose, tanh,
+sigmoid, log, power, clip, softmax_rows, tsum, tmean, reshape and concat)
+are a generic op layer that no package path calls. Each records its node
+through ``_op``, which takes one gradient rule per parent and does the rest
+of the backward bookkeeping. A Tensor has no operators, so tests call these
+ops by name. From them come the compositions
+of single ops that each layer node of ``mmsum.autodiff`` stands for, so a
+node can be checked against its composition bit for bit, and
+``use_compositions`` runs the model on the compositions instead of the
+nodes.
 """
 from __future__ import annotations
 
@@ -18,28 +22,72 @@ from mmsum import autodiff as ad
 from mmsum.autodiff import Tensor, _acc, _node, as_tensor
 
 
+def _unbroadcast(g, shape):
+    """Sum a gradient back down to ``shape`` after numpy broadcasting."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def _op(data, parents, *rules):
+    """Record the node with forward value ``data``. Rule k maps the upstream
+    gradient to parent k's gradient; it runs only when that parent requires a
+    gradient, and its result is summed back over broadcast axes and
+    accumulated into the parent."""
+    out = _node(data, parents, None)
+    if out.requires_grad:
+        def bw(g):
+            for p, rule in zip(parents, rules):
+                if p.requires_grad:
+                    gp = rule(g)
+                    if gp.shape != p.data.shape:
+                        gp = _unbroadcast(gp, p.data.shape)
+                    _acc(p, gp)
+
+        out._bw = bw
+    return out
+
+
+def _identity(g):
+    return g
+
+
+def add(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    return _op(a.data + b.data, (a, b), _identity, _identity)
+
+
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return ad._op(a.data - b.data, (a, b), ad._identity, np.negative)
+    return _op(a.data - b.data, (a, b), _identity, np.negative)
+
+
+def mul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    return _op(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def matmul(a, b):
     """a @ b for 1-D and 2-D operands (a may have more leading axes)."""
     a, b = as_tensor(a), as_tensor(b)
-    return ad._op(a.data @ b.data, (a, b), lambda g: ad._grad_left(g, a.data, b.data),
-                  lambda g: ad._grad_right(g, a.data, b.data))
+    return _op(a.data @ b.data, (a, b), lambda g: ad._grad_left(g, a.data, b.data),
+               lambda g: ad._grad_right(g, a.data, b.data))
 
 
 def transpose(a):
     a = as_tensor(a)
-    return ad._op(a.data.T, (a,), operator.attrgetter("T"))
+    return _op(a.data.T, (a,), operator.attrgetter("T"))
 
 
 def _activation(name, a):
     f, rule = ad._ACTIVATIONS[name]
     a = as_tensor(a)
     out = f(a.data)
-    return ad._op(out, (a,), lambda g: rule(g, out))
+    return _op(out, (a,), lambda g: rule(g, out))
 
 
 def tanh(a):
@@ -52,7 +100,7 @@ def sigmoid(a):
 
 def log(a):
     a = as_tensor(a)
-    return ad._op(np.log(a.data), (a,), lambda g: g / a.data)
+    return _op(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def power(a, exponent):
@@ -64,20 +112,20 @@ def power(a, exponent):
     if p == 0.0:
         return Tensor(out)
     if p == 1.0:
-        return ad._op(out, (a,), ad._identity)
+        return _op(out, (a,), _identity)
 
     def rule(g):
         nonzero = a.data != 0.0
         base = np.where(nonzero, a.data, 1.0)
         return g * np.where(nonzero, p * np.power(base, p - 1.0), 0.0)
 
-    return ad._op(out, (a,), rule)
+    return _op(out, (a,), rule)
 
 
 def clip(a, lo, hi):
     a = as_tensor(a)
-    return ad._op(np.clip(a.data, lo, hi), (a,),
-                  lambda g: g * ((a.data >= lo) & (a.data <= hi)))
+    return _op(np.clip(a.data, lo, hi), (a,),
+               lambda g: g * ((a.data >= lo) & (a.data <= hi)))
 
 
 def softmax_rows(a):
@@ -85,37 +133,72 @@ def softmax_rows(a):
     a = as_tensor(a)
     e = np.exp(a.data - a.data.max(axis=1, keepdims=True))
     out = e / e.sum(axis=1, keepdims=True)
-    return ad._op(out, (a,), lambda g: out * (g - (g * out).sum(axis=1, keepdims=True)))
+    return _op(out, (a,), lambda g: out * (g - (g * out).sum(axis=1, keepdims=True)))
+
+
+def tsum(a, axis=None):
+    a = as_tensor(a)
+
+    def rule(g):
+        kept = g if axis is None else np.expand_dims(g, axis)
+        return np.broadcast_to(kept, a.data.shape)
+
+    return _op(a.data.sum(axis=axis), (a,), rule)
 
 
 def tmean(a, axis=None):
     a = as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return ad.mul(ad.tsum(a, axis=axis), 1.0 / n)
+    return mul(tsum(a, axis=axis), 1.0 / n)
+
+
+def reshape(a, shape):
+    a = as_tensor(a)
+    return _op(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
+
+
+def concat(parts, axis=0):
+    """``autodiff.concat`` as it was recorded: one slicing rule per part."""
+    parts = tuple([as_tensor(p) for p in parts])
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * (axis % out_data.ndim)
+    rules, lo = [], 0
+    for p in parts:
+        hi = lo + p.data.shape[axis]
+        rules.append(operator.itemgetter(lead + (slice(lo, hi),)))
+        lo = hi
+    return _op(out_data, parts, *rules)
 
 
 def outer(u, v):
     """Outer product of two vectors, from broadcasting ops."""
     u, v = as_tensor(u), as_tensor(v)
-    return ad.reshape(u, (-1, 1)) * ad.reshape(v, (1, -1))
+    return mul(reshape(u, (-1, 1)), reshape(v, (1, -1)))
 
 
 # ---------------------------------------------------------------------------
 # the compositions that the fused ops replace
 
+def mean_pool_reference(states, lengths, mean=True):
+    """The sentence pool as ``encoders`` built it: a sum node over the steps,
+    then, for the mean, a product node with 1 / length per row."""
+    pooled = tsum(states, axis=1)
+    return mul(pooled, 1.0 / np.asarray(lengths)[:, None]) if mean else pooled
+
+
 def dense_reference(X, W, b, act):
-    return _activation(act, matmul(X, W) + b)
+    return _activation(act, add(matmul(X, W), b))
 
 
 def bilinear_reference(r, q, V):
-    return (matmul(r * V, transpose(q)) + matmul(q, V)
-            + ad.reshape(matmul(r, V), (r.shape[0], 1)))
+    return add(add(matmul(mul(r, V), transpose(q)), matmul(q, V)),
+               reshape(matmul(r, V), (r.shape[0], 1)))
 
 
 def log_likelihood_reference(probs, y, eps):
     """y log p + (1 - y) log(1 - p) per unit, p clipped to [eps, 1 - eps]."""
     p = clip(probs, eps, 1.0 - eps)
-    return y * log(p) + (1.0 - y) * log(sub(1.0, p))
+    return add(mul(log(p), y), mul(log(sub(1.0, p)), 1.0 - y))
 
 
 def log_likelihood_sum_reference(p, y, eps, scales=()):
@@ -123,9 +206,9 @@ def log_likelihood_sum_reference(p, y, eps, scales=()):
     scales (1/n, -1.0) this is the mean negative log-likelihood of
     ``training.ce_loss`` as ``-tmean(...)`` built it; with (-(R - b),) it is
     the REINFORCE surrogate of ``training.video_loss``, -(R - b) * sum."""
-    out = ad.tsum(log_likelihood_reference(p, y, eps))
+    out = tsum(log_likelihood_reference(p, y, eps))
     for c in scales:
-        out = out * c
+        out = mul(out, c)
     return out
 
 
@@ -134,8 +217,8 @@ def weighted_sum_reference(tensors, weights):
     ``training.bistream_loss`` built alpha_ts * ce + alpha_vs * surrogate."""
     total = None
     for t, w in zip(tensors, weights):
-        term = w * t
-        total = term if total is None else total + term
+        term = mul(t, w)
+        total = term if total is None else add(total, term)
     return total
 
 
@@ -147,8 +230,8 @@ def late_decision_reference(f, g, head=None, beta=None, prose=False):
             w_s, w_c = power(f, beta), power(g, beta)
         else:
             w_s, w_c = power(sub(1.0, g), beta), power(sub(1.0, f), beta)
-        f, g = w_s * f, w_c * g
-    pair = ad.concat([ad.reshape(f, (n, 1)), ad.reshape(g, (n, 1))], axis=1)
+        f, g = mul(w_s, f), mul(w_c, g)
+    pair = concat([reshape(f, (n, 1)), reshape(g, (n, 1))], axis=1)
     if head is None:
         return tmean(pair, axis=1)
     W1, b1, w2, b2 = head
@@ -162,18 +245,18 @@ def attend_reference(scores, values):
 
 def additive_score_reference(q, k, W_q, W_k, b, V):
     nq, nk = q.shape[0], k.shape[0]
-    a = ad.reshape(matmul(q, W_q), (nq, 1, -1))
-    c = ad.reshape(matmul(k, W_k), (1, nk, -1))
-    return matmul(tanh(a + c + b), V)
+    a = reshape(matmul(q, W_q), (nq, 1, -1))
+    c = reshape(matmul(k, W_k), (1, nk, -1))
+    return matmul(tanh(add(add(a, c), b)), V)
 
 
 def tensor_fusion_reference(S, C):
     S, C = as_tensor(S), as_tensor(C)
     n = S.shape[0]
     one = Tensor(np.ones((n, 1)))
-    s1 = ad.reshape(ad.concat([S, one], axis=1), (n, -1, 1))
-    c1 = ad.reshape(ad.concat([C, one], axis=1), (n, 1, -1))
-    return ad.reshape(s1 * c1, (n, -1))
+    s1 = reshape(concat([S, one], axis=1), (n, -1, 1))
+    c1 = reshape(concat([C, one], axis=1), (n, 1, -1))
+    return reshape(mul(s1, c1), (n, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +424,9 @@ def bilstm_sequence_reference(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
     X = as_tensor(X)
     if X.ndim == 3:
         return bilstm_sequence_oracle(X, fw_W, fw_b, bw_W, bw_b, lengths)
-    out = bilstm_sequence_oracle(ad.reshape(X, (1,) + X.shape), fw_W, fw_b, bw_W, bw_b,
+    out = bilstm_sequence_oracle(reshape(X, (1,) + X.shape), fw_W, fw_b, bw_W, bw_b,
                                  [X.shape[0]])
-    return ad.reshape(out, out.shape[1:])
+    return reshape(out, out.shape[1:])
 
 
 def bilstm_sequences_reference(groups):
@@ -372,6 +455,8 @@ def walk_reference(t):
 
 
 COMPOSITIONS = {
+    "concat": concat,
+    "mean_pool": mean_pool_reference,
     "log_likelihood_sum": log_likelihood_sum_reference,
     "weighted_sum": weighted_sum_reference,
     "late_decision": late_decision_reference,

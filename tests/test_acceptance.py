@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import composed_ops as ops
 from conftest import tiny_config
 from mmsum import autodiff as ad, cli, evaluation, training
 from mmsum.attention import bihop_context, bilinear_scores, context
@@ -174,14 +175,14 @@ def test_criterion_4_fusion_identities(rng):
                       F=make_scorer(rng, 2))
     bitwise = True
     for _ in range(1000):
-        s, c = rng.normal(size=4), rng.normal(size=3)
+        s, c = rng.normal(size=(1, 4)), rng.normal(size=(1, 3))
         if fuse_late(s, c, head).data.tobytes() != \
                 fuse_late_plus(s, c, head).data.tobytes():
             bitwise = False
             break
 
     s, c = rng.normal(size=5), rng.normal(size=3)
-    vec = ad.reshape(outer_with_bias(Tensor(s), Tensor(c)), (-1,))
+    vec = ops.reshape(outer_with_bias(Tensor(s), Tensor(c)), (-1,))
     length_ok = vec.shape == ((5 + 1) * (3 + 1),)
     block = outer_with_bias(Tensor([1.0, 2.0]), Tensor([3.0])).data
     block_ok = np.array_equal(block, [[3.0, 1.0], [6.0, 2.0], [3.0, 1.0]])

@@ -28,31 +28,32 @@ def numeric_grad(fn, x, step=1e-6):
 
 
 @pytest.mark.parametrize("build", [
-    lambda a, b: ad.tsum(mm(a, b)),
-    lambda a, b: ad.tsum(ops.sub(ops.tanh(a) * ops.sigmoid(tr(b)) + a, tr(b))),
-    lambda a, b: ad.tsum(ops.softmax_rows(mm(a, b))),
-    lambda a, b: ops.tmean(ops.log(ops.sigmoid(mm(a, b)) + 1.0)),
-    lambda a, b: ad.tsum(pw(ad.concat([a, tr(b)], axis=0), 2.0)),
-    lambda a, b: ad.tsum(mm(ops.tanh(ad.reshape(a, (3, 1, 4)) + ad.reshape(tr(b), (1, 3, 4))),
-                            ad.tsum(b, axis=1))),
-    lambda a, b: ad.tsum(pw(ops.tanh(ad.concat([a, tr(b)], axis=1)), 2.0)),
-    lambda a, b: ad.tsum(pw(ops.tanh(ad.concat([ad.reshape(a, (3, 2, 2)),
-                                                ad.reshape(tr(b), (3, 2, 2))], axis=2)),
-                            2.0)),
-    lambda a, b: ad.tsum(pw(ops.tanh(ad.concat([ad.reshape(a, (3, 2, 2)),
-                                                ad.reshape(tr(b), (3, 2, 2))], axis=-1)),
-                            2.0)),
-    lambda a, b: ad.tsum(pw(ops.tanh(ad.tsum(a * tr(b), axis=0)), 2.0)),
-    lambda a, b: ad.tsum(ops.tanh(a) * ad.tsum(b)),
-    lambda a, b: ad.tsum(pw(ops.tanh(ops.sub(a, ad.tsum(b, axis=1))), 2.0)),
-    lambda a, b: ad.tsum(pw(ops.tanh(ops.sub(a, ad.reshape(ad.tsum(b, axis=0), (3, 1)))),
-                            2.0)),
-    lambda a, b: ad.tsum(ops.tanh(a * ad.reshape(ad.tsum(b, axis=0), (3, 1)))),
-    lambda a, b: ad.tsum(ops.tanh(a * ad.tsum(b, axis=1))),
-    lambda a, b: ad.tsum(pw(ops.tanh(a), 1.0) * tr(b)),
-    lambda a, b: ad.tsum(pw(ops.sigmoid(a) + 0.5, 0.3) * tr(b)),
-    lambda a, b: ad.tsum(ops.clip(a, -0.5, 0.5) * tr(b)),
-    lambda a, b: ad.tsum(ops.tanh(outer(ad.tsum(a, axis=1), ad.tsum(b, axis=1)))),
+    lambda a, b: ops.tsum(mm(a, b)),
+    lambda a, b: ops.tsum(ops.sub(ops.add(ops.mul(ops.tanh(a), ops.sigmoid(tr(b))), a), tr(b))),
+    lambda a, b: ops.tsum(ops.softmax_rows(mm(a, b))),
+    lambda a, b: ops.tmean(ops.log(ops.add(ops.sigmoid(mm(a, b)), 1.0))),
+    lambda a, b: ops.tsum(pw(ad.concat([a, tr(b)], axis=0), 2.0)),
+    lambda a, b: ops.tsum(mm(ops.tanh(ops.add(ops.reshape(a, (3, 1, 4)),
+                                              ops.reshape(tr(b), (1, 3, 4)))),
+                             ops.tsum(b, axis=1))),
+    lambda a, b: ops.tsum(pw(ops.tanh(ad.concat([a, tr(b)], axis=1)), 2.0)),
+    lambda a, b: ops.tsum(pw(ops.tanh(ad.concat([ops.reshape(a, (3, 2, 2)),
+                                                 ops.reshape(tr(b), (3, 2, 2))], axis=2)),
+                             2.0)),
+    lambda a, b: ops.tsum(pw(ops.tanh(ad.concat([ops.reshape(a, (3, 2, 2)),
+                                                 ops.reshape(tr(b), (3, 2, 2))], axis=-1)),
+                             2.0)),
+    lambda a, b: ops.tsum(pw(ops.tanh(ops.tsum(ops.mul(a, tr(b)), axis=0)), 2.0)),
+    lambda a, b: ops.tsum(ops.mul(ops.tanh(a), ops.tsum(b))),
+    lambda a, b: ops.tsum(pw(ops.tanh(ops.sub(a, ops.tsum(b, axis=1))), 2.0)),
+    lambda a, b: ops.tsum(pw(ops.tanh(ops.sub(a, ops.reshape(ops.tsum(b, axis=0), (3, 1)))),
+                             2.0)),
+    lambda a, b: ops.tsum(ops.tanh(ops.mul(a, ops.reshape(ops.tsum(b, axis=0), (3, 1))))),
+    lambda a, b: ops.tsum(ops.tanh(ops.mul(a, ops.tsum(b, axis=1)))),
+    lambda a, b: ops.tsum(ops.mul(pw(ops.tanh(a), 1.0), tr(b))),
+    lambda a, b: ops.tsum(ops.mul(pw(ops.add(ops.sigmoid(a), 0.5), 0.3), tr(b))),
+    lambda a, b: ops.tsum(ops.mul(ops.clip(a, -0.5, 0.5), tr(b))),
+    lambda a, b: ops.tsum(ops.tanh(outer(ops.tsum(a, axis=1), ops.tsum(b, axis=1)))),
 ])
 def test_composite_gradients_match_finite_differences(build, rng):
     a_data = rng.normal(size=(3, 4))
@@ -76,7 +77,7 @@ def test_matmul_gradients_match_finite_differences(rng, a_shape, b_shape):
     a = Tensor(rng.normal(size=a_shape), requires_grad=True)
     b = Tensor(rng.normal(size=b_shape), requires_grad=True)
     upstream = rng.normal(size=(a.data @ b.data).shape)
-    ad.backward(ad.tsum(mm(a, b) * upstream))
+    ad.backward(ops.tsum(ops.mul(mm(a, b), upstream)))
 
     def fn():
         return float(((a.data @ b.data) * upstream).sum())
@@ -86,6 +87,7 @@ def test_matmul_gradients_match_finite_differences(rng, a_shape, b_shape):
 
 
 LABELS = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+POOL_LENGTHS = np.array([7, 1, 4, 7, 2])    # ragged, with a one-token sentence
 EPS = 1e-7
 SCALES = (1.0 / 6, -1.0)     # ce_loss's mean and sign
 HEAD = [(2, 3), (3,), (3,), (1,)]   # the decision head F: W1, b1, w2, b2
@@ -157,6 +159,15 @@ FUSED_OPS = {
                               [(1, 4), (1, 2)]),
     "bilstm-one-sequence": (ad.bilstm_sequence, ops.bilstm_sequence_reference,
                             [(4, 3), (5, 8), (8,), (5, 8), (8,)]),
+    "mean-pool": (lambda X: ad.mean_pool(X, POOL_LENGTHS),
+                  lambda X: ops.mean_pool_reference(X, POOL_LENGTHS), [(5, 7, 3)]),
+    "sum-pool": (lambda X: ad.mean_pool(X, POOL_LENGTHS, mean=False),
+                 lambda X: ops.mean_pool_reference(X, POOL_LENGTHS, mean=False),
+                 [(5, 7, 3)]),
+    "concat-rows": (lambda *parts: ad.concat(parts), lambda *parts: ops.concat(parts),
+                    [(2, 3), (1, 3), (4, 3)]),
+    "concat-columns": (lambda a, b: ad.concat([a, b], axis=1),
+                       lambda a, b: ops.concat([a, b], axis=1), [(3, 4), (3, 2)]),
 }
 
 
@@ -181,7 +192,7 @@ def test_fused_op_is_bitwise_its_composition(rng, name):
         inputs = [Tensor(a, requires_grad=True) for a in data]
         out = op(*inputs)
         upstream = np.random.default_rng(1).normal(size=out.shape)
-        ad.backward(ad.tsum(out * upstream))
+        ad.backward(ops.tsum(ops.mul(out, upstream)))
         runs.append([(t.shape, t.tobytes()) for t in [out.data] + [t.grad for t in inputs]])
     assert runs[0] == runs[1]
 
@@ -191,7 +202,7 @@ def test_fused_op_gradients_match_finite_differences(rng, name):
     fused = FUSED_OPS[name][0]
     inputs = [Tensor(a, requires_grad=True) for a in fused_inputs(rng, name)]
     upstream = rng.normal(size=fused(*inputs).shape)
-    ad.backward(ad.tsum(fused(*inputs) * upstream))
+    ad.backward(ops.tsum(ops.mul(fused(*inputs), upstream)))
 
     def fn():
         with ad.no_grad():
@@ -199,6 +210,46 @@ def test_fused_op_gradients_match_finite_differences(rng, name):
 
     for t in inputs:
         npt.assert_allclose(t.grad, numeric_grad(fn, t.data), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("mean", [True, False], ids=["mean", "sum"])
+def test_mean_pool_is_bitwise_the_sum_and_product_nodes(rng, mean):
+    """The pool node's value, and the gradient into the word states, equal
+    those of a ``tsum`` node over the steps followed, for the mean, by a
+    ``mul`` node by 1 / length: over a ragged batch, zero at padding, with a
+    one-token sentence, through the word BiLSTM to its input and weights."""
+    lengths = POOL_LENGTHS
+    x = rng.normal(size=(len(lengths), lengths.max(), 3))
+    weights = [rng.uniform(-0.5, 0.5, size=s) for s in ((3 + 4, 16), 16) * 2]
+    upstream = rng.normal(size=(len(lengths), 8))
+    upstream[:, ::3] = -0.0
+    runs = []
+    for pool in (ad.mean_pool, ops.mean_pool_reference):
+        X = Tensor(x, requires_grad=True)
+        params = [Tensor(w, requires_grad=True) for w in weights]
+        states = ad.bilstm_sequence(X, *params, lengths)
+        out = pool(states, lengths, mean)
+        ad.backward(ops.tsum(ops.mul(out, upstream)))
+        runs.append([out.data, states.grad, X.grad] + [p.grad for p in params])
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_concat_is_bitwise_the_op_concat(rng, axis):
+    """The concat node's value and each part's gradient are those of the
+    concat that recorded one slicing rule per part, and a part that needs no
+    gradient gets none."""
+    wide = [2, 3, 4]
+    wide[axis] = 5
+    data = [rng.normal(size=shape) for shape in ((2, 3, 4), wide, (2, 3, 4))]
+    runs = []
+    for op in (ad.concat, ops.concat):
+        parts = [Tensor(a, requires_grad=k != 2) for k, a in enumerate(data)]
+        out = op(parts, axis=axis)
+        ad.backward(ops.tsum(ops.mul(out, np.random.default_rng(1).normal(size=out.shape))))
+        runs.append([out.data] + [p.grad for p in parts[:2]])
+        assert parts[2].grad is None
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 def test_log_likelihood_gradient_is_zero_where_p_is_clipped():
@@ -270,7 +321,7 @@ def test_late_decision_at_saturated_scores(prose):
     for op in (ad.late_decision, ops.late_decision_reference):
         f, g, *head = [Tensor(a, requires_grad=True) for a in data + F]
         out = op(f, g, head, 0.3, prose)
-        ad.backward(ad.tsum(out))
+        ad.backward(ops.tsum(out))
         assert np.all(np.isfinite(f.grad)) and np.all(np.isfinite(g.grad))
         runs.append([t.tobytes() for t in [out.data, f.grad, g.grad]
                      + [p.grad for p in head]])
@@ -311,7 +362,7 @@ def test_lstm_sequence_ignores_values_at_padding(rng, reverse):
         X = Tensor(np.where(pad[:, :, None], padding_values, x), requires_grad=True)
         params = [Tensor(a, requires_grad=True) for a in data]
         out = ad.bilstm_sequence(X, *params, lengths)
-        ad.backward(ad.tsum(out * upstream))
+        ad.backward(ops.tsum(ops.mul(out, upstream)))
         runs.append([t.tobytes() for t in [out.data, X.grad] + [p.grad for p in params]])
     assert runs[0] == runs[1]
 
@@ -325,7 +376,7 @@ def test_lstm_sequence_gradients_match_finite_differences(rng, reverse, lengths)
     X = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
     params = bilstm_params(rng, D, h)
     upstream = upstream_on_half(rng, B, T, h, reverse)
-    ad.backward(ad.tsum(ad.bilstm_sequence(X, *params, lengths) * upstream))
+    ad.backward(ops.tsum(ops.mul(ad.bilstm_sequence(X, *params, lengths), upstream)))
 
     def fn():
         with ad.no_grad():
@@ -353,16 +404,26 @@ def test_bilstm_sequence_without_lengths_runs_every_sequence_whole(rng):
 def test_broadcast_add_unbroadcasts_gradient(rng):
     m = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     row = Tensor(rng.normal(size=4), requires_grad=True)
-    loss = ad.tsum((m + row) * 2.0)
+    loss = ops.tsum(ops.mul(ops.add(m, row), 2.0))
     ad.backward(loss)
     npt.assert_allclose(m.grad, np.full((3, 4), 2.0))
     npt.assert_allclose(row.grad, np.full(4, 6.0))
 
 
+def test_tensor_has_no_operators():
+    """Every op records its node through a function: ``+`` and ``*`` on a
+    Tensor raise TypeError, from either side, with an ndarray too."""
+    t = Tensor(np.ones(2), requires_grad=True)
+    for op in (lambda: t + t, lambda: t * 2.0, lambda: 2.0 * t,
+               lambda: np.ones(2) * t, lambda: t + np.ones(2)):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_take_rows_scatter_adds():
     table = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
     out = ad.take_rows(table, [0, 2, 0])
-    ad.backward(ad.tsum(out))
+    ad.backward(ops.tsum(out))
     npt.assert_allclose(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
@@ -370,7 +431,7 @@ def test_outer_gradients(rng):
     u = Tensor(rng.normal(size=3), requires_grad=True)
     v = Tensor(rng.normal(size=2), requires_grad=True)
     w = rng.normal(size=(3, 2))
-    loss = ad.tsum(outer(u, v) * w)
+    loss = ops.tsum(ops.mul(outer(u, v), w))
     ad.backward(loss)
     npt.assert_allclose(u.grad, w @ v.data)
     npt.assert_allclose(v.grad, u.data @ w)
@@ -380,20 +441,20 @@ def test_power_zero_exponent_has_zero_gradient():
     x = Tensor(np.array([0.0, 0.5, 1.0]), requires_grad=True)
     out = pw(x, 0.0)
     npt.assert_array_equal(out.data, np.ones(3))
-    ad.backward(ad.tsum(out))
+    ad.backward(ops.tsum(out))
     assert x.grad is None  # constant output: no gradient contribution
 
 
 def test_power_fractional_at_zero_is_finite():
     x = Tensor(np.array([0.0, 0.25]), requires_grad=True)
-    ad.backward(ad.tsum(pw(x, 0.3)))
+    ad.backward(ops.tsum(pw(x, 0.3)))
     assert np.all(np.isfinite(x.grad))
     npt.assert_array_equal(ad._power_grad(np.ones(2), x.data, 0.3), x.grad)
 
 
 def test_reused_tensor_accumulates():
     x = Tensor(np.array([2.0]), requires_grad=True)
-    loss = ad.tsum(x * x + x)
+    loss = ops.tsum(ops.add(ops.mul(x, x), x))
     ad.backward(loss)
     npt.assert_allclose(x.grad, [5.0])  # 2x + 1
 
@@ -401,14 +462,14 @@ def test_reused_tensor_accumulates():
 def test_no_grad_skips_tape():
     x = Tensor(np.ones(3), requires_grad=True)
     with ad.no_grad():
-        out = ad.tsum(x * x) * 2.0
+        out = ops.mul(ops.tsum(ops.mul(x, x)), 2.0)
     assert not out.requires_grad
     assert out._bw is None
 
 
 def test_clip_blocks_gradient_outside_bounds():
     x = Tensor(np.array([-1.0, 0.5, 2.0]), requires_grad=True)
-    ad.backward(ad.tsum(ops.clip(x, 0.0, 1.0)))
+    ad.backward(ops.tsum(ops.clip(x, 0.0, 1.0)))
     npt.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
 
@@ -451,7 +512,7 @@ def test_bilstm_sequence_is_bytewise_its_oracle(rng, batch, recording):
         with ad.no_grad() if recording == "no-grad" else contextlib.nullcontext():
             out = op(X, *params, lengths)
         if recording != "no-grad":
-            ad.backward(ad.tsum(out * upstream))
+            ad.backward(ops.tsum(ops.mul(out, upstream)))
         grads = [t.grad for t in [X] + params]
         runs.append([out.data.tobytes()] + [None if g is None else g.tobytes()
                                             for g in grads])
@@ -507,9 +568,9 @@ def test_grouped_bilstm_is_bytewise_the_oracle_per_group(rng, batch, recording):
             outs = (ad.bilstm_sequences(inputs) if fused else
                     [ops.bilstm_sequence_oracle(*group) for group in inputs])
         if recording != "no-grad":
-            loss = ad.tsum(outs[0] * data[0][3])
+            loss = ops.tsum(ops.mul(outs[0], data[0][3]))
             for out, (*_, upstream) in zip(outs[1:], data[1:]):
-                loss = loss + ad.tsum(out * upstream)
+                loss = ops.add(loss, ops.tsum(ops.mul(out, upstream)))
             ad.backward(loss)
         runs.append([out.data.tobytes() for out in outs] + [
             None if t.grad is None else t.grad.tobytes()

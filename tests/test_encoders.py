@@ -64,14 +64,14 @@ def lstm_states_reference(X, W, b, hidden, reverse=False):
     c = Tensor(np.zeros(hidden))
     out = [None] * T
     for t in steps:
-        z = ops.matmul(ad.concat([ad.take_rows(X, t), h]), W) + b
+        z = ops.add(ops.matmul(ad.concat([ad.take_rows(X, t), h]), W), b)
         i = ops.sigmoid(ad.take_rows(z, gate[0]))
         f = ops.sigmoid(ad.take_rows(z, gate[1]))
         o = ops.sigmoid(ad.take_rows(z, gate[2]))
         g = ops.tanh(ad.take_rows(z, gate[3]))
-        c = f * c + i * g
-        h = o * ops.tanh(c)
-        out[t] = ad.reshape(h, (1, hidden))
+        c = ops.add(ops.mul(f, c), ops.mul(i, g))
+        h = ops.mul(o, ops.tanh(c))
+        out[t] = ops.reshape(h, (1, hidden))
     return ad.concat(out, axis=0)
 
 
@@ -90,14 +90,14 @@ def assert_bilstm_matches_reference(rng, lengths, D, h, directions=(0, 1)):
 
     X, params = Tensor(x, True), [Tensor(a, True) for a in data]
     out = ad.bilstm_sequence(X, *params, lengths)
-    ad.backward(ad.tsum(out * upstream))
+    ad.backward(ops.tsum(ops.mul(out, upstream)))
 
     refs = [Tensor(a, True) for a in data]
     for k, n in enumerate(lengths):
         X_ref = Tensor(x[k, :n], True)
         ref = ad.concat([lstm_states_reference(X_ref, refs[2 * d], refs[2 * d + 1], h,
                                                reverse=d == 1) for d in (0, 1)], axis=1)
-        ad.backward(ad.tsum(ref * upstream[k, :n]))
+        ad.backward(ops.tsum(ops.mul(ref, upstream[k, :n])))
         npt.assert_allclose(out.data[k, :n], ref.data, rtol=0, atol=1e-12)
         npt.assert_allclose(X.grad[k, :n], X_ref.grad, rtol=0, atol=1e-12)
         # padding: zero output, and no gradient although upstream sends some
@@ -138,7 +138,7 @@ def test_padding_sends_no_gradient_to_the_pad_row(rng):
     # no sentence uses id 0, the row the padding gathers
     states, _ = encode_words([np.array([1, 2, 3, 4]), np.array([5]), np.array([6, 7])],
                              enc)
-    ad.backward(ad.tsum(states * rng.normal(size=states.shape)))
+    ad.backward(ops.tsum(ops.mul(states, rng.normal(size=states.shape))))
     npt.assert_array_equal(enc.embedding.grad[0], 0.0)
     assert np.all(enc.embedding.grad[1:8] != 0.0)
 
@@ -360,9 +360,9 @@ def _encoded_sample(shape, seed=0):
              None if enc.transcript is None
              else encode_transcript(sample.transcript.tokens, enc)]
     out = model.forward(sample)
-    loss = ad.tsum(out.sent_probs * rng.normal(size=len(lengths)))
+    loss = ops.tsum(ops.mul(out.sent_probs, rng.normal(size=len(lengths))))
     if out.frame_probs is not None:
-        loss = loss + ad.tsum(out.frame_probs * rng.normal(size=n_frames))
+        loss = ops.add(loss, ops.tsum(ops.mul(out.frame_probs, rng.normal(size=n_frames))))
     ad.backward(loss)
     grads = {name: None if p.grad is None else p.grad.tobytes()
              for name, p in model.params.items()}

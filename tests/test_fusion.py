@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import composed_ops as ops
 from composed_ops import outer
 from mmsum import autodiff as ad
 from mmsum import fusion
@@ -38,7 +39,7 @@ def late_head(rng, ds, dc, beta=0.3, mean_decision=False, prose=False):
 
 def test_early_zero_head_gives_exactly_half(rng):
     head = FusionHead(mode="early", joint=make_scorer(rng, 8, zero=True))
-    p = fuse_early(rng.normal(size=4), rng.normal(size=4), head)
+    p = fuse_early(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), head)
     npt.assert_array_equal(p.data, [0.5])
 
 
@@ -51,8 +52,8 @@ def test_early_output_in_unit_interval(rng):
 
 def test_early_hand_pass(rng):
     head = FusionHead(mode="early", joint=make_scorer(rng, 4, d_f=2))
-    s, c = rng.normal(size=2), rng.normal(size=2)
-    z = np.concatenate([s, c])
+    s, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+    z = np.concatenate([s, c], axis=1)
     h = np.tanh(z @ head.joint.W1.data + head.joint.b1.data)
     expected = 1.0 / (1.0 + np.exp(-(h @ head.joint.w2.data + head.joint.b2.data)))
     npt.assert_allclose(fuse_early(s, c, head).data, expected, atol=1e-12)
@@ -96,17 +97,17 @@ def test_tensor_rows_are_outer_with_bias_per_row(rng):
     s_data, c_data = rng.normal(size=(n, ds)), rng.normal(size=(n, dc))
     S, C = Tensor(s_data, True), Tensor(c_data, True)
     p = fuse_tensor(S, C, head)
-    ad.backward(ad.tsum(p))
+    ad.backward(ops.tsum(p))
 
     S_ref, C_ref = Tensor(s_data, True), Tensor(c_data, True)
-    rows = [ad.reshape(outer_with_bias(ad.take_rows(S_ref, i), ad.take_rows(C_ref, i)),
-                       (1, -1)) for i in range(n)]
+    rows = [ops.reshape(outer_with_bias(ad.take_rows(S_ref, i), ad.take_rows(C_ref, i)),
+                        (1, -1)) for i in range(n)]
     p_ref = fusion.scorer_prob(ad.concat(rows, axis=0), head.joint)
     npt.assert_array_equal(p.data, p_ref.data)
     grads = (S.grad, C.grad) + tuple(t.grad.copy() for t in vars(head.joint).values())
     for t in vars(head.joint).values():
         t.grad = None
-    ad.backward(ad.tsum(p_ref))
+    ad.backward(ops.tsum(p_ref))
     ref_grads = (S_ref.grad, C_ref.grad) + tuple(t.grad for t in vars(head.joint).values())
     for g, g_ref in zip(grads, ref_grads):
         npt.assert_allclose(g, g_ref, rtol=0, atol=1e-14)
@@ -142,7 +143,7 @@ def test_late_hand_pass_through_decision_head(rng):
 def test_late_plus_beta_zero_is_bitwise_late(rng):
     head = late_head(rng, 4, 3, beta=0.0)
     for _ in range(1000):
-        s, c = rng.normal(size=4), rng.normal(size=3)
+        s, c = rng.normal(size=(1, 4)), rng.normal(size=(1, 3))
         a = fuse_late(s, c, head).data
         b = fuse_late_plus(s, c, head).data
         assert a.tobytes() == b.tobytes()
@@ -155,7 +156,7 @@ def test_late_plus_full_confidence_suppresses_other_modality(rng):
     head.g.b1.data[:] = 1.0
     head.g.w2.data[:] = 1e4
     head.g.b2.data[:] = 0.0
-    s, c = rng.normal(size=2), rng.normal(size=2)
+    s, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
     f_vals, g_vals = unimodal_decisions(s, c, head)
     assert g_vals.data[0] == 1.0
     w_s = (1.0 - g_vals.data[0]) ** head.beta
@@ -178,7 +179,7 @@ def test_late_plus_penalty_weights_fixture(rng):
     head.g.b1.data[:] = 0.0
     head.g.w2.data[:] = 0.0
     head.g.b2.data[:] = np.log(g / (1 - g))
-    out = fuse_late_plus(rng.normal(size=2), rng.normal(size=2), head)
+    out = fuse_late_plus(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head)
     npt.assert_allclose(out.data, [(w_s * f + w_c * g) / 2], atol=1e-12)
 
 
@@ -192,7 +193,7 @@ def test_late_plus_weights_monotone_nonincreasing_in_other_confidence():
 
 def test_prose_variant_self_confidence_weights(rng):
     head = late_head(rng, 2, 2, beta=0.5, mean_decision=True, prose=True)
-    s, c = rng.normal(size=2), rng.normal(size=2)
+    s, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
     f_vals, g_vals = unimodal_decisions(s, c, head)
     f, g = f_vals.data[0], g_vals.data[0]
     expected = 0.5 * (f ** 0.5 * f + g ** 0.5 * g)
@@ -218,10 +219,24 @@ def test_all_strategies_stay_in_unit_interval(rng):
 def test_fuse_rejects_unknown_mode(rng):
     head = FusionHead(mode="mystery")
     with pytest.raises(FusionError):
-        fuse(np.zeros(2), np.zeros(2), head)
+        fuse(np.zeros((1, 2)), np.zeros((1, 2)), head)
 
 
 def test_scorer_dim_mismatch(rng):
     head = FusionHead(mode="early", joint=make_scorer(rng, 6))
     with pytest.raises(FusionError):
-        fuse_early(np.zeros(2), np.zeros(2), head)
+        fuse_early(np.zeros((1, 2)), np.zeros((1, 2)), head)
+
+
+@pytest.mark.parametrize("mode", ["early", "tensor", "late", "late_plus"])
+@pytest.mark.parametrize("shapes", [((4,), (1, 4)), ((1, 4), (4,)), ((1, 1, 4), (1, 4))],
+                         ids=["vector-state", "vector-context", "3d-state"])
+def test_fusion_rejects_input_that_is_not_2d_rows(rng, mode, shapes):
+    """A state or context that is not a 2-D block of rows is a FusionError,
+    not silently reshaped into one row."""
+    d = 4
+    head = FusionHead(mode=mode, beta=0.3,
+                      joint=make_scorer(rng, 2 * d if mode == "early" else (d + 1) ** 2),
+                      f=make_scorer(rng, d), g=make_scorer(rng, d), F=make_scorer(rng, 2))
+    with pytest.raises(FusionError, match="2-D"):
+        fuse(rng.normal(size=shapes[0]), rng.normal(size=shapes[1]), head)

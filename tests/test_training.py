@@ -495,7 +495,7 @@ def test_adagrad_built_after_backward_uses_the_gradients_present(rng):
     for build_first in (True, False):
         w = Tensor(data.copy(), requires_grad=True)
         opt = Adagrad({"w": w}, lr=0.1) if build_first else None
-        ad.backward(ad.tsum(w * w))
+        ad.backward(composed_ops.tsum(composed_ops.mul(w, w)))
         opt = opt or Adagrad({"w": w}, lr=0.1)
         opt.step()
         results.append(w.data.tobytes())
@@ -685,21 +685,27 @@ def test_tape_size_at_the_gradient_check_config():
     """Nodes the joint loss reaches after one forward at the gradient-check
     config (bi-hop attention, late+ fusion, the video loss on). Each dense
     layer, attention score and read-out, late-fusion decision, the word
-    BiLSTM, the CE loss, the REINFORCE surrogate and their weighted sum is
-    one node, and the sentence, frame and transcript BiLSTMs are one node and
-    a slice node per output; a change that splits one into single ops again
-    moves this count."""
-    assert _tape_size(tiny_config()) == 99
+    BiLSTM, the sentence mean-pool, the CE loss, the REINFORCE surrogate and
+    their weighted sum is one node, and the sentence, frame and transcript
+    BiLSTMs are one node and a slice node per output; a change that splits
+    one into single ops again moves this count. It was 99 while the mean-pool
+    was a sum node and a product node."""
+    assert _tape_size(tiny_config()) == 98
 
 
-@pytest.mark.parametrize("attention,fusion_mode,nodes", [
-    ("concat_product", "late_plus", 69),
-    ("bilinear", "tensor", 55),
-], ids=["concat_product-late_plus", "bilinear-tensor"])
-def test_tape_size_in_the_other_score_and_fusion_modes(attention, fusion_mode, nodes):
+@pytest.mark.parametrize("attention,fusion_mode,sum_pool,nodes", [
+    ("concat_product", "late_plus", False, 68),
+    ("bilinear", "tensor", False, 54),
+    ("bihop", "late_plus", True, 98),
+], ids=["concat_product-late_plus", "bilinear-tensor", "sum-pool"])
+def test_tape_size_in_the_other_score_and_fusion_modes(attention, fusion_mode, sum_pool,
+                                                        nodes):
     """The same count where the additive score and the tensor-fusion product
-    are one node each."""
-    assert _tape_size(tiny_config(attention=attention, fusion=fusion_mode)) == nodes
+    are one node each, and where the sentence pool is the sum alone, which is
+    one node as the mean is. The first two were 69 and 55 while the mean-pool
+    was two nodes."""
+    assert _tape_size(tiny_config(attention=attention, fusion=fusion_mode,
+                                  sum_pool=sum_pool)) == nodes
 
 
 def test_backward_walk_skips_leaves_and_keeps_the_order_of_the_rest():
