@@ -1,14 +1,15 @@
 """Command-line entry point.
 
-Subcommands: synth | train | eval | ablate | overlap. The flags that set a
-``RunConfig`` or ``SynthConfig`` field are built from the field itself
-(``_add_fields``); only the command-specific flags (--out, --config,
---checkpoint, --workers, ...) are written here. Flags take precedence over a
---config JSON file, which takes precedence over built-in defaults; the
-M2SM_SEED environment variable overrides the seed from any source. train,
-eval and ablate read the one split ``_split_manifest`` gives; eval gives it
-the config saved in the checkpoint, before any flag. All failures exit
-nonzero with a machine-readable JSON error on stderr.
+Subcommands: synth | train | eval | ablate | overlap, each with only the flags
+it reads. A flag that sets a ``RunConfig`` or ``SynthConfig`` field is built
+from the field (``_add_fields``); only the command-specific flags (--out,
+--config, --checkpoint, --workers, ...) are written here. Flags take precedence
+over a --config JSON file, which takes precedence over built-in defaults; the
+M2SM_SEED environment variable overrides the seed from any source. eval instead
+starts from the config saved in the checkpoint and takes neither. train, eval
+and ablate read the one split ``_split_manifest`` gives; eval gives it the
+checkpoint's config. All failures, a malformed command line included, exit 1
+with a machine-readable JSON error on stderr.
 """
 from __future__ import annotations
 
@@ -32,6 +33,22 @@ from .model import SummarizerModel
 RATIO_SWEEP = (1.0, 2.0, 3.33, 5.0)
 BETA_SWEEP = (0.0, 0.1, 0.3, 0.5, 1.0)
 
+# eval rebuilds the checkpoint's network: a field that shapes its parameters
+# fails at any other value, and one that only training reads changes nothing
+EVAL_FIELDS = ("manifest", "seed", "fps_group", "min_frames", "k_sentences",
+               "k_frames", "beta", "fusion", "sum_pool", "late_plus_prose")
+# every ablation cell sets its own patience and use_bistream
+ABLATE_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+                 if f.name not in ("patience", "use_bistream")]
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors (an unknown flag, a bad value, a
+    missing argument) raise ``CliError``, so they end as every failure does."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
 
 def _add_fields(p: argparse.ArgumentParser, cls, names=None):
     """One flag per field of dataclass ``cls`` (of ``names`` only, if given) whose
@@ -54,9 +71,9 @@ def _add_fields(p: argparse.ArgumentParser, cls, names=None):
         p.add_argument("--" + name.replace("_", "-"), dest=f.name, default=None, **kind)
 
 
-def _add_model_flags(p: argparse.ArgumentParser):
+def _add_model_flags(p: argparse.ArgumentParser, names=None):
     p.add_argument("--config", help="JSON config file mirroring RunConfig fields")
-    _add_fields(p, RunConfig)
+    _add_fields(p, RunConfig, names)
 
 
 def _given_fields(args, cls) -> dict:
@@ -295,7 +312,7 @@ def cmd_overlap(args) -> int:
 # parser / entry point
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmsum",
         description="Joint extractive text / video-frame summarization")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_model_flags(p)
+    _add_fields(p, RunConfig, EVAL_FIELDS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run the fusion x attention x training matrix")
@@ -326,21 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--sweep-ratio", dest="sweep_ratio", action="store_true")
     p.add_argument("--sweep-beta", dest="sweep_beta", action="store_true")
-    _add_model_flags(p)
+    _add_model_flags(p, ABLATE_FIELDS)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("overlap", help="transcript overlap statistics")
     p.add_argument("--out")
     p.add_argument("--config")
-    _add_fields(p, RunConfig, ("manifest", "seed", "min_frames"))
+    _add_fields(p, RunConfig, ("manifest", "min_frames"))
     p.set_defaults(func=cmd_overlap)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MMSumError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")

@@ -189,8 +189,8 @@ def summarize(sample: Sample, model, k_sentences: int | None = None,
 
 
 def score_summaries(samples: list[Sample], summaries: list[SummaryOutput]) -> dict:
-    """Per-sample and corpus-mean ROUGE (plus Cos where references exist) of
-    each sample's summary."""
+    """Per-sample and corpus-mean ROUGE (plus Cos where frames were selected and
+    references exist) of each sample's summary."""
     per_sample = []
     for s, out in zip(samples, summaries):
         cand = [tokenize(s.document.raw_sentences[i]) for i in out.sentence_indices]
@@ -207,12 +207,19 @@ def score_summaries(samples: list[Sample], summaries: list[SummaryOutput]) -> di
                 s.frames[out.frame_indices], s.ref_image_features)
         per_sample.append(row)
 
-    missing_refs = [r["id"] for r in per_sample if "cos" not in r]
-    if missing_refs and len(missing_refs) < len(per_sample):
-        warnings.warn(f"no reference images for {len(missing_refs)} samples; "
-                      f"Cos averaged over the rest")
-    elif len(missing_refs) == len(per_sample):
-        warnings.warn("no reference images present; Cos omitted from the report")
+    # no Cos without a selected frame (a text-only model) or reference images
+    no_frames = sum(1 for r in per_sample if not r["selected_frames"])
+    no_refs = sum(1 for r in per_sample if "cos" not in r) - no_frames
+    none_left = no_frames + no_refs == len(per_sample)
+    if none_left and not (no_frames and no_refs):
+        cause = "no frames selected" if no_frames else "no reference images present"
+        warnings.warn(f"{cause}; Cos omitted from the report")
+    elif no_frames or no_refs:
+        causes = [f"{what} for {n} samples" for what, n in
+                  (("no frames selected", no_frames), ("no reference images", no_refs))
+                  if n]
+        rest = "omitted from the report" if none_left else "averaged over the rest"
+        warnings.warn(f"{' and '.join(causes)}; Cos {rest}")
 
     cos_vals = [r["cos"] for r in per_sample if "cos" in r]
     corpus = {

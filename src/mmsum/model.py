@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, encoders, fusion
-from .attention import AttentionContext, AttentionParams, AttnSet
+from .attention import AttentionParams, AttnSet
 from .autodiff import Tensor
 from .config import RunConfig
 from .encoders import BiLSTM, EncoderParams
@@ -23,8 +23,6 @@ class ForwardResult:
     sent_probs: Tensor                      # (NS,)
     frame_probs: Tensor | None              # (NM,) when the frame branch is on
     frame_states: Tensor | None             # (NM, 2h)
-    sent_attn: AttentionContext | None
-    frame_attn: AttentionContext | None
 
 
 def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -136,8 +134,7 @@ class SummarizerModel:
         sents, frames, t_states = encoders.encode_sample(sample, self.encoder)
         if frames is None:
             probs = fusion.scorer_prob(sents, self.text_head.f)
-            return ForwardResult(sent_probs=probs, frame_probs=None, frame_states=None,
-                                 sent_attn=None, frame_attn=None)
+            return ForwardResult(sent_probs=probs, frame_probs=None, frame_states=None)
 
         sent_attn = attention.sentence_context(self.attn, sents, frames, t_states)
         frame_attn = attention.frame_context(self.attn, frames, sents, t_states)
@@ -145,8 +142,7 @@ class SummarizerModel:
         sent_probs = fusion.fuse(sents, sent_attn.contexts, self.text_head)
         frame_probs = fusion.fuse(frames, frame_attn.contexts, self.frame_head)
         return ForwardResult(sent_probs=sent_probs, frame_probs=frame_probs,
-                             frame_states=frames, sent_attn=sent_attn,
-                             frame_attn=frame_attn)
+                             frame_states=frames)
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.params.items()}

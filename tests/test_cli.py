@@ -312,8 +312,9 @@ def _flag(option, dest, action="Store", type=None, choices=None, default=None,
 
 
 # The parser as it was written out by hand, before its flags were built from the
-# config dataclasses: (option, dest, action, type (None is str), choices,
-# default, required) per subcommand.
+# config dataclasses, less the flags a command never read or could not apply:
+# (option, dest, action, type (None is str), choices, default, required) per
+# subcommand.
 RUN_FLAGS = {
     _flag("--config", "config"), _flag("--manifest", "manifest"), _flag("--out", "out"),
     _flag("--seed", "seed", type="int"),
@@ -337,6 +338,22 @@ RUN_FLAGS = {
     _flag("--sum-pool", "sum_pool", "StoreTrue"),
     _flag("--late-plus-prose", "late_plus_prose", "StoreTrue"),
 }
+# eval rebuilds the checkpoint's network: no --config, no flag that only
+# training reads, and no flag that shapes the parameters
+EVAL_FLAGS = {
+    _flag("--checkpoint", "checkpoint", required=True), _flag("--out", "out"),
+    _flag("--split", "split", choices=("train", "val", "test"), default="test"),
+    _flag("--format", "format", choices=("json", "csv"), default="json"),
+    _flag("--manifest", "manifest"), _flag("--seed", "seed", type="int"),
+    _flag("--fusion", "fusion", choices=FUSION_MODES),
+    _flag("--beta", "beta", type="float"),
+    _flag("--fps-group", "fps_group", type="int"),
+    _flag("--k-sentences", "k_sentences", type="int"),
+    _flag("--k-frames", "k_frames", type="int"),
+    _flag("--min-frames", "min_frames", type="int"),
+    _flag("--sum-pool", "sum_pool", "StoreTrue"),
+    _flag("--late-plus-prose", "late_plus_prose", "StoreTrue"),
+}
 PARSER_TABLE = {
     "synth": {
         _flag("--out", "out", required=True),
@@ -354,19 +371,17 @@ PARSER_TABLE = {
         _flag("--no-refs", "with_refs", "StoreFalse"),
     },
     "train": RUN_FLAGS,
-    "eval": RUN_FLAGS | {
-        _flag("--checkpoint", "checkpoint", required=True),
-        _flag("--split", "split", choices=("train", "val", "test"), default="test"),
-        _flag("--format", "format", choices=("json", "csv"), default="json"),
-    },
-    "ablate": RUN_FLAGS | {
+    "eval": EVAL_FLAGS,
+    # every cell sets its own patience and use_bistream
+    "ablate": RUN_FLAGS - {_flag("--patience", "patience", type="int"),
+                           _flag("--no-bistream", "use_bistream", "StoreFalse")} | {
         _flag("--workers", "workers", type="int", default=1),
         _flag("--sweep-ratio", "sweep_ratio", "StoreTrue", default=False),
         _flag("--sweep-beta", "sweep_beta", "StoreTrue", default=False),
     },
     "overlap": {
         _flag("--manifest", "manifest"), _flag("--out", "out"), _flag("--config", "config"),
-        _flag("--seed", "seed", type="int"), _flag("--min-frames", "min_frames", type="int"),
+        _flag("--min-frames", "min_frames", type="int"),
     },
 }
 FIELDS_WITHOUT_FLAG = {"out_dir", "train_frac", "val_frac", "test_frac", "ablate_epochs"}
@@ -389,11 +404,78 @@ def test_parser_matches_the_recorded_flag_table():
     assert table == PARSER_TABLE
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+# the RunConfig fields each command has a flag for
+COMMAND_FIELDS = {
+    "train": {f.name for f in dataclasses.fields(RunConfig)} - FIELDS_WITHOUT_FLAG,
+    "eval": {"manifest", "seed", "fps_group", "min_frames", "k_sentences", "k_frames",
+             "beta", "fusion", "sum_pool", "late_plus_prose"},
+    "ablate": ({f.name for f in dataclasses.fields(RunConfig)} - FIELDS_WITHOUT_FLAG
+               - {"patience", "use_bistream"}),
+    "overlap": {"manifest", "min_frames"},
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "overlap"])
 def test_every_run_config_field_has_one_flag(command):
+    """Each field of the command's own set has one flag; no other field has one."""
     dests = [a.dest for a in _subparsers()[command]._actions]
     for f in dataclasses.fields(RunConfig):
-        assert dests.count(f.name) == (f.name not in FIELDS_WITHOUT_FLAG), f.name
+        assert dests.count(f.name) == (f.name in COMMAND_FIELDS[command]), f.name
+
+
+# a malformed command line -> (its arguments, what the error message must name)
+PARSE_ERRORS = {
+    **{f"eval{flag}": (("eval", "--checkpoint", "ck", flag, *value), flag)
+       for flag, value in (
+           # never read by eval
+           ("--alpha-ts", ("1",)), ("--alpha-vs", ("0",)), ("--lr", ("0.1",)),
+           ("--epochs", ("1",)), ("--patience", ("0",)), ("--label-cap", ("1",)),
+           ("--no-bistream", ()),
+           # fixed by the checkpoint
+           ("--embed-dim", ("4",)), ("--hidden", ("64",)), ("--attn-dim", ("4",)),
+           ("--fusion-dim", ("4",)), ("--feature-dim", ("32",)),
+           ("--attention", ("none",)), ("--no-frames", ()), ("--no-transcript", ()),
+           # eval starts from the checkpoint's config, not a config file
+           ("--config", ("c.json",)))},
+    "ablate--patience": (("ablate", "--patience", "0"), "--patience"),
+    "ablate--no-bistream": (("ablate", "--no-bistream"), "--no-bistream"),
+    "overlap--seed": (("overlap", "--seed", "99"), "--seed"),
+    "synth-unknown-flag": (("synth", "--out", "d", "--bogus"), "--bogus"),
+    "train-bad-int": (("train", "--hidden", "abc"), "--hidden"),
+    "ablate-bad-float": (("ablate", "--beta", "x"), "--beta"),
+    "train-bad-choice": (("train", "--fusion", "bogus"), "--fusion"),
+    "eval-bad-choice": (("eval", "--checkpoint", "ck", "--split", "dev"), "--split"),
+    "eval-no-checkpoint": (("eval",), "--checkpoint"),
+    "synth-no-out": (("synth",), "--out"),
+    "unknown-command": (("bogus",), "bogus"),
+    "no-command": ((), "command"),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_ERRORS)
+def test_parse_error_is_one_json_cli_line(tmp_path, capsys, monkeypatch, case):
+    """An unknown flag (one a command does not take included), a bad value, a
+    missing argument or command ends in one JSON CLI line naming it, exit 1,
+    before any command runs."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("cmd_synth", "cmd_train", "cmd_eval", "cmd_ablate", "cmd_overlap"):
+        monkeypatch.setattr(cli, name, _fail_if_called)
+    argv, named = PARSE_ERRORS[case]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "CLI" and named in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [None, "synth", "train", "eval", "ablate", "overlap"])
+def test_help_exits_zero(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*[c for c in (command,) if c], "--help")
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mmsum")
 
 
 @pytest.mark.parametrize("command", ["train", "synth"])
@@ -512,15 +594,6 @@ def test_eval_csv_alongside_json(cli_corpus, trained_run, tmp_path):
     assert not list(out.glob("*.tmp"))
 
 
-def test_eval_dim_override_mismatch_is_checkpoint_error(cli_corpus, trained_run,
-                                                        tmp_path, capsys):
-    assert run_cli("eval", "--checkpoint", str(trained_run / "checkpoint"),
-                   "--manifest", str(cli_corpus / "manifest.json"),
-                   "--out", str(tmp_path / "ev"), "--hidden", "64") == 1
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "CHECKPOINT"
-
-
 def test_eval_corrupt_checkpoint_index_is_checkpoint_error(cli_corpus, trained_run,
                                                           tmp_path, capsys):
     ck = shutil.copytree(trained_run / "checkpoint", tmp_path / "checkpoint")
@@ -565,6 +638,23 @@ def test_eval_missing_refs_omits_cos(cli_corpus, trained_run, tmp_path):
                        "--manifest", str(stripped), "--out", str(out)) == 0
     report = json.loads((out / "report_test.json").read_text())
     assert report["corpus_mean"]["cos"] is None
+
+
+def test_eval_text_only_checkpoint_names_why_cos_is_omitted(cli_corpus, tmp_path):
+    """A --no-frames model selects no frames, so the report has no Cos although
+    the corpus has reference images; the warning names that cause."""
+    run = tmp_path / "run"
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(run), "--no-frames", *TINY_TRAIN) == 0
+    with pytest.warns(UserWarning) as caught:
+        assert run_cli("eval", "--checkpoint", str(run / "checkpoint"),
+                       "--manifest", str(cli_corpus / "manifest.json"),
+                       "--out", str(tmp_path / "ev")) == 0
+    assert [str(w.message) for w in caught if "Cos" in str(w.message)] == [
+        "no frames selected; Cos omitted from the report"]
+    report = json.loads((tmp_path / "ev" / "report_test.json").read_text())
+    assert report["corpus_mean"]["cos"] is None
+    assert all(row["selected_frames"] == [] for row in report["per_sample"])
 
 
 def test_eval_non_finite_reference_features_is_ingestion_error(cli_corpus, trained_run,

@@ -283,3 +283,32 @@ def test_evaluate_dataset_without_refs_warns(micro_corpus):
     with pytest.warns(UserWarning, match="Cos omitted"):
         report = evaluation.evaluate_dataset(stripped, model)
     assert report["corpus_mean"]["cos"] is None
+
+
+@pytest.mark.parametrize("frames,refs,message", [
+    ("nnn", "yyy", "no frames selected; Cos omitted from the report"),
+    ("yyy", "nnn", "no reference images present; Cos omitted from the report"),
+    ("nyy", "ynn", "no frames selected for 1 samples and no reference images for "
+                   "2 samples; Cos omitted from the report"),
+    ("nyy", "yyy", "no frames selected for 1 samples; Cos averaged over the rest"),
+    ("nyy", "nny", "no frames selected for 1 samples and no reference images for "
+                   "1 samples; Cos averaged over the rest"),
+], ids=["text-only", "no-refs", "both-all", "no-frames-some", "both-some"])
+def test_score_summaries_names_why_cos_is_missing(micro_corpus, frames, refs, message):
+    """A sample has no Cos when its summary selected no frame (as a text-only
+    model's never does) or when it has no reference images; the one warning
+    names each cause that occurred, counted unless it is the only one."""
+    import dataclasses
+    _, samples, _ = micro_corpus
+    samples = [s if ref == "y" else dataclasses.replace(s, ref_image_features=None)
+               for s, ref in zip(samples, refs)]
+    summaries = [evaluation.select(np.linspace(0.1, 0.9, len(s.document.sentences)),
+                                   np.linspace(0.1, 0.9, len(s.frames))
+                                   if frame == "y" else None, 2, 2)
+                 for s, frame in zip(samples, frames)]
+    with pytest.warns(UserWarning) as caught:
+        report = evaluation.score_summaries(samples, summaries)
+    assert [str(w.message) for w in caught] == [message]
+    has_cos = [f == r == "y" for f, r in zip(frames, refs)]
+    assert ["cos" in row for row in report["per_sample"]] == has_cos
+    assert (report["corpus_mean"]["cos"] is None) == (not any(has_cos))
