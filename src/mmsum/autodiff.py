@@ -30,6 +30,11 @@ so values and gradients are bitwise those of the composition. A loss node
 replays its composition's chain of scalar products in order, forward and
 backward. Gradients are exact and are cross-checked against central finite
 differences by the gradient-check harness and the test suite.
+
+A gradient is written by its first producer and added to by the rest, into
+``grad_slot`` when the Tensor has one (a parameter's view of the optimizer's
+store), else into a new array. ``_acc`` writes g + 0.0, bitwise zeros + g;
+the BiLSTM's weight GEMMs write the slot directly and may leave a -0.0.
 """
 from __future__ import annotations
 
@@ -58,7 +63,9 @@ def grad_enabled():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
+    # ``grad_slot``: where the gradient is written, a parameter's view of the
+    # optimizer's gradient store (set by ``training.Adagrad``), else None
+    __slots__ = ("data", "grad", "grad_slot", "requires_grad", "_parents", "_bw")
 
     # numpy refuses a Tensor operand, so ``ndarray * Tensor`` raises
     # TypeError rather than looping over the Tensor as an object; a Tensor
@@ -67,7 +74,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+        self.grad = self.grad_slot = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._bw = None
@@ -89,9 +96,10 @@ def as_tensor(x):
 
 
 def _acc(t, g):
+    """Add g to t's gradient; the first producer writes g + 0.0 (a copy, as g
+    may be another node's grad) into ``t.grad_slot`` or a new array."""
     if t.grad is None:
-        # a copy, since g may be another node's grad; bit-equal to zeros + g
-        t.grad = g + 0.0
+        t.grad = g + 0.0 if t.grad_slot is None else np.add(g, 0.0, out=t.grad_slot)
     else:
         t.grad += g
 
@@ -145,7 +153,11 @@ def take_rows(a, indices):
 
     def bw(g):      # recorded only when ``a`` requires a gradient
         if a.grad is None:
-            a.grad = np.zeros_like(a.data)
+            if a.grad_slot is None:
+                a.grad = np.zeros_like(a.data)
+            else:
+                a.grad = a.grad_slot
+                a.grad.fill(0.0)
         np.add.at(a.grad, idx, g)
 
     return _node(out_data, (a,), bw)
@@ -485,10 +497,11 @@ def _gate_grads(A, C, TC, local):
     return local_o, dc_dh
 
 
-def _weight_grad(x, h_prev, dz):
+def _weight_grad(x, h_prev, dz, dW=None):
     """The gradient [x, h_prev]^T dz of a (D + h, 4h) LSTM weight, written
-    into one array by two GEMMs."""
-    dW = np.empty((x.shape[1] + h_prev.shape[1], dz.shape[1]))
+    by two GEMMs into ``dW``, or into a new array."""
+    if dW is None:
+        dW = np.empty((x.shape[1] + h_prev.shape[1], dz.shape[1]))
     np.matmul(x.T, dz, out=dW[:x.shape[1]])
     np.matmul(h_prev.T, dz, out=dW[x.shape[1]:])
     return dW
@@ -667,7 +680,13 @@ def bilstm_sequences(groups):
             for W, b, dz, h_prev in ((fw_W, fw_b, dZf, H[:T, j, 0]),
                                      (bw_W, bw_b, dZb, H[:T, j, 1][::-1])):
                 if W.requires_grad:
-                    _acc(W, _weight_grad(Xt, h_prev.reshape(T * B, h), dz))
+                    hp = h_prev.reshape(T * B, h)
+                    if W.grad is None and W.grad_slot is not None:
+                        # the first producer's GEMMs write into the slot; a
+                        # -0.0 they leave steps Adagrad as +0.0 would
+                        W.grad = _weight_grad(Xt, hp, dz, W.grad_slot)
+                    else:
+                        _acc(W, _weight_grad(Xt, hp, dz))
                 if b.requires_grad:
                     _acc(b, dz.sum(axis=0))
 

@@ -1,6 +1,8 @@
 """Checkpoints: a directory of the config snapshot, the vocabulary, an index
 ``{"format": 2, "extra": {...}}`` and ``params.bin``, one 1 x n feature file
-of every parameter, flattened, in ``model.parameter_spec`` order."""
+of every parameter, flattened, in ``model.parameter_spec`` order. Every value
+in ``params.bin`` is finite: a NaN or infinite float32 value is refused when
+saved and when read."""
 from __future__ import annotations
 
 import dataclasses
@@ -27,6 +29,13 @@ def _sibling(directory: Path, suffix: str) -> Path:
     return directory.with_name(directory.name + suffix)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, or a CheckpointError naming ``what`` if one is NaN or inf."""
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{what} holds a NaN or infinite value")
+    return values
+
+
 def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
                     vocab: dict[str, int], extra: dict | None = None) -> Path:
     """Write the checkpoint into a sibling ``<directory>.tmp``, then swap that
@@ -43,7 +52,10 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
         with open(tmp / PARAMS_FILE, "wb") as fh:
             write_feature_header(fh, 1, sum(math.prod(s) for s in spec.values()))
             for name in spec:
-                np.asarray(params[name], dtype="<f4").tofile(fh)
+                with np.errstate(over="ignore"):    # a float32 overflow is inf
+                    values = np.asarray(params[name], dtype="<f4")
+                _finite(values, f"cannot save checkpoint {directory}: parameter {name}"
+                        ).tofile(fh)
         write_json(tmp / INDEX_FILE, {"format": FORMAT, "extra": extra or {}})
         write_json(tmp / CONFIG_FILE, dataclasses.asdict(cfg))
         write_json(tmp / VOCAB_FILE, sorted(vocab, key=vocab.get))
@@ -82,8 +94,9 @@ def load_checkpoint(directory):
         with open(path, "rb") as fh:
             if read_feature_header(fh, path) != (1, n):
                 raise FormatError(f"{path} does not hold 1x{n} values")
-            params = {name: np.fromfile(fh, "<f4", math.prod(s)).astype(np.float64)
-                      .reshape(s) for name, s in spec.items()}
+            params = {name: _finite(np.fromfile(fh, "<f4", math.prod(s)),
+                                    f"checkpoint parameter {name} in {path}")
+                      .astype(np.float64).reshape(s) for name, s in spec.items()}
     except (OSError, FormatError) as exc:
         raise CheckpointError(f"cannot read checkpoint parameters: {exc}") from exc
     return params, cfg, {tok: i for i, tok in enumerate(tokens)}

@@ -12,8 +12,9 @@ is one ``autodiff.weighted_sum`` node.
 
 Adagrad owns the model's memory once it is built: every parameter, gradient
 and accumulator is a view of one flat store. Between steps each ``p.grad``
-is a zeroed array that backward accumulates into; a caller may still assign
-``p.grad`` an array or None, and the next step reads it.
+is None, and backward's first producer of a parameter's gradient writes it
+into the parameter's ``grad_slot``, its view of the store; a caller may
+still assign ``p.grad`` an array, and the next step reads it.
 """
 from __future__ import annotations
 
@@ -194,46 +195,50 @@ class Adagrad:
     JMLR 2011) over one flat store of the whole model.
 
     Row 0 of one (3, n) float64 array holds the parameters (each
-    ``Tensor.data`` is rebound to its view), row 1 the gradients and row 2
-    the accumulators (``acc[name]``). ``step`` first copies in any ``p.grad``
-    a caller rebound (None reads as zero), then runs each block of columns
-    through the arithmetic of ``p -= lr * g / (sqrt(acc) + eps)`` in the
-    same order, so the result is bitwise that formula's, and zeroes the
-    gradient block. A zero gradient leaves acc and p bitwise unchanged
-    (eps > 0), so it is the same as no gradient."""
+    ``Tensor.data`` is rebound to its view), row 1 the gradients (each
+    ``Tensor.grad_slot``, which backward writes) and row 2 the accumulators
+    (``acc[name]``). ``step`` zeroes the slot of a parameter whose ``p.grad``
+    is None, since it holds the last step's gradient, copies in any other
+    array a caller assigned, and sets every ``p.grad`` to None. It then runs
+    each block of columns through the arithmetic of ``p -= lr * g /
+    (sqrt(acc) + eps)`` in the same order, so the result is bitwise that
+    formula's. A zero gradient leaves acc and p bitwise unchanged (eps > 0),
+    so it is the same as no gradient. A -0.0 that backward's GEMMs write
+    takes p to p + 0.0, which is p, as no parameter is -0.0: draws and
+    biases start at +0.0 or off zero, and x - x is +0.0."""
 
     BLOCK = 1 << 15     # store columns per pass (scratch of 2 x 256 KiB)
 
     def __init__(self, params: dict[str, Tensor], lr: float, eps: float = 1e-8):
         self.lr = lr
         self.eps = eps
+        # the zero rows stay unwritten, so their pages are only mapped by
+        # the first step that uses them
         self._store = np.zeros((3, sum(p.data.size for p in params.values())))
+        # one scratch for the optimizer's life: made per step, it left some
+        # train_paper runs faulting about 2,300 pages back in per step
+        self._scratch = np.empty((2, min(self._store.shape[1], self.BLOCK)))
         self.acc: dict[str, np.ndarray] = {}
-        self._grads: list[tuple[Tensor, np.ndarray]] = []
+        self._params = list(params.values())
         lo = 0
         for name, p in params.items():
             hi = lo + p.data.size
-            w, g, self.acc[name] = (row.reshape(p.data.shape)
-                                    for row in self._store[:, lo:hi])
+            w, p.grad_slot, self.acc[name] = (row.reshape(p.data.shape)
+                                              for row in self._store[:, lo:hi])
             w[...] = p.data
-            # the zero rows stay unwritten, so their pages are only mapped
-            # by the first step that uses them
-            if p.grad is not None:
-                g[...] = p.grad
-            p.data, p.grad = w, g
-            self._grads.append((p, g))
+            p.data = w
             lo = hi
 
     def step(self):
-        for p, g in self._grads:
-            if p.grad is not g:
-                g[...] = 0.0 if p.grad is None else p.grad
-                p.grad = g
-        n = self._store.shape[1]
-        scratch = np.empty((2, min(n, self.BLOCK)))
-        for lo in range(0, n, self.BLOCK):
+        for p in self._params:
+            if p.grad is None:
+                p.grad_slot.fill(0.0)
+            elif p.grad is not p.grad_slot:
+                p.grad_slot[...] = p.grad
+            p.grad = None
+        for lo in range(0, self._store.shape[1], self.BLOCK):
             w, g, acc = self._store[:, lo:lo + self.BLOCK]
-            b, b2 = scratch[:, :g.size]
+            b, b2 = self._scratch[:, :g.size]
             np.square(g, out=b)
             acc += b
             np.sqrt(acc, out=b)
@@ -241,7 +246,6 @@ class Adagrad:
             np.multiply(self.lr, g, out=b2)
             b2 /= b
             w -= b2
-            g.fill(0.0)
 
 
 class EarlyStopping:

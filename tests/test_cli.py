@@ -625,6 +625,26 @@ def test_eval_bad_checkpoint_vocabulary_is_checkpoint_error(cli_corpus, trained_
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_eval_non_finite_checkpoint_parameter_is_checkpoint_error(cli_corpus, trained_run,
+                                                                  tmp_path, capsys, value):
+    """A trained checkpoint with one NaN or infinite value in params.bin, its
+    first (``encoders/embedding[0, 0]``), is refused before any sample is
+    scored."""
+    ck = shutil.copytree(trained_run / "checkpoint", tmp_path / "checkpoint")
+    with open(ck / checkpoint.PARAMS_FILE, "r+b") as fh:
+        fh.seek(16)     # past the feature-file header
+        fh.write(np.array([value], dtype="<f4").tobytes())
+    assert run_cli("eval", "--checkpoint", str(ck),
+                   "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(tmp_path / "ev")) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    err = json.loads(err)
+    assert err["error"] == "CHECKPOINT" and "encoders/embedding" in err["message"]
+    assert not (tmp_path / "ev").exists()
+
+
 def test_eval_missing_refs_omits_cos(cli_corpus, trained_run, tmp_path):
     # strip ref_features from a copy of the manifest
     doc = json.loads((cli_corpus / "manifest.json").read_text())

@@ -321,6 +321,50 @@ def test_save_over_a_directory_replaces_it_whole(tmp_path):
     assert _tree(ck) == _tree(tmp_path / "other")
 
 
+def _offset_of(name, cfg, vocab_size):
+    """The index of ``name``'s first value among the checkpoint's values."""
+    spec = parameter_spec(cfg, vocab_size)
+    return sum(int(np.prod(spec[k])) for k in list(spec)[:list(spec).index(name)])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["encoders/embedding", "encoders/word/fw_W",
+                                  "fusion/text/f/b2"])
+def test_load_checkpoint_refuses_a_non_finite_parameter(tmp_path, name, value):
+    """One NaN or infinite float32 value in params.bin, in the first, a middle
+    or the last parameter, is a CheckpointError that names the parameter."""
+    cfg = tiny_config()
+    params = build_parameters(cfg, 7, np.random.default_rng(4))
+    ck = checkpoint.save_checkpoint(tmp_path / "ck", params, cfg, VOCAB7)
+    with open(ck / checkpoint.PARAMS_FILE, "r+b") as fh:
+        fh.seek(16 + 4 * _offset_of(name, cfg, 7))
+        fh.write(np.array([value], dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match=f"checkpoint parameter {name} .*NaN or inf"):
+        checkpoint.load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39],
+                         ids=["nan", "inf", "-inf", "float32-overflow"])
+def test_save_checkpoint_refuses_a_non_finite_parameter(tmp_path, value):
+    """A parameter that is NaN or infinite as float32, one beyond float32's
+    range included, is refused: a new save writes nothing, and a save over a
+    checkpoint leaves it byte for byte."""
+    cfg = tiny_config()
+    params = build_parameters(cfg, 7, np.random.default_rng(4))
+    bad = {k: v.copy() for k, v in params.items()}
+    bad["encoders/word/fw_W"][0, 0] = value
+    match = "encoders/word/fw_W holds a NaN or infinite value"
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint.save_checkpoint(tmp_path / "new", bad, cfg, VOCAB7)
+    assert list(tmp_path.iterdir()) == []
+    ck = checkpoint.save_checkpoint(tmp_path / "ck", params, cfg, VOCAB7)
+    before = _tree(ck)
+    with pytest.raises(CheckpointError, match=match):
+        checkpoint.save_checkpoint(ck, bad, cfg, VOCAB7)
+    assert _tree(ck) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
 @pytest.mark.parametrize("filename,content", [
     ("index.json", "{not json"),
     ("index.json", "{}"),

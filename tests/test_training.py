@@ -356,9 +356,11 @@ def test_adagrad_accumulates_squared_gradients():
 def test_adagrad_step_is_bitwise_the_plain_formula(rng):
     """Three steps through the flat store equal, bit for bit, the expression
     they replace, for parameters of one block, of several blocks and of rows
-    longer than a block; a parameter without a gradient, a -0.0 entry
-    included, is left bitwise alone. Each gradient stays its zeroed view of
-    the store between steps."""
+    longer than a block, whether the gradient is an array the caller
+    assigned or one written into the slot as backward writes it; a
+    parameter without a gradient, a -0.0 entry included, is left bitwise
+    alone. Between steps each ``p.grad`` is None and each slot stays its
+    view of the store."""
     n = Adagrad.BLOCK
     shapes = {"blocks": (3 * n // 40 + 1, 40), "long_rows": (2, n + 3),
               "row": (n + 5,), "small": (7, 12), "scalar": (), "frozen": (3, 2)}
@@ -370,17 +372,22 @@ def test_adagrad_step_is_bitwise_the_plain_formula(rng):
     frozen = params["frozen"].data.tobytes()
     lr, eps = 0.3, 1e-8
     opt = Adagrad(params, lr=lr, eps=eps)
-    views = {k: p.grad for k, p in params.items()}
-    for _ in range(3):
-        for k, p in params.items():
-            p.grad = None if k == "frozen" else rng.normal(size=shapes[k])
-            if p.grad is not None:
-                acc[k] += p.grad * p.grad
-                ref[k] -= lr * p.grad / (np.sqrt(acc[k]) + eps)
+    slots = {k: p.grad_slot for k, p in params.items()}
+    for step in range(3):
+        for i, (k, p) in enumerate(params.items()):
+            if k == "frozen":
+                continue
+            g = rng.normal(size=shapes[k])
+            if (i + step) % 2:
+                p.grad = g
+            else:
+                ad._acc(p, g)
+                assert p.grad is p.grad_slot
+            acc[k] += g * g
+            ref[k] -= lr * g / (np.sqrt(acc[k]) + eps)
         opt.step()
         for k, p in params.items():
-            assert p.grad is views[k]
-            assert not p.grad.any()
+            assert p.grad is None and p.grad_slot is slots[k]
             assert p.data.tobytes() == ref[k].tobytes()
             assert opt.acc[k].tobytes() == acc[k].tobytes()
     assert params["frozen"].data.tobytes() == frozen
@@ -438,15 +445,17 @@ def tiny_split(tmp_path_factory):
 
 
 def test_adagrad_keeps_one_store_over_real_training_steps(tiny_split):
-    """Over three training steps no gradient is reallocated, and every
-    parameter, gradient and accumulator is a view of one base array."""
+    """Over three training steps backward writes every gradient into its
+    parameter's slot and allocates none, each ``p.grad`` is None after the
+    step, and every parameter, gradient slot and accumulator is a view of
+    one base array."""
     from mmsum.data import prepare_for_model
     from mmsum.model import SummarizerModel
     train, _, cfg, vocab_size = tiny_split
     m = SummarizerModel(build_parameters(cfg, vocab_size, np.random.default_rng(0)),
                         cfg, vocab_size)
     opt = Adagrad(m.params, lr=cfg.lr)
-    grads = {k: p.grad for k, p in m.params.items()}
+    slots = {k: p.grad_slot for k, p in m.params.items()}
     action_rng, baseline = np.random.default_rng(1), 0.0
     for sample in train[:3]:
         sample = prepare_for_model(sample, cfg.fps_group, cfg.seed)
@@ -456,35 +465,135 @@ def test_adagrad_keeps_one_store_over_real_training_steps(tiny_split):
                                                action_rng, baseline)
         ce = None if lab.exclude_from_ce else ce_loss(out.sent_probs, lab.labels)
         ad.backward(bistream_loss(ce, surrogate, cfg.alpha_ts, cfg.alpha_vs))
+        assert all(p.grad is slots[k] for k, p in m.params.items())
         opt.step()
-        assert all(p.grad is grads[k] and not p.grad.any()
+        assert all(p.grad is None and p.grad_slot is slots[k]
                    for k, p in m.params.items())
     base = m.params["encoders/embedding"].data.base
     assert base is not None
     for k, p in m.params.items():
-        assert p.data.base is base and p.grad.base is base
+        assert p.data.base is base and p.grad_slot.base is base
         assert opt.acc[k].base is base
     assert sum(p.data.size for p in m.params.values()) * 3 == base.size
 
 
 def test_adagrad_honours_a_gradient_rebound_or_set_to_none(rng):
     """A fresh array assigned to ``p.grad`` between steps is the gradient of
-    the next step; None is no gradient; either way ``p.grad`` is then its
-    view of the store again."""
+    the next step; None is no gradient, whatever the slot still holds;
+    either way ``p.grad`` is None after the step."""
     p = Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     q = Tensor(rng.uniform(-1, 1, (5,)), requires_grad=True)
     opt = Adagrad({"p": p, "q": q}, lr=0.1)
-    views = (p.grad, q.grad)
+    slots = (p.grad_slot, q.grad_slot)
     q_before = q.data.tobytes()
     g = rng.normal(size=(4, 3))
     want = p.data - 0.1 * g / (np.sqrt(g * g) + 1e-8)
-    q.grad += 1.0       # accumulated into the view, then replaced by None
-    p.grad, q.grad = g, None
+    q.grad_slot += 1.0  # a stale value in the slot, with q.grad None
+    p.grad = g
     opt.step()
     assert p.data.tobytes() == want.tobytes()
     assert q.data.tobytes() == q_before and not opt.acc["q"].any()
-    assert p.grad is views[0] and q.grad is views[1]
-    assert not p.grad.any() and not q.grad.any()
+    assert p.grad is None and q.grad is None
+    assert (p.grad_slot, q.grad_slot) == slots
+
+
+def test_adagrad_never_reapplies_a_stale_slot(rng):
+    """Parameters that backward gave a gradient in one step, through the
+    BiLSTM's weight GEMMs, its bias sums and the embedding's scatter-add,
+    and none in the next, keep their values and accumulators bitwise in the
+    next step, as the transcript BiLSTM does on an empty transcript; only the
+    parameter with a gradient moves."""
+    h, D = 3, 4
+    params = {"table": Tensor(rng.uniform(-1, 1, (9, D)), requires_grad=True),
+              "W": Tensor(rng.uniform(-1, 1, (D, 2)), requires_grad=True),
+              "b": Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True)}
+    for name in ("fw_W", "bw_W"):
+        params[name] = Tensor(rng.uniform(-1, 1, (D + h, 4 * h)), requires_grad=True)
+    for name in ("fw_b", "bw_b"):
+        params[name] = Tensor(rng.uniform(-1, 1, (4 * h,)), requires_grad=True)
+    opt = Adagrad(params, lr=0.1)
+    X = ad.take_rows(params["table"], [1, 4, 4, 7, 2])
+    ad.backward(ad.bilstm_sequence(X, *(params[k] for k in ("fw_W", "fw_b", "bw_W",
+                                                            "bw_b"))))
+    opt.step()
+    kept = {k: (p.data.tobytes(), opt.acc[k].tobytes()) for k, p in params.items()
+            if k not in ("W", "b")}
+    assert all(opt.acc[k].any() for k in kept)
+    w_before = params["W"].data.tobytes()
+    ad.backward(ad.dense(Tensor(rng.normal(size=(3, D))), params["W"], params["b"], "tanh"))
+    opt.step()
+    assert {k: (params[k].data.tobytes(), opt.acc[k].tobytes()) for k in kept} == kept
+    assert params["W"].data.tobytes() != w_before
+
+
+def test_adagrad_steps_a_negative_zero_in_the_slot_as_a_positive_one(rng):
+    """A gradient with -0.0 entries, written straight into the slot as the
+    BiLSTM's weight GEMMs may write it, moves neither the parameters nor the
+    accumulators differently from the same gradient with +0.0 there."""
+    data = rng.uniform(-1, 1, (6, 5))
+    g = rng.normal(size=(6, 5))
+    g[::2, 1::2] = -0.0
+    assert np.signbit(g[0, 1]) and not g[0, 1]
+    runs = []
+    for grad in (g, g + 0.0):
+        p = Tensor(data.copy(), requires_grad=True)
+        opt = Adagrad({"p": p}, lr=0.1)
+        for _ in range(2):
+            p.grad_slot[...] = grad
+            p.grad = p.grad_slot
+            opt.step()
+        runs.append((p.data.tobytes(), opt.acc["p"].tobytes()))
+    assert np.signbit(g[0, 1]) != np.signbit((g + 0.0)[0, 1])
+    assert runs[0] == runs[1]
+    assert runs[0][0] != data.tobytes()
+
+
+def _paper_sample(rng, vocab_size, transcript_len):
+    """A sample at the paper's shape: 25 sentences of 20 tokens, 40 frames of
+    2048-d (taken down by ``fps_group=1``) and a transcript."""
+    from mmsum.data import Sample, Transcript
+    doc = Document(sentences=[rng.integers(0, vocab_size, size=20) for _ in range(25)],
+                   raw_sentences=["x"] * 25, id="paper")
+    return Sample(document=doc, frames=rng.normal(size=(40, 2048)),
+                  transcript=Transcript(tokens=rng.integers(0, vocab_size,
+                                                            size=transcript_len),
+                                        raw_text="x"),
+                  gold_summary=["x"])
+
+
+def test_adagrad_at_the_paper_shape_is_bitwise_the_per_tensor_reference():
+    """Three joint-loss steps of the default config (h = 64, 2048-d frames),
+    the second on an empty transcript, end at bitwise the parameters and
+    accumulators of the per-tensor optimizer. The frame BiLSTM's weight
+    gradient is written into the optimizer's store, not into an array of
+    its own."""
+    from mmsum.config import RunConfig
+    cfg = dataclasses.replace(RunConfig(), fps_group=1, lr=0.01)
+    vocab_size = 500
+    rng = np.random.default_rng(3)
+    samples = [_paper_sample(rng, vocab_size, n) for n in (150, 0, 150)]
+    runs = []
+    for optimizer in (Adagrad, adagrad_reference):
+        model = SummarizerModel(build_parameters(cfg, vocab_size,
+                                                 np.random.default_rng(0)),
+                                cfg, vocab_size)
+        opt = optimizer(model.params, lr=cfg.lr)
+        action_rng, baseline = np.random.default_rng(1), 0.0
+        for sample in samples:
+            out = model.forward(sample)
+            surrogate, _, baseline, _ = video_loss(out.frame_probs, out.frame_states,
+                                                   action_rng, baseline)
+            labels = np.arange(out.sent_probs.shape[0]) % 2
+            ad.backward(bistream_loss(ce_loss(out.sent_probs, labels), surrogate,
+                                      cfg.alpha_ts, cfg.alpha_vs))
+            if optimizer is Adagrad:
+                fw_W = model.params["encoders/frame/fw_W"]
+                assert fw_W.grad.shape == (2048 + 64, 256)
+                assert np.shares_memory(fw_W.grad, opt._store)
+            opt.step()
+        runs.append(([(k, p.data.tobytes()) for k, p in model.params.items()],
+                     [(k, a.tobytes()) for k, a in opt.acc.items()]))
+    assert runs[0] == runs[1]
 
 
 def test_adagrad_built_after_backward_uses_the_gradients_present(rng):
