@@ -696,11 +696,6 @@ def bilstm_sequences(groups):
     return [_slice_of(node, out, a) for out, a in zip(outs, start)]
 
 
-def bilstm_sequence(X, fw_W, fw_b, bw_W, bw_b, lengths=None):
-    """``bilstm_sequences`` over the one group X: its Tensor alone."""
-    return bilstm_sequences([(X, fw_W, fw_b, bw_W, bw_b, lengths)])[0]
-
-
 def _walk(t):
     """The nodes backward runs from ``t``, parents after every child that
     feeds them: a depth-first post-order, reversed by the caller. Only nodes

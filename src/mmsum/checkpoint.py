@@ -1,12 +1,12 @@
 """Checkpoints: a directory of the config snapshot, the vocabulary, an index
 ``{"format": 2, "extra": {...}}`` and ``params.bin``, one 1 x n feature file
-of every parameter, flattened, in ``model.parameter_spec`` order. Every value
-in ``params.bin`` is finite: a NaN or infinite float32 value is refused when
-saved and when read."""
+of every parameter laid out by ``model.parameter_views``. Every value in
+``params.bin`` is finite: a NaN or infinite float32 value is refused, naming
+its parameter, when saved and when read. A save refuses a checkpoint path, or
+a ``.tmp`` or ``.old`` sibling of it, that exists and is not a directory."""
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import shutil
 from pathlib import Path
@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_from_dict
-from .data import UNK_TOKEN, read_feature_header, write_feature_header
+from .data import UNK_TOKEN, read_feature_file, write_feature_file
 from .errors import CheckpointError, FormatError, read_json, write_json
-from .model import check_parameters, parameter_spec
+from .model import check_parameters, parameter_spec, parameter_views
 
 FORMAT = 2
 INDEX_FILE = "index.json"
@@ -29,11 +29,23 @@ def _sibling(directory: Path, suffix: str) -> Path:
     return directory.with_name(directory.name + suffix)
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, or a CheckpointError naming ``what`` if one is NaN or inf."""
-    if not np.isfinite(values).all():
-        raise CheckpointError(f"{what} holds a NaN or infinite value")
-    return values
+def check_target(directory) -> tuple[Path, Path, Path]:
+    """``directory`` and its ``.tmp`` and ``.old`` siblings, or a CheckpointError
+    if one exists and is not a directory, which a save would rename or fail on."""
+    directory = Path(directory)
+    paths = (directory, _sibling(directory, ".tmp"), _sibling(directory, ".old"))
+    for path in paths:
+        if path.exists() and not path.is_dir():
+            raise CheckpointError(f"cannot save checkpoint {directory}: {path} exists "
+                                  f"and is not a directory")
+    return paths
+
+
+def _check_finite(views: dict[str, np.ndarray], describe) -> None:
+    """A CheckpointError naming the first parameter that holds a NaN or inf."""
+    for name, values in views.items():
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{describe(name)} holds a NaN or infinite value")
 
 
 def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
@@ -43,19 +55,16 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
     the new one is in place: a checkpoint is replaced whole or left as it was,
     and a process killed between the two renames leaves the old one whole in
     ``<directory>.old``, where ``load_checkpoint`` finds it."""
-    directory = Path(directory)
     spec = check_parameters(params, cfg, len(vocab))
-    tmp, old = _sibling(directory, ".tmp"), _sibling(directory, ".old")
+    directory, tmp, old = check_target(directory)
+    with np.errstate(over="ignore"):    # a float32 overflow is inf
+        values = np.concatenate([np.ravel(params[name]) for name in spec], dtype="<f4")
+    _check_finite(parameter_views(values, spec),
+                  lambda name: f"cannot save checkpoint {directory}: parameter {name}")
     shutil.rmtree(tmp, ignore_errors=True)
     try:
         tmp.mkdir(parents=True)
-        with open(tmp / PARAMS_FILE, "wb") as fh:
-            write_feature_header(fh, 1, sum(math.prod(s) for s in spec.values()))
-            for name in spec:
-                with np.errstate(over="ignore"):    # a float32 overflow is inf
-                    values = np.asarray(params[name], dtype="<f4")
-                _finite(values, f"cannot save checkpoint {directory}: parameter {name}"
-                        ).tofile(fh)
+        write_feature_file(tmp / PARAMS_FILE, values[None])
         write_json(tmp / INDEX_FILE, {"format": FORMAT, "extra": extra or {}})
         write_json(tmp / CONFIG_FILE, dataclasses.asdict(cfg))
         write_json(tmp / VOCAB_FILE, sorted(vocab, key=vocab.get))
@@ -89,14 +98,13 @@ def load_checkpoint(directory):
         raise CheckpointError(f"checkpoint vocabulary {directory / VOCAB_FILE} must be "
                               f"distinct strings, {UNK_TOKEN} first")
     spec, path = parameter_spec(cfg, len(tokens)), directory / PARAMS_FILE
-    n = sum(math.prod(s) for s in spec.values())
     try:
-        with open(path, "rb") as fh:
-            if read_feature_header(fh, path) != (1, n):
-                raise FormatError(f"{path} does not hold 1x{n} values")
-            params = {name: _finite(np.fromfile(fh, "<f4", math.prod(s)),
-                                    f"checkpoint parameter {name} in {path}")
-                      .astype(np.float64).reshape(s) for name, s in spec.items()}
-    except (OSError, FormatError) as exc:
-        raise CheckpointError(f"cannot read checkpoint parameters: {exc}") from exc
+        values = read_feature_file(path)
+        if values.shape[0] != 1:
+            raise FormatError(f"{values.shape[0]} rows, not 1")
+        stored = parameter_views(values[0], spec)
+    except (OSError, FormatError, CheckpointError) as exc:
+        raise CheckpointError(f"cannot read checkpoint parameters {path}: {exc}") from exc
+    _check_finite(stored, lambda name: f"checkpoint parameter {name} in {path}")
+    params = parameter_views(values[0].astype(np.float64), spec)
     return params, cfg, {tok: i for i, tok in enumerate(tokens)}

@@ -163,6 +163,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg.out_dir)
     if out is None:
         raise CliError("an output directory is required (--out)")
+    checkpoint.check_target(out / "checkpoint")
     manifest, splits, vocab = _load_split(cfg)
     result = training.train_model(splits["train"], splits["val"], cfg, len(vocab))
 

@@ -130,37 +130,27 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 # binary feature files
 
-def write_feature_header(fh, rows: int, cols: int) -> None:
-    fh.write(FEATURE_MAGIC + struct.pack("<II", rows, cols))
-
-
-def read_feature_header(fh, path) -> tuple[int, int]:
-    """(rows, cols) of open feature file ``fh``, now at its first value."""
-    head = fh.read(16)
-    if head[:8] != FEATURE_MAGIC:
-        raise FormatError(f"bad magic in feature file {path}")
-    if len(head) < 16:
-        raise FormatError(f"truncated header in feature file {path}")
-    rows, cols = struct.unpack("<II", head[8:])
-    expected, size = 16 + rows * cols * 4, os.fstat(fh.fileno()).st_size
-    if size != expected:
-        raise FormatError(f"feature file {path} declares {rows}x{cols} "
-                          f"({expected} bytes) but has {size} bytes")
-    return rows, cols
-
-
 def write_feature_file(path, matrix) -> None:
     m = np.asarray(matrix, dtype=np.float32)
     if m.ndim != 2:
         raise FormatError(f"feature matrix must be 2-D, got shape {m.shape}")
     with open(path, "wb") as fh:
-        write_feature_header(fh, *m.shape)
+        fh.write(FEATURE_MAGIC + struct.pack("<II", *m.shape))
         m.astype("<f4", copy=False).tofile(fh)
 
 
 def read_feature_file(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        rows, cols = read_feature_header(fh, path)
+        head = fh.read(16)
+        if head[:8] != FEATURE_MAGIC:
+            raise FormatError(f"bad magic in feature file {path}")
+        if len(head) < 16:
+            raise FormatError(f"truncated header in feature file {path}")
+        rows, cols = struct.unpack("<II", head[8:])
+        expected, size = 16 + rows * cols * 4, os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"feature file {path} declares {rows}x{cols} "
+                              f"({expected} bytes) but has {size} bytes")
         return np.fromfile(fh, "<f4", rows * cols).reshape(rows, cols)
 
 

@@ -72,7 +72,7 @@ def bilstm(X: Tensor, p: BiLSTM, lengths=None) -> Tensor:
     """(T, input_dim) -> (T, 2h): forward states beside backward states. A
     right-padded batch (B, T, input_dim) with its sequence lengths maps to
     (B, T, 2h), zero at padding."""
-    return ad.bilstm_sequence(*_group(X, p, lengths))
+    return ad.bilstm_sequences([_group(X, p, lengths)])[0]
 
 
 def encode_words(sentences, enc: EncoderParams) -> tuple[Tensor, np.ndarray]:

@@ -3,6 +3,8 @@ fusion, yielding per-sentence and per-frame extraction probabilities."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +29,8 @@ class ForwardResult:
 
 def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter the configuration needs, in allocation
-    order. This is the one statement of the parameter layout: the init, the
-    shape check, params.bin and SummarizerModel's typed views derive from it."""
+    order. This is the one statement of the parameter layout: the shape check,
+    the typed views and ``parameter_views``' flat vector derive from it."""
     h, da, df = cfg.hidden, cfg.attn_dim, cfg.fusion_dim
     d2 = 2 * h
     spec = {"encoders/embedding": (vocab_size, cfg.embed_dim)}
@@ -73,13 +75,25 @@ def parameter_spec(cfg: RunConfig, vocab_size: int) -> dict[str, tuple[int, ...]
     return spec
 
 
+def parameter_views(vector: np.ndarray, spec: dict) -> dict[str, np.ndarray]:
+    """Name -> view of flat ``vector`` for each parameter of ``spec``, laid end
+    to end in spec order: the one flat layout of the init, Adagrad's store and
+    params.bin. A vector of another length is a CheckpointError."""
+    ends = list(itertools.accumulate(map(math.prod, spec.values()), initial=0))
+    if vector.shape != (ends[-1],):
+        raise CheckpointError(f"{vector.size} values do not fit a layout of {ends[-1]}")
+    return {name: vector[lo:hi].reshape(shape)
+            for (name, shape), lo, hi in zip(spec.items(), ends, ends[1:])}
+
+
 def build_parameters(cfg: RunConfig, vocab_size: int, rng,
                      init_scale: float = encoders.INIT_SCALE) -> dict[str, np.ndarray]:
-    """Draw every parameter of `parameter_spec` uniformly in spec order, so a
-    given seed always yields the same init; LSTM biases then get their
-    forget-gate opening."""
-    params = {name: rng.uniform(-init_scale, init_scale, size=shape)
-              for name, shape in parameter_spec(cfg, vocab_size).items()}
+    """Views of one uniform draw (the values of one draw per parameter in spec
+    order), so a given seed always yields the same init; LSTM biases then get
+    their forget-gate opening."""
+    spec = parameter_spec(cfg, vocab_size)
+    size = sum(map(math.prod, spec.values()))
+    params = parameter_views(rng.uniform(-init_scale, init_scale, size=size), spec)
     for name, arr in params.items():
         if name.startswith("encoders/") and name.endswith("_b"):
             encoders.open_forget_gate(arr)

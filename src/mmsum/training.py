@@ -11,10 +11,10 @@ node: the CE and the surrogate are ``autodiff.log_likelihood_sum`` nodes
 is one ``autodiff.weighted_sum`` node.
 
 Adagrad owns the model's memory once it is built: every parameter, gradient
-and accumulator is a view of one flat store. Between steps each ``p.grad``
-is None, and backward's first producer of a parameter's gradient writes it
-into the parameter's ``grad_slot``, its view of the store; a caller may
-still assign ``p.grad`` an array, and the next step reads it.
+and accumulator is a view of one flat store (``model.parameter_views``).
+Between steps each ``p.grad`` is None; backward's first producer of a
+gradient writes it into the parameter's ``grad_slot``, its store view, and a
+caller may still assign ``p.grad`` an array for the next step to read.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from .data import Sample, prepare_for_model, tokenize
 from .encoders import INIT_SCALE
 from .errors import ConfigError, LabelError, LossError, RewardError, TrainingError
 from .evaluation import rouge_n
-from .model import SummarizerModel, build_parameters
+from .model import SummarizerModel, build_parameters, parameter_views
 
 PROB_EPS = 1e-7
 BASELINE_DECAY = 0.9
@@ -115,10 +115,7 @@ def _selection(selected) -> list[int]:
 
 def reward_div(states, selected) -> float:
     """Mean (1 - cosine) over ordered pairs of distinct selected frames."""
-    return _reward_div(states, _selection(selected))
-
-
-def _reward_div(states, sel) -> float:
+    sel = _selection(selected)
     if len(sel) < 2:
         return 0.0
     x = np.asarray(states)[sel]
@@ -135,10 +132,7 @@ def _reward_div(states, sel) -> float:
 def reward_rep(states, selected) -> float:
     """How well the selection covers all frames: exp of minus the mean
     distance from each frame to its nearest selected frame."""
-    return _reward_rep(states, _selection(selected))
-
-
-def _reward_rep(states, sel) -> float:
+    sel = _selection(selected)
     if not sel:
         raise RewardError("representativeness needs a nonempty selection")
     x = np.asarray(states)
@@ -160,11 +154,10 @@ def video_loss(frame_probs: Tensor, frame_states, rng, baseline: float):
     if not actions.any():
         actions = np.zeros(p.shape[0], dtype=bool)
         actions[int(np.argmax(p))] = True
-    selected = np.flatnonzero(actions).tolist()     # sorted, no repeats
-
+    selected = np.flatnonzero(actions)
     states = frame_states.data if isinstance(frame_states, Tensor) else frame_states
-    rewards = RewardPair(div=_reward_div(states, selected),
-                         rep=_reward_rep(states, selected))
+    rewards = RewardPair(div=reward_div(states, selected),
+                         rep=reward_rep(states, selected))
     total = rewards.div + rewards.rep
 
     surrogate = ad.log_likelihood_sum(frame_probs, actions.astype(np.float64), PROB_EPS,
@@ -197,15 +190,16 @@ class Adagrad:
     Row 0 of one (3, n) float64 array holds the parameters (each
     ``Tensor.data`` is rebound to its view), row 1 the gradients (each
     ``Tensor.grad_slot``, which backward writes) and row 2 the accumulators
-    (``acc[name]``). ``step`` zeroes the slot of a parameter whose ``p.grad``
-    is None, since it holds the last step's gradient, copies in any other
-    array a caller assigned, and sets every ``p.grad`` to None. It then runs
-    each block of columns through the arithmetic of ``p -= lr * g /
-    (sqrt(acc) + eps)`` in the same order, so the result is bitwise that
-    formula's. A zero gradient leaves acc and p bitwise unchanged (eps > 0),
-    so it is the same as no gradient. A -0.0 that backward's GEMMs write
-    takes p to p + 0.0, which is p, as no parameter is -0.0: draws and
-    biases start at +0.0 or off zero, and x - x is +0.0."""
+    (``acc[name]``), each row laid out by ``model.parameter_views``. ``step``
+    zeroes the slot of a parameter whose ``p.grad`` is None, since it holds
+    the last step's gradient, copies in any other array a caller assigned,
+    and sets every ``p.grad`` to None. It then runs each block of columns
+    through the arithmetic of ``p -= lr * g / (sqrt(acc) + eps)`` in the same
+    order, so the result is bitwise that formula's. A zero gradient leaves acc
+    and p bitwise unchanged (eps > 0), so it is the same as no gradient. A
+    -0.0 that backward's GEMMs write takes p to p + 0.0, which is p, as no
+    parameter is -0.0: draws and biases start at +0.0 or off zero, and x - x
+    is +0.0."""
 
     BLOCK = 1 << 15     # store columns per pass (scratch of 2 x 256 KiB)
 
@@ -218,16 +212,12 @@ class Adagrad:
         # one scratch for the optimizer's life: made per step, it left some
         # train_paper runs faulting about 2,300 pages back in per step
         self._scratch = np.empty((2, min(self._store.shape[1], self.BLOCK)))
-        self.acc: dict[str, np.ndarray] = {}
         self._params = list(params.values())
-        lo = 0
+        spec = {name: p.data.shape for name, p in params.items()}
+        weights, grads, self.acc = (parameter_views(row, spec) for row in self._store)
         for name, p in params.items():
-            hi = lo + p.data.size
-            w, p.grad_slot, self.acc[name] = (row.reshape(p.data.shape)
-                                              for row in self._store[:, lo:hi])
-            w[...] = p.data
-            p.data = w
-            lo = hi
+            weights[name][...] = p.data
+            p.data, p.grad_slot = weights[name], grads[name]
 
     def step(self):
         for p in self._params:

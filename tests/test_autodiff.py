@@ -157,7 +157,8 @@ FUSED_OPS = {
     "tensor-fusion": (ad.tensor_fusion, ops.tensor_fusion_reference, [(3, 4), (3, 2)]),
     "tensor-fusion-one-row": (ad.tensor_fusion, ops.tensor_fusion_reference,
                               [(1, 4), (1, 2)]),
-    "bilstm-one-sequence": (ad.bilstm_sequence, ops.bilstm_sequence_reference,
+    "bilstm-one-sequence": (lambda *group: ad.bilstm_sequences([group])[0],
+                            ops.bilstm_sequence_reference,
                             [(4, 3), (5, 8), (8,), (5, 8), (8,)]),
     "mean-pool": (lambda X: ad.mean_pool(X, POOL_LENGTHS),
                   lambda X: ops.mean_pool_reference(X, POOL_LENGTHS), [(5, 7, 3)]),
@@ -227,7 +228,7 @@ def test_mean_pool_is_bitwise_the_sum_and_product_nodes(rng, mean):
     for pool in (ad.mean_pool, ops.mean_pool_reference):
         X = Tensor(x, requires_grad=True)
         params = [Tensor(w, requires_grad=True) for w in weights]
-        states = ad.bilstm_sequence(X, *params, lengths)
+        states = ad.bilstm_sequences([(X, *params, lengths)])[0]
         out = pool(states, lengths, mean)
         ad.backward(ops.tsum(ops.mul(out, upstream)))
         runs.append([out.data, states.grad, X.grad] + [p.grad for p in params])
@@ -348,7 +349,7 @@ def upstream_on_half(rng, B, T, h, reverse):
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_ignores_values_at_padding(rng, reverse):
-    """For ``bilstm_sequence``, with the upstream gradient on one direction's
+    """For a one-group ``bilstm_sequences``, with the upstream gradient on one direction's
     half, batches that differ only in X at padded positions give bitwise-equal
     outputs and X/W/b gradients."""
     B, T, D, h = 4, 5, 2, 3
@@ -361,7 +362,7 @@ def test_lstm_sequence_ignores_values_at_padding(rng, reverse):
     for padding_values in (np.zeros((B, T, D)), 50.0 * rng.normal(size=(B, T, D))):
         X = Tensor(np.where(pad[:, :, None], padding_values, x), requires_grad=True)
         params = [Tensor(a, requires_grad=True) for a in data]
-        out = ad.bilstm_sequence(X, *params, lengths)
+        out = ad.bilstm_sequences([(X, *params, lengths)])[0]
         ad.backward(ops.tsum(ops.mul(out, upstream)))
         runs.append([t.tobytes() for t in [out.data, X.grad] + [p.grad for p in params]])
     assert runs[0] == runs[1]
@@ -370,17 +371,18 @@ def test_lstm_sequence_ignores_values_at_padding(rng, reverse):
 @pytest.mark.parametrize("lengths", [[4, 2, 1], [4, 4, 4]], ids=["ragged", "full"])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_gradients_match_finite_differences(rng, reverse, lengths):
-    """``bilstm_sequence`` gradients, with the upstream gradient on one
+    """One-group ``bilstm_sequences`` gradients, with the upstream gradient on one
     direction's half; the other direction's W and b get zero gradient."""
     B, T, D, h = 3, 4, 2, 3
     X = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
     params = bilstm_params(rng, D, h)
     upstream = upstream_on_half(rng, B, T, h, reverse)
-    ad.backward(ops.tsum(ops.mul(ad.bilstm_sequence(X, *params, lengths), upstream)))
+    ad.backward(ops.tsum(ops.mul(ad.bilstm_sequences([(X, *params, lengths)])[0],
+                                 upstream)))
 
     def fn():
         with ad.no_grad():
-            out = ad.bilstm_sequence(X, *params, lengths)
+            out = ad.bilstm_sequences([(X, *params, lengths)])[0]
             return float((out.data * upstream).sum())
 
     for t in [X] + params:
@@ -393,9 +395,9 @@ def test_bilstm_sequence_without_lengths_runs_every_sequence_whole(rng):
     X = rng.normal(size=(3, 4, 2))
     params = bilstm_params(rng, 2, 3)
     with ad.no_grad():
-        whole = ad.bilstm_sequence(X, *params).data
-        given = ad.bilstm_sequence(X, *params, [4, 4, 4]).data
-        single = ad.bilstm_sequence(X[1], *params).data
+        whole = ad.bilstm_sequences([(X, *params)])[0].data
+        given = ad.bilstm_sequences([(X, *params, [4, 4, 4])])[0].data
+        single = ad.bilstm_sequences([(X[1], *params)])[0].data
     assert whole.tobytes() == given.tobytes()
     assert single.shape == (4, 6)
     npt.assert_allclose(single, whole[1], rtol=0, atol=1e-15)
@@ -494,8 +496,9 @@ ORACLE_BATCHES = {
 @pytest.mark.parametrize("recording", ["all", "x-without-grad", "no-grad"])
 @pytest.mark.parametrize("batch", ORACLE_BATCHES)
 def test_bilstm_sequence_is_bytewise_its_oracle(rng, batch, recording):
-    """The output and every gradient of ``bilstm_sequence`` are byte for byte
-    those of the node it replaced (``composed_ops.bilstm_sequence_oracle``),
+    """The output and every gradient of a one-group ``bilstm_sequences`` are
+    byte for byte those of the node it replaced
+    (``composed_ops.bilstm_sequence_oracle``),
     signed zeros included: with and without padding, with X a constant (the
     frame encoder's input), and under ``no_grad``."""
     B, T, lengths = ORACLE_BATCHES[batch]
@@ -506,7 +509,8 @@ def test_bilstm_sequence_is_bytewise_its_oracle(rng, batch, recording):
     upstream = rng.normal(size=shape + (2 * h,))
     upstream[..., ::7] = -0.0
     runs = []
-    for op in (ad.bilstm_sequence, ops.bilstm_sequence_oracle):
+    for op in (lambda *group: ad.bilstm_sequences([group])[0],
+               ops.bilstm_sequence_oracle):
         X = Tensor(x, requires_grad=recording == "all")
         params = [Tensor(w, requires_grad=True) for w in weights]
         with ad.no_grad() if recording == "no-grad" else contextlib.nullcontext():

@@ -922,6 +922,26 @@ def test_out_naming_a_file_is_cli_error_before_any_work(cli_corpus, trained_run,
     assert list(tmp_path.iterdir()) == [file] and file.read_text() == "kept"
 
 
+@pytest.mark.parametrize("suffix", ["", ".tmp", ".old"])
+def test_train_checkpoint_sibling_not_a_directory_is_error_before_training(
+        cli_corpus, tmp_path, capsys, monkeypatch, suffix):
+    """A regular file at <out>/checkpoint, checkpoint.tmp or checkpoint.old
+    ends train with the one-line JSON CHECKPOINT error naming it, before it
+    trains; the file keeps its bytes and nothing else is written."""
+    monkeypatch.setattr(cli.training, "train_model", _fail_if_called)
+    out = tmp_path / "run"
+    out.mkdir()
+    file = out / f"checkpoint{suffix}"
+    file.write_text("kept")
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), *TINY_TRAIN) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CHECKPOINT" and f"{file} exists" in err["message"]
+    assert list(out.iterdir()) == [file] and file.read_text() == "kept"
+
+
 def _ablate_cell_against_a_rebuilt_model(micro_corpus, val, **config):
     """One ablation cell's row, and the report that ``evaluate_dataset`` gives
     on the same val samples with a model rebuilt from the best parameters of

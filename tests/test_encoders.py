@@ -76,7 +76,7 @@ def lstm_states_reference(X, W, b, hidden, reverse=False):
 
 
 def assert_bilstm_matches_reference(rng, lengths, D, h, directions=(0, 1)):
-    """``ad.bilstm_sequence`` against ``lstm_states_reference`` run per
+    """A one-group ``ad.bilstm_sequences`` against ``lstm_states_reference`` run per
     sequence and direction, with the upstream gradient on the output halves of
     ``directions`` (0 forward, 1 reverse): outputs and the X, W and b
     gradients of both directions agree within 1e-12, and padding gets zero
@@ -89,7 +89,7 @@ def assert_bilstm_matches_reference(rng, lengths, D, h, directions=(0, 1)):
         upstream[:, :, d * h:(d + 1) * h] = 0.0
 
     X, params = Tensor(x, True), [Tensor(a, True) for a in data]
-    out = ad.bilstm_sequence(X, *params, lengths)
+    out = ad.bilstm_sequences([(X, *params, lengths)])[0]
     ad.backward(ops.tsum(ops.mul(out, upstream)))
 
     refs = [Tensor(a, True) for a in data]
@@ -110,7 +110,7 @@ def assert_bilstm_matches_reference(rng, lengths, D, h, directions=(0, 1)):
 @pytest.mark.parametrize("lengths", [[1, 5, 3, 5, 1, 2], [4, 4]], ids=["ragged", "full"])
 @pytest.mark.parametrize("reverse", [False, True])
 def test_lstm_sequence_matches_per_step_reference(rng, reverse, lengths):
-    """Each direction of ``bilstm_sequence`` on its own: the upstream gradient
+    """Each direction of a one-group ``bilstm_sequences`` on its own: the upstream gradient
     reaches only the forward half, or with ``reverse`` only the reverse half."""
     assert_bilstm_matches_reference(rng, lengths, D=3, h=4, directions=(int(reverse),))
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,7 @@ from mmsum import attention, checkpoint, data, encoders, model
 from mmsum.config import RunConfig
 from mmsum.errors import CheckpointError
 from mmsum.model import (SummarizerModel, build_parameters, check_parameters,
-                         parameter_spec)
+                         parameter_spec, parameter_views)
 from mmsum.training import make_check_sample
 
 # distinct sizes, so a dimension used in the wrong place changes some shape
@@ -363,6 +364,101 @@ def test_save_checkpoint_refuses_a_non_finite_parameter(tmp_path, value):
         checkpoint.save_checkpoint(ck, bad, cfg, VOCAB7)
     assert _tree(ck) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+
+def _per_parameter_params_bin(params, spec) -> bytes:
+    """params.bin as written one parameter at a time: the 1 x n feature-file
+    header, then each parameter as float32, in spec order."""
+    n = sum(int(np.prod(shape)) for shape in spec.values())
+    return data.FEATURE_MAGIC + struct.pack("<II", 1, n) + b"".join(
+        np.asarray(params[name], "<f4").tobytes() for name in spec)
+
+
+# (config, vocabulary size): the test shape, and the paper's default model
+# over a 2,000-word vocabulary (1,427,206 values)
+LAYOUT_SHAPES = {"tiny": (tiny_config(), 7), "default": (RunConfig(), 2000)}
+
+
+@pytest.mark.parametrize("shape", LAYOUT_SHAPES)
+def test_params_bin_is_bytewise_the_per_parameter_layout(tmp_path, shape):
+    cfg, vocab_size = LAYOUT_SHAPES[shape]
+    vocab = {"<unk>": 0, **{f"w{i}": i for i in range(1, vocab_size)}}
+    params = build_parameters(cfg, vocab_size, np.random.default_rng(4))
+    ck = checkpoint.save_checkpoint(tmp_path / "ck", params, cfg, vocab)
+    spec = parameter_spec(cfg, vocab_size)
+    assert (ck / checkpoint.PARAMS_FILE).read_bytes() == \
+        _per_parameter_params_bin(params, spec)
+
+
+def test_a_per_parameter_params_bin_loads_bitwise(tmp_path):
+    """A params.bin written one parameter at a time, here over a checkpoint
+    saved from other parameters, loads as those parameters' float32 values."""
+    cfg = tiny_config()
+    ck = checkpoint.save_checkpoint(
+        tmp_path / "ck", build_parameters(cfg, 7, np.random.default_rng(4)), cfg, VOCAB7)
+    params = build_parameters(cfg, 7, np.random.default_rng(9))
+    (ck / checkpoint.PARAMS_FILE).write_bytes(
+        _per_parameter_params_bin(params, parameter_spec(cfg, 7)))
+    loaded, _, _ = checkpoint.load_checkpoint(ck)
+    assert list(loaded) == list(params)
+    for name, arr in params.items():
+        assert loaded[name].dtype == np.float64
+        assert loaded[name].tobytes() == \
+            np.asarray(arr, "<f4").astype(np.float64).tobytes(), name
+
+
+def test_parameter_views_lay_the_spec_end_to_end():
+    spec = parameter_spec(tiny_config(), 7)
+    n = sum(int(np.prod(shape)) for shape in spec.values())
+    vector = np.arange(n, dtype=np.float64)
+    views = parameter_views(vector, spec)
+    assert [(name, v.shape) for name, v in views.items()] == list(spec.items())
+    assert all(np.shares_memory(v, vector) for v in views.values())
+    assert np.concatenate([v.ravel() for v in views.values()]).tobytes() == \
+        vector.tobytes()
+
+
+def test_parameter_views_refuse_a_vector_of_the_wrong_length():
+    spec = parameter_spec(tiny_config(), 7)
+    n = sum(int(np.prod(shape)) for shape in spec.values())
+    for vector in (np.zeros(n - 1), np.zeros(n + 1), np.zeros(0), np.zeros((1, n))):
+        with pytest.raises(CheckpointError, match=f"values do not fit a layout of {n}$"):
+            parameter_views(vector, spec)
+
+
+def test_params_bin_of_more_than_one_row_is_checkpoint_error(tmp_path):
+    """A params.bin that holds the right number of values, but not as one row."""
+    cfg = tiny_config()
+    params = build_parameters(cfg, 7, np.random.default_rng(4))
+    ck = checkpoint.save_checkpoint(tmp_path / "ck", params, cfg, VOCAB7)
+    values = data.read_feature_file(ck / checkpoint.PARAMS_FILE)
+    n = values.size
+    rows = next(k for k in range(2, n + 1) if n % k == 0)
+    for shape in ((rows, n // rows), (n, 1)):
+        data.write_feature_file(ck / checkpoint.PARAMS_FILE, values.reshape(shape))
+        with pytest.raises(CheckpointError,
+                           match=f"cannot read checkpoint parameters .*{shape[0]} rows"):
+            checkpoint.load_checkpoint(ck)
+
+
+@pytest.mark.parametrize("suffix", ["", ".tmp", ".old"])
+def test_save_refuses_a_checkpoint_or_sibling_that_is_not_a_directory(tmp_path, suffix):
+    """A regular file at ``ck``, ``ck.tmp`` or ``ck.old`` is a CheckpointError
+    naming it, and the save renames, writes and removes nothing: the file and
+    a checkpoint already at ``ck`` keep their bytes."""
+    cfg, ck = tiny_config(), tmp_path / "ck"
+    params = build_parameters(cfg, 7, np.random.default_rng(3))
+    if suffix:
+        checkpoint.save_checkpoint(ck, params, cfg, VOCAB7)
+    before = _tree(ck) if suffix else None
+    file = tmp_path / f"ck{suffix}"
+    file.write_text("kept")
+    with pytest.raises(CheckpointError, match=f"{file} exists and is not a directory"):
+        checkpoint.save_checkpoint(ck, params, cfg, VOCAB7)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"ck", file.name})
+    assert file.read_text() == "kept"
+    if suffix:
+        assert _tree(ck) == before
 
 
 @pytest.mark.parametrize("filename,content", [
