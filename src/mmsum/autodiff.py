@@ -12,16 +12,18 @@ the late(+) fusion penalties, pair and decision head; the loss nodes
 ``log_likelihood_sum``, the clipped Bernoulli log-likelihood summed and then
 scaled (the CE loss and the REINFORCE surrogate), and ``weighted_sum``, the
 mix of the two losses; and ``bilstm_sequences``, both directions of a BiLSTM
-over each of several groups of sequences with their own weights, each group
-a whole right-padded batch or one (T, D) sequence, the hidden size read off
-the (4h,) bias. The BiLSTM's padding contract: the output is zero at padded
-positions, which send no gradient to X and whose values change nothing. A
-group with no sequence shorter than T has no padding, and skips the masks.
-All directions of all groups share one recurrence loop over one
-time-major buffer per quantity, the reverse direction stored in its own
-step order. Sorted longest first, the groups run in phases: a phase covers
-the steps in which the same groups are live and runs on the views of those
-steps and groups, from the state the phase before it left.
+over each of several groups of sequences, each group one (X, fw_W, fw_b,
+bw_W, bw_b, lengths) tuple with its own weights, X a right-padded batch or
+one (T, D) sequence, the hidden size read off the (4h,) bias. The BiLSTM's
+padding contract: the output is zero at padded positions, which send no
+gradient to X and whose values change nothing. A group with no sequence
+shorter than T has no padding, and skips the masks. All directions of all
+groups share one recurrence loop over one time-major buffer per quantity,
+the reverse direction stored in its own step order, and one stacked copy of
+the recurrent weights as given, which forward and backward both read.
+Sorted longest first, the groups run in phases: a phase covers the steps in
+which the same groups are live and runs on the views of those steps and
+groups, from the state the phase before it left.
 
 Each node computes the same numpy expressions in the same order as the
 composition of single ops it stands for (kept as test oracles), and lists
@@ -445,21 +447,22 @@ def _to_front(a, axis):
 def _lstm_steps(A, Wh, H, C, TC):
     """The recurrence of one phase of ``bilstm_sequences`` over step-major
     views of its buffers, in place. A, (S, n, 4, 2, B, h), holds the input
-    pre-activations with i|f|o halved and becomes the gate activations. Wh,
-    (n, 2, h, 4h), holds the recurrent weights with i|f|o halved, so each
-    step's recurrent product is one matmul batched over the directions and
-    stacked over the n groups. From H[0] and C[0], H[s + 1], C[s + 1] and
-    TC[s] get the state, cell and tanh(cell) after step s."""
+    pre-activations and becomes the gate activations. Wh, (n, 2, h, 4h), holds
+    the recurrent weights unscaled, so each step's recurrent product is one
+    matmul batched over the directions and stacked over the n groups. As
+    sigmoid(z) = 0.5 tanh(z / 2) + 0.5, each step then halves i|f|o (exact in
+    binary) and one tanh covers all four gates. From H[0] and C[0], H[s + 1],
+    C[s + 1] and TC[s] get the state, cell and tanh(cell) after step s."""
     n, _, B, h = H.shape[1:]
     hz, ig = np.empty((n, 2, B, 4 * h)), np.empty(H.shape[1:])
     hz4 = hz.reshape(n, 2, B, 4, h).transpose(0, 3, 1, 2, 4)    # A's order
     c_prev = C[0]       # then each step's c
-    for a, i, f, o, g, c, tc, h_prev, h_next in zip(
-            A, *_to_front(A, -4), C[1:], TC, H, H[1:]):
+    for a, ifo, i, f, o, g, c, tc, h_prev, h_next in zip(
+            A, A[:, :, :3], *_to_front(A, -4), C[1:], TC, H, H[1:]):
         np.matmul(h_prev, Wh, out=hz)
         a += hz4
+        ifo *= 0.5
         np.tanh(a, out=a)
-        ifo = a[:, :3]
         ifo *= 0.5
         ifo += 0.5
         np.multiply(f, c_prev, out=c)
@@ -522,18 +525,19 @@ def bilstm_sequences(groups):
     """Both directions of a BiLSTM over each of several groups of sequences,
     as one tape node with one recurrence loop. Returns one Tensor per group.
 
-    A group is (X, fw_W, fw_b, bw_W, bw_b) or (..., lengths), with its own
-    weights. X is a right-padded (B, T, D) batch whose sequence k is
-    X[k, :lengths[k]] (whole when ``lengths`` is None or missing), or one
-    (T, D) sequence; each W is (D + h, 4h) over [x; h] with gate order
-    i|f|o|g and each b is (4h,), which sets the hidden size h. A group maps to
-    (B, T, 2h), or (T, 2h), the forward states beside the backward states. B
-    and h are shared by all groups; T and D are each group's own. Padding
-    contract: at positions t >= lengths[k] the output is zero, X gets zero
-    gradient, and finite values of X change nothing.
+    A group is (X, fw_W, fw_b, bw_W, bw_b, lengths), with its own weights. X
+    is a right-padded (B, T, D) batch whose sequence k is X[k, :lengths[k]]
+    (whole when ``lengths`` is None), or one (T, D) sequence; each W is (D +
+    h, 4h) over [x; h] with gate order i|f|o|g and each b is (4h,), which
+    sets the hidden size h. A group maps to (B, T, 2h), or (T, 2h), the
+    forward states beside the backward states. B and h are shared by all
+    groups; T and D are each group's own. Padding contract: at positions t >=
+    lengths[k] the output is zero, X gets zero gradient, and finite values of
+    X change nothing.
 
-    Each quantity has one time-major buffer over the longest T steps and all
-    N groups, sorted longest first, stably: the gates (S, N, 4, 2, B, h), the
+    Forward and backward walk one list of group records, sorted longest
+    first, stably. Each quantity has one time-major buffer over the longest
+    T steps and all N groups in that order: the gates (S, N, 4, 2, B, h), the
     states, cells and tanh(c) (S, N, 2, B, h), and in backward the upstream
     gradient and dZ, group-major (N, 2, S, B, 4h) for the weight GEMMs.
     Direction 0 is stored in time order and direction 1 in its own step
@@ -541,61 +545,56 @@ def bilstm_sequences(groups):
     exactly for s < T. A phase covers the steps in which the first n groups
     are live and runs on the [:n] views of its steps, from the state the
     phase before it left; each step's recurrent product is one matmul,
-    batched over the two directions and stacked over the n groups' weights.
-    Backward walks the phases last first through the same views, dh and dc
-    starting at zero. Input pre-activations are zeroed at padding; a step
-    with zero input from h = c = 0 stays at 0, so the reverse direction
-    starts from zeros at each sequence's last token. Zeroing the output, the
-    upstream gradient and dZ at padding, outside the loop, cuts off the
-    forward direction's trailing padding. A group with no sequence shorter
-    than T skips the masks.
+    batched over the two directions and stacked over the n groups' weights,
+    one copy as given that backward reads transposed. Backward walks the
+    phases last first through the same views, dh and dc starting at zero.
+    Input pre-activations are zeroed at padding; a step with zero input from
+    h = c = 0 stays at 0, so the reverse direction starts from zeros at each
+    sequence's last token. Zeroing the output, the upstream gradient and dZ
+    at padding, outside the loop, cuts off the forward direction's trailing
+    padding. A group with no sequence shorter than T skips the masks.
 
-    sigmoid(z) = 0.5 tanh(z / 2) + 0.5, so the i|f|o pre-activations are
-    halved (exact in binary) and one tanh covers all four gates. The input
-    GEMMs and the X, weight and bias gradients run per group over its own T
-    rows, each with the shape a one-group node gives it. The cell states and
-    tanh(c) are kept per step only when a gradient is recorded. Several
-    groups share one flat output, handed out by a slice node per group.
-    Parents are listed last group first, so backward walks the last group's
-    input first.
+    The input GEMMs and the X, weight and bias gradients run per group over
+    its own T rows, each with the shape a one-group node gives it. The cell
+    states and tanh(c) are kept per step only when a gradient is recorded.
+    The groups' outputs lie in the given order in one flat output, handed
+    out by a slice node per group. Parents are listed last group first, so
+    backward walks the last group's input first.
     """
-    seqs, parents = [], ()
-    for group in groups:
-        ts = tuple(map(as_tensor, group[:5]))
+    recs, parents, size = [], (), 0    # record: (T, D, x, tensors, pad2, offset)
+    for X, fw_W, fw_b, bw_W, bw_b, lengths in groups:
+        ts = tuple(map(as_tensor, (X, fw_W, fw_b, bw_W, bw_b)))
         x = ts[0].data if ts[0].data.ndim == 3 else ts[0].data[None]
+        B, T, D = x.shape
+        h = ts[2].data.shape[0] // 4
         pad2 = None
-        if len(group) > 5 and group[5] is not None:
-            lengths = np.asarray(group[5], dtype=np.intp)
-            if (lengths < x.shape[1]).any():
-                pad = np.arange(x.shape[1])[:, None] >= lengths     # (T, B), time order
+        if lengths is not None:
+            lengths = np.asarray(lengths, dtype=np.intp)
+            if (lengths < T).any():
+                pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
                 pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
-        seqs.append((x.shape[1], x, ts, pad2))
+        recs.append((T, D, x, ts, pad2, size))
+        size += B * T * 2 * h
         parents = ts + parents
-    B, h = seqs[0][1].shape[0], seqs[0][2][2].data.shape[0] // 4
     keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
-    start = [0]         # group k's (B, T, 2h) block of the one flat output
-    for s in seqs:
-        start.append(start[-1] + B * s[0] * 2 * h)
-    flat = np.empty(start[-1])
-    # longest first, stably; (s0, s1, n) in step order: steps s0 <= s < s1
-    # run the first n sorted groups
-    order = sorted(range(len(seqs)), key=[s[0] for s in seqs].__getitem__, reverse=True)
-    phases, s0 = [], 0
-    for n in range(len(order), 0, -1):
-        s1 = seqs[order[n - 1]][0]
-        if s1 > s0:
-            phases.append((s0, s1, n))
-            s0 = s1
-    N, S = len(order), s0
+    flat = np.empty(size)
+
+    def block(a, T, lo):
+        """A group's (B, T, 2h) block of the flat output, or of its gradient."""
+        return a[lo:lo + B * T * 2 * h].reshape(B, T, 2 * h)
+
+    # each group's output, shaped as its X, with its offset
+    outs = [(block(flat, T, lo).reshape(*ts[0].data.shape[:-1], 2 * h), lo)
+            for T, _, _, ts, _, lo in recs]
+    recs.sort(key=lambda rec: rec[0], reverse=True)     # longest first, stably
+    N, S, Ts = len(recs), recs[0][0], [rec[0] for rec in recs] + [0]
+    # (s0, s1, n) in step order: steps s0 <= s < s1 run the first n groups
+    phases = [(Ts[n], Ts[n - 1], n) for n in range(N, 0, -1) if Ts[n - 1] > Ts[n]]
     A = np.empty((S, N, 4, 2, B, h))
     # the recurrent weights as one C-order array, by copies (``np.stack``
     # costs several times more per call)
     Wh = np.empty((N, 2, h, 4 * h))
-    outs = [None] * len(seqs)
-    sorted_seqs = []    # (T, pad2, output)
-    for j, k in enumerate(order):
-        T, x, (X, fw_W, fw_b, bw_W, bw_b), pad2 = seqs[k]
-        D = x.shape[2]
+    for j, (T, D, x, (_, fw_W, fw_b, bw_W, bw_b), pad2, _) in enumerate(recs):
         Wh[j, 0], Wh[j, 1] = fw_W.data[D:], bw_W.data[D:]
         Xt = x.transpose(1, 0, 2).reshape(T * B, D)
         Ag = A[:T, j].transpose(0, 2, 3, 1, 4)  # (T, 2, B, 4, h), the GEMMs' order
@@ -605,13 +604,7 @@ def bilstm_sequences(groups):
                out=Ag[:, 1])
         if pad2 is not None:    # assignment, so no inf or nan survives
             Ag[pad2] = 0.0
-        A[:T, j, :3] *= 0.5
-        out = flat[start[k]:start[k + 1]].reshape(B, T, 2 * h)
-        sorted_seqs.append((T, pad2, out))
-        outs[k] = out if X.data.ndim == 3 else out[0]
     del Xt              # backward rebuilds it rather than hold a copy
-    WhT = Wh.copy() if keep else None   # backward's, not halved
-    Wh[..., :3 * h] *= 0.5
 
     H = np.empty((S + 1, N, 2, B, h))   # H[s + 1]: state after step s
     C = _step_buffer(S + 1, (N, 2, B, h), keep)
@@ -620,19 +613,18 @@ def bilstm_sequences(groups):
     for s0, s1, n in phases:
         _lstm_steps(A[s0:s1, :n], Wh[:n], H[s0:s1 + 1, :n], C[s0:s1 + 1, :n],
                     TC[s0:s1, :n])
-    for j, (T, pad2, out) in enumerate(sorted_seqs):
+    for j, (T, _, _, _, pad2, lo) in enumerate(recs):
+        out = block(flat, T, lo)
         out[:, :, :h] = H[1:T + 1, j, 0].transpose(1, 0, 2)
         out[:, ::-1, h:] = H[1:T + 1, j, 1].transpose(1, 0, 2)
         if pad2 is not None:
             out[pad2[:, 0].T] = 0.0
-    if not keep:
-        return [Tensor(out) for out in outs]
 
     def bw(g):
         g = g.reshape(-1)
         U = np.empty((S, N, 2, B, h))   # upstream, in step order
-        for j, (T, pad2, _) in enumerate(sorted_seqs):
-            gk = g[start[order[j]]:start[order[j] + 1]].reshape(B, T, 2 * h)
+        for j, (T, _, _, _, pad2, lo) in enumerate(recs):
+            gk = block(g, T, lo)
             U[:T, j, 0] = gk[:, :, :h].transpose(1, 0, 2)
             U[:T, j, 1] = gk[:, ::-1, h:].transpose(1, 0, 2)
             if pad2 is not None:
@@ -641,14 +633,13 @@ def bilstm_sequences(groups):
         dZ = np.zeros((N, 2, S, B, 4 * h))
         local, dZ4 = _to_front(dZ, -3), _to_front(dZ.reshape(N, 2, S, B, 4, h), -4)
         dh, dc, tmp = np.zeros((3, N, 2, B, h))
-        # a transposed view of a C-order block: a C-order (., 4h, h) copy
-        # sends the recurrent product down another BLAS path and changes
-        # the gradients in the last bit
-        WhTv = WhT.swapaxes(-1, -2)
         for s0, s1, n in reversed(phases):
             local_o, dc_dh = _gate_grads(A[s0:s1, :n], C[s0:s1 + 1, :n], TC[s0:s1, :n],
                                          local[s0:s1, :n])
-            dhn, dcn, tmpn, Whn = dh[:n], dc[:n], tmp[:n], WhTv[:n]
+            # a transposed view of a C-order block: a C-order (., 4h, h) copy
+            # sends the recurrent product down another BLAS path and changes
+            # the gradients in the last bit
+            dhn, dcn, tmpn, Whn = dh[:n], dc[:n], tmp[:n], Wh[:n].swapaxes(-1, -2)
             dc3 = dcn[..., None, :]
             # step views in reverse step order; the last step's dh and dc are
             # never read, so its recurrent product is skipped
@@ -664,9 +655,7 @@ def bilstm_sequences(groups):
                 if s:
                     np.matmul(dz, Whn, out=dhn)
                     dcn *= f
-        for j, (k, (T, pad2, _)) in enumerate(zip(order, sorted_seqs)):
-            _, x, (X, fw_W, fw_b, bw_W, bw_b), _ = seqs[k]
-            D = x.shape[2]
+        for j, (T, D, x, (X, fw_W, fw_b, bw_W, bw_b), pad2, _) in enumerate(recs):
             if pad2 is not None:
                 dZ[j, :, :T][pad2.transpose(1, 0, 2)] = 0.0
             # in time order; the reverse direction's is its step order reversed
@@ -690,10 +679,10 @@ def bilstm_sequences(groups):
                 if b.requires_grad:
                     _acc(b, dz.sum(axis=0))
 
-    if len(seqs) == 1:
-        return [_node(outs[0], parents, bw)]
+    if len(outs) == 1:
+        return [_node(outs[0][0], parents, bw)]
     node = _node(flat, parents, bw)
-    return [_slice_of(node, out, a) for out, a in zip(outs, start)]
+    return [_slice_of(node, out, lo) for out, lo in outs]
 
 
 def _walk(t):

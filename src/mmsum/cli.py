@@ -33,10 +33,9 @@ from .model import SummarizerModel
 RATIO_SWEEP = (1.0, 2.0, 3.33, 5.0)
 BETA_SWEEP = (0.0, 0.1, 0.3, 0.5, 1.0)
 
-# eval rebuilds the checkpoint's network: a field that shapes its parameters
-# fails at any other value, and one that only training reads changes nothing
-EVAL_FIELDS = ("manifest", "seed", "fps_group", "min_frames", "k_sentences",
-               "k_frames", "beta", "fusion", "sum_pool", "late_plus_prose")
+# eval runs the checkpoint's network as trained, so its flags pick only the
+# data and the summary length; the report records their values
+EVAL_FIELDS = ("manifest", "seed", "fps_group", "min_frames", "k_sentences", "k_frames")
 # every ablation cell sets its own patience and use_bistream
 ABLATE_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
                  if f.name not in ("patience", "use_bistream")]
@@ -190,7 +189,8 @@ def cmd_eval(args) -> int:
     out = _out_dir(args.out or Path(args.checkpoint).parent)
     model, cfg, vocab, saved = _model_from_checkpoint(args.checkpoint, args)
     # an unsplit manifest is split as train split it, whatever --seed eval gets
-    manifest = _split_manifest(args.manifest or cfg.manifest, saved)
+    manifest_path = args.manifest or cfg.manifest
+    manifest = _split_manifest(manifest_path, saved)
     entries = manifest.entries_for(args.split)
     if not entries:
         raise CliError(f"no samples in split '{args.split}'")
@@ -199,6 +199,9 @@ def cmd_eval(args) -> int:
     prepared = [data.prepare_for_model(s, cfg.fps_group, cfg.seed) for s in samples]
 
     report = evaluation.evaluate_dataset(prepared, model)
+    report["settings"] = {**{name: getattr(cfg, name) for name in EVAL_FIELDS},
+                          "manifest": manifest_path, "checkpoint": args.checkpoint,
+                          "split": args.split}
     out.mkdir(parents=True, exist_ok=True)
     written = evaluation.write_report(report, out / f"report_{args.split}", fmt=args.format)
     mean = report["corpus_mean"]

@@ -110,9 +110,9 @@ def rouge_all(candidate, reference) -> RougeScore:
                       rl=rouge_l(candidate, reference))
 
 
-def cos_image_similarity(selected_features, ref_features) -> float:
-    """Mean over reference images of the best cosine match among the selected
-    frames, as a percentage."""
+def _cos_or_none(selected_features, ref_features) -> float | None:
+    """``cos_image_similarity``, or None when a row of either has zero norm,
+    which has no cosine."""
     sel = np.asarray(selected_features, dtype=np.float64)
     refs = np.asarray(ref_features, dtype=np.float64)
     if sel.ndim != 2 or refs.ndim != 2:
@@ -125,9 +125,18 @@ def cos_image_similarity(selected_features, ref_features) -> float:
     sel_norms = np.linalg.norm(sel, axis=1)
     ref_norms = np.linalg.norm(refs, axis=1)
     if np.any(sel_norms == 0) or np.any(ref_norms == 0):
-        raise EvalError("zero-norm feature vector")
+        return None
     sims = (refs / ref_norms[:, None]) @ (sel / sel_norms[:, None]).T
     return float(sims.max(axis=1).mean() * 100.0)
+
+
+def cos_image_similarity(selected_features, ref_features) -> float:
+    """Mean over reference images of the best cosine match among the selected
+    frames, as a percentage."""
+    cos = _cos_or_none(selected_features, ref_features)
+    if cos is None:
+        raise EvalError("zero-norm feature vector")
+    return cos
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +197,17 @@ def summarize(sample: Sample, model, k_sentences: int | None = None,
                   cfg.k_frames if k_frames is None else k_frames)
 
 
+# why a sample has no Cos -> the warning's words when it is the only cause
+NO_COS_CAUSES = {"no frames selected": "no frames selected",
+                 "no reference images": "no reference images present",
+                 "zero-norm features": "zero-norm frame or reference features"}
+
+
 def score_summaries(samples: list[Sample], summaries: list[SummaryOutput]) -> dict:
-    """Per-sample and corpus-mean ROUGE (plus Cos where frames were selected and
-    references exist) of each sample's summary."""
-    per_sample = []
+    """Per-sample and corpus-mean ROUGE (plus Cos where frames were selected,
+    references exist and no row of either has zero norm) of each sample's
+    summary."""
+    per_sample, missing = [], dict.fromkeys(NO_COS_CAUSES, 0)
     for s, out in zip(samples, summaries):
         cand = [tokenize(s.document.raw_sentences[i]) for i in out.sentence_indices]
         ref = [tokenize(line) for line in s.gold_summary]
@@ -202,24 +218,27 @@ def score_summaries(samples: list[Sample], summaries: list[SummaryOutput]) -> di
             "selected_frames": out.frame_indices,
             "r1": score.r1.f1, "r2": score.r2.f1, "rl": score.rl.f1,
         }
-        if s.ref_image_features is not None and out.frame_indices:
-            row["cos"] = cos_image_similarity(
-                s.frames[out.frame_indices], s.ref_image_features)
+        if not out.frame_indices:   # a text-only model never selects one
+            missing["no frames selected"] += 1
+        elif s.ref_image_features is None:
+            missing["no reference images"] += 1
+        else:
+            cos = _cos_or_none(s.frames[out.frame_indices], s.ref_image_features)
+            if cos is None:
+                missing["zero-norm features"] += 1
+            else:
+                row["cos"] = cos
         per_sample.append(row)
 
-    # no Cos without a selected frame (a text-only model) or reference images
-    no_frames = sum(1 for r in per_sample if not r["selected_frames"])
-    no_refs = sum(1 for r in per_sample if "cos" not in r) - no_frames
-    none_left = no_frames + no_refs == len(per_sample)
-    if none_left and not (no_frames and no_refs):
-        cause = "no frames selected" if no_frames else "no reference images present"
-        warnings.warn(f"{cause}; Cos omitted from the report")
-    elif no_frames or no_refs:
-        causes = [f"{what} for {n} samples" for what, n in
-                  (("no frames selected", no_frames), ("no reference images", no_refs))
-                  if n]
+    # one warning names each cause, counted unless it is the only one
+    causes = {what: n for what, n in missing.items() if n}
+    none_left = sum(causes.values()) == len(per_sample)
+    if none_left and len(causes) == 1:
+        warnings.warn(f"{NO_COS_CAUSES[next(iter(causes))]}; Cos omitted from the report")
+    elif causes:
+        counted = " and ".join(f"{what} for {n} samples" for what, n in causes.items())
         rest = "omitted from the report" if none_left else "averaged over the rest"
-        warnings.warn(f"{' and '.join(causes)}; Cos {rest}")
+        warnings.warn(f"{counted}; Cos {rest}")
 
     cos_vals = [r["cos"] for r in per_sample if "cos" in r]
     corpus = {

@@ -157,7 +157,7 @@ FUSED_OPS = {
     "tensor-fusion": (ad.tensor_fusion, ops.tensor_fusion_reference, [(3, 4), (3, 2)]),
     "tensor-fusion-one-row": (ad.tensor_fusion, ops.tensor_fusion_reference,
                               [(1, 4), (1, 2)]),
-    "bilstm-one-sequence": (lambda *group: ad.bilstm_sequences([group])[0],
+    "bilstm-one-sequence": (lambda *ts: ad.bilstm_sequences([(*ts, None)])[0],
                             ops.bilstm_sequence_reference,
                             [(4, 3), (5, 8), (8,), (5, 8), (8,)]),
     "mean-pool": (lambda X: ad.mean_pool(X, POOL_LENGTHS),
@@ -395,9 +395,9 @@ def test_bilstm_sequence_without_lengths_runs_every_sequence_whole(rng):
     X = rng.normal(size=(3, 4, 2))
     params = bilstm_params(rng, 2, 3)
     with ad.no_grad():
-        whole = ad.bilstm_sequences([(X, *params)])[0].data
+        whole = ad.bilstm_sequences([(X, *params, None)])[0].data
         given = ad.bilstm_sequences([(X, *params, [4, 4, 4])])[0].data
-        single = ad.bilstm_sequences([(X[1], *params)])[0].data
+        single = ad.bilstm_sequences([(X[1], *params, None)])[0].data
     assert whole.tobytes() == given.tobytes()
     assert single.shape == (4, 6)
     npt.assert_allclose(single, whole[1], rtol=0, atol=1e-15)
@@ -525,10 +525,12 @@ def test_bilstm_sequence_is_bytewise_its_oracle(rng, batch, recording):
     assert all(g is not None for g in runs[0][2:]) == (recording != "no-grad")
 
 
-# name -> (B, h, (T, D, lengths) of each group); B = 0 gives each group one
-# (T, D) sequence, as the sentence, frame and transcript encoders of a sample
-# have. The paper entries are a sample and a ragged word batch at the paper's
-# shape.
+# name -> (B, h, (T, D, lengths) of each group[, (weight bound, input scale)]);
+# B = 0 gives each group one (T, D) sequence, as the sentence, frame and
+# transcript encoders of a sample have. The paper entries are a sample and a
+# ragged word batch at the paper's shape. "saturated" draws weights in [-4, 4]
+# and inputs 3 times as wide, which puts about 21% of the gates at exactly 0
+# or 1 (or -1, for g).
 GROUPED_BATCHES = {
     "equal-lengths": (0, 8, [(6, 3, None), (6, 5, None), (6, 7, None)]),
     "tied-lengths": (0, 8, [(4, 3, None), (9, 5, None), (4, 7, None)]),
@@ -541,6 +543,7 @@ GROUPED_BATCHES = {
     "ragged-batches": (3, 8, [(5, 3, [5, 2, 4]), (6, 5, None), (3, 7, [3, 3, 1])]),
     "paper-sample": (0, 64, [(25, 128, None), (40, 2048, None), (150, 32, None)]),
     "paper-word-batch": (25, 64, [(20, 32, [20 - 7 * k % 13 for k in range(25)])]),
+    "saturated": (3, 8, [(5, 8, [5, 2, 4]), (6, 16, None), (3, 24, [3, 3, 1])], (4.0, 3.0)),
 }
 
 
@@ -551,16 +554,17 @@ def test_grouped_bilstm_is_bytewise_the_oracle_per_group(rng, batch, recording):
     input width, gives each group's output and every gradient byte for byte
     as the oracle node run on that group alone, signed zeros included: in one
     phase and in several, with tied lengths, with padding, with X a constant,
-    under ``no_grad`` and at the paper's shape. Weights are uniform in
-    [-0.5, 0.5], narrowed for wide inputs so the gates do not saturate."""
-    B, h, groups = GROUPED_BATCHES[batch]
+    under ``no_grad``, at the paper's shape and with saturated gates. Weights
+    are uniform in [-0.5, 0.5], narrowed for wide inputs so the gates do not
+    saturate, unless the entry gives its own bound and input scale."""
+    B, h, groups, *scales = GROUPED_BATCHES[batch]
     data = []
     for T, D, lengths in groups:
         shape = (B, T) if B else (T,)
         upstream = rng.normal(size=shape + (2 * h,))
         upstream[..., ::5] = -0.0
-        scale = 0.5 * min(1.0, 4.0 / np.sqrt(D + h))
-        data.append((rng.normal(size=shape + (D,)),
+        scale, x_scale = scales[0] if scales else (0.5 * min(1.0, 4.0 / np.sqrt(D + h)), 1.0)
+        data.append((x_scale * rng.normal(size=shape + (D,)),
                      [rng.uniform(-scale, scale, size=s) for s in ((D + h, 4 * h), 4 * h) * 2],
                      lengths, upstream))
     runs = []
@@ -589,7 +593,7 @@ def test_bilstm_sequence_keeps_no_step_caches_under_no_grad(rng, batch):
     and transcript groups, a call under ``no_grad`` holds nothing but its
     outputs once it returns, and peaks no higher than a recorded call, which
     keeps the gate activations, the cell states and tanh(c) for backward."""
-    B, h, shapes = GROUPED_BATCHES[batch]
+    B, h, shapes = GROUPED_BATCHES[batch][:3]
     groups = [(Tensor(rng.normal(size=((B, T) if B else (T,)) + (D,)), requires_grad=True),
                *bilstm_params(rng, D, h, scale=0.08), lengths)
               for T, D, lengths in shapes]

@@ -338,21 +338,17 @@ RUN_FLAGS = {
     _flag("--sum-pool", "sum_pool", "StoreTrue"),
     _flag("--late-plus-prose", "late_plus_prose", "StoreTrue"),
 }
-# eval rebuilds the checkpoint's network: no --config, no flag that only
-# training reads, and no flag that shapes the parameters
+# eval runs the checkpoint's network as trained: no --config, no flag that
+# only training reads, and no flag that changes the network
 EVAL_FLAGS = {
     _flag("--checkpoint", "checkpoint", required=True), _flag("--out", "out"),
     _flag("--split", "split", choices=("train", "val", "test"), default="test"),
     _flag("--format", "format", choices=("json", "csv"), default="json"),
     _flag("--manifest", "manifest"), _flag("--seed", "seed", type="int"),
-    _flag("--fusion", "fusion", choices=FUSION_MODES),
-    _flag("--beta", "beta", type="float"),
     _flag("--fps-group", "fps_group", type="int"),
     _flag("--k-sentences", "k_sentences", type="int"),
     _flag("--k-frames", "k_frames", type="int"),
     _flag("--min-frames", "min_frames", type="int"),
-    _flag("--sum-pool", "sum_pool", "StoreTrue"),
-    _flag("--late-plus-prose", "late_plus_prose", "StoreTrue"),
 }
 PARSER_TABLE = {
     "synth": {
@@ -407,8 +403,7 @@ def test_parser_matches_the_recorded_flag_table():
 # the RunConfig fields each command has a flag for
 COMMAND_FIELDS = {
     "train": {f.name for f in dataclasses.fields(RunConfig)} - FIELDS_WITHOUT_FLAG,
-    "eval": {"manifest", "seed", "fps_group", "min_frames", "k_sentences", "k_frames",
-             "beta", "fusion", "sum_pool", "late_plus_prose"},
+    "eval": {"manifest", "seed", "fps_group", "min_frames", "k_sentences", "k_frames"},
     "ablate": ({f.name for f in dataclasses.fields(RunConfig)} - FIELDS_WITHOUT_FLAG
                - {"patience", "use_bistream"}),
     "overlap": {"manifest", "min_frames"},
@@ -435,6 +430,9 @@ PARSE_ERRORS = {
            ("--embed-dim", ("4",)), ("--hidden", ("64",)), ("--attn-dim", ("4",)),
            ("--fusion-dim", ("4",)), ("--feature-dim", ("32",)),
            ("--attention", ("none",)), ("--no-frames", ()), ("--no-transcript", ()),
+           # the network as trained: the fusion and pooling it was trained with
+           ("--fusion", ("late",)), ("--beta", ("0.9",)), ("--sum-pool", ()),
+           ("--late-plus-prose", ()),
            # eval starts from the checkpoint's config, not a config file
            ("--config", ("c.json",)))},
     "ablate--patience": (("ablate", "--patience", "0"), "--patience"),
@@ -692,6 +690,54 @@ def test_eval_non_finite_reference_features_is_ingestion_error(cli_corpus, train
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "INGESTION"
     assert "non-finite reference features" in json.loads(lines[0])["message"]
     assert not out.exists()
+
+
+def _strict_json(path):
+    """The JSON file at ``path``; a NaN or Infinity literal fails the test."""
+    def refuse(constant):
+        raise AssertionError(f"non-strict JSON constant {constant} in {path}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_eval_zero_norm_frames_omit_cos_and_finish(cli_corpus, trained_run, tmp_path):
+    """With every test sample's frames zeroed, eval exits 0 and writes a
+    strict JSON report whose rows have no Cos, naming why."""
+    corpus = shutil.copytree(cli_corpus, tmp_path / "data")
+    manifest = data.load_manifest(corpus / "manifest.json")
+    for entry in manifest.entries_for("test"):
+        path = corpus / entry.features
+        data.write_feature_file(path, np.zeros_like(data.read_feature_file(path)))
+    out = tmp_path / "ev"
+    with pytest.warns(UserWarning) as caught:
+        assert run_cli("eval", "--checkpoint", str(trained_run / "checkpoint"),
+                       "--manifest", str(corpus / "manifest.json"), "--out", str(out)) == 0
+    assert [str(w.message) for w in caught if "Cos" in str(w.message)] == [
+        "zero-norm frame or reference features; Cos omitted from the report"]
+    report = _strict_json(out / "report_test.json")
+    assert report["per_sample"] and all(row["selected_frames"] and "cos" not in row
+                                        for row in report["per_sample"])
+    assert report["corpus_mean"]["cos"] is None
+
+
+def test_eval_report_records_its_settings(cli_corpus, trained_run, tmp_path):
+    """The report names the checkpoint and manifest as given, the split, and
+    the value of each setting eval takes a flag for; the CSV is unchanged."""
+    ck, manifest = str(trained_run / "checkpoint"), str(cli_corpus / "manifest.json")
+    reports = []
+    for name, k in (("ev2", "2"), ("ev3", "3")):
+        assert run_cli("eval", "--checkpoint", ck, "--manifest", manifest,
+                       "--out", str(tmp_path / name), "--format", "csv",
+                       "--k-sentences", k) == 0
+        reports.append(_strict_json(tmp_path / name / "report_test.json"))
+        header = (tmp_path / name / "report_test.csv").read_text().splitlines()[0]
+        assert header == "id,r1,r2,rl,cos"
+    _, saved, _ = checkpoint.load_checkpoint(ck)
+    assert reports[0]["settings"] == {
+        "checkpoint": ck, "manifest": manifest, "split": "test", "seed": saved.seed,
+        "fps_group": saved.fps_group, "min_frames": saved.min_frames,
+        "k_sentences": 2, "k_frames": saved.k_frames}
+    assert set(reports[0]) == {"per_sample", "corpus_mean", "settings"}
+    assert {**reports[0]["settings"], "k_sentences": 3} == reports[1]["settings"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -312,3 +314,49 @@ def test_score_summaries_names_why_cos_is_missing(micro_corpus, frames, refs, me
     has_cos = [f == r == "y" for f, r in zip(frames, refs)]
     assert ["cos" in row for row in report["per_sample"]] == has_cos
     assert (report["corpus_mean"]["cos"] is None) == (not any(has_cos))
+
+
+@pytest.mark.parametrize("frames,refs,zeroed,message", [
+    ("yyy", "yyy", "snn", "zero-norm features for 1 samples; Cos averaged over the rest"),
+    ("yyy", "yyy", "srs", "zero-norm frame or reference features; Cos omitted from "
+                          "the report"),
+    ("yyy", "nyy", "nsu", "no reference images for 1 samples and zero-norm features for "
+                          "1 samples; Cos averaged over the rest"),
+    ("nyy", "yny", "nns", "no frames selected for 1 samples and no reference images for "
+                          "1 samples and zero-norm features for 1 samples; Cos omitted "
+                          "from the report"),
+    ("yyy", "yyy", "unu", None),
+], ids=["zero-some", "zero-all", "with-no-refs", "all-three-causes", "unselected-only"])
+def test_score_summaries_skips_cos_of_zero_norm_features(micro_corpus, frames, refs,
+                                                          zeroed, message):
+    """A sample whose selected frames (s) or reference features (r) hold a
+    zero-norm row gets no Cos, counted under its own cause beside the others,
+    and the corpus Cos is the mean over the rest; a zero-norm frame that was
+    not selected (u) changes nothing."""
+    import dataclasses
+    _, samples, _ = micro_corpus
+    samples = [s if ref == "y" else dataclasses.replace(s, ref_image_features=None)
+               for s, ref in zip(samples, refs)]
+    # the two highest-probability frames are selected: the last two
+    zero_rows = {"s": -1, "u": 0}
+    for k, (s, z) in enumerate(zip(samples, zeroed)):
+        if z in zero_rows:
+            s = dataclasses.replace(s, frames=s.frames.copy())
+            s.frames[zero_rows[z]] = 0.0
+        elif z == "r":
+            s = dataclasses.replace(s, ref_image_features=s.ref_image_features.copy())
+            s.ref_image_features[0] = 0.0
+        samples[k] = s
+    summaries = [evaluation.select(np.linspace(0.1, 0.9, len(s.document.sentences)),
+                                   np.linspace(0.1, 0.9, len(s.frames))
+                                   if frame == "y" else None, 2, 2)
+                 for s, frame in zip(samples, frames)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = evaluation.score_summaries(samples, summaries)
+    assert [str(w.message) for w in caught] == ([] if message is None else [message])
+    has_cos = [f == r == "y" and z in "nu" for f, r, z in zip(frames, refs, zeroed)]
+    assert ["cos" in row for row in report["per_sample"]] == has_cos
+    expected = [cos_image_similarity(s.frames[out.frame_indices], s.ref_image_features)
+                for s, out, cos in zip(samples, summaries, has_cos) if cos]
+    assert report["corpus_mean"]["cos"] == (float(np.mean(expected)) if expected else None)

@@ -513,8 +513,8 @@ def test_adagrad_never_reapplies_a_stale_slot(rng):
         params[name] = Tensor(rng.uniform(-1, 1, (4 * h,)), requires_grad=True)
     opt = Adagrad(params, lr=0.1)
     X = ad.take_rows(params["table"], [1, 4, 4, 7, 2])
-    ad.backward(ad.bilstm_sequences([(X, *(params[k] for k in ("fw_W", "fw_b", "bw_W",
-                                                               "bw_b")))])[0])
+    weights = (params[k] for k in ("fw_W", "fw_b", "bw_W", "bw_b"))
+    ad.backward(ad.bilstm_sequences([(X, *weights, None)])[0])
     opt.step()
     kept = {k: (p.data.tobytes(), opt.acc[k].tobytes()) for k, p in params.items()
             if k not in ("W", "b")}
