@@ -3,6 +3,17 @@ precomputed frame features, and transcripts: hierarchical recurrent encoders,
 cross-modal alignment, four fusion strategies, and a dual-stream training
 objective (cross entropy + reinforcement rewards)."""
 
+import os
+import sys
+
+# BLAS runs on one thread unless the caller says otherwise, so that the
+# autodiff worker thread has the second core (see ``autodiff``). BLAS reads
+# these once, when numpy loads, so a program that loaded numpy first keeps
+# its own setting.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:
+    os.environ.update({var: "1" for var in BLAS_THREAD_VARS if var not in os.environ})
+
 from .config import RunConfig, resolve_config
 from .data import (DatasetManifest, Document, Sample, SynthConfig, Transcript,
                    load_dataset, load_manifest, read_feature_file, split_dataset,

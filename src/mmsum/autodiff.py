@@ -37,11 +37,36 @@ A gradient is written by its first producer and added to by the rest, into
 ``grad_slot`` when the Tensor has one (a parameter's view of the optimizer's
 store), else into a new array. ``_acc`` writes g + 0.0, bitwise zeros + g;
 the BiLSTM's weight GEMMs write the slot directly and may leave a -0.0.
+
+Threading. One worker thread per process, started by the first
+``handoff`` (and again in a forked child), runs large numpy work beside the
+caller's thread; it touches no tape. It gets three kinds of work: the input
+GEMMs of a BiLSTM group that ``start_projection`` starts (``encode_sample``
+starts the frame group's before the word BiLSTM), the weight-gradient GEMMs
+with which the BiLSTM backward fills a weight's ``grad_slot``, and every
+other block of ``training.Adagrad.step``. Work goes to the worker only when
+``use_worker()`` holds, that is more than one usable CPU and BLAS on one
+thread (every BLAS thread variable in ``mmsum.BLAS_THREAD_VARS`` that is set
+reads 1; the package sets them unless the caller did, before numpy loads),
+and only for a weight operand of at least ``WORKER_MIN_VALUES`` values, or
+an Adagrad store of more than one block. Otherwise, and for every smaller
+shape, the work runs inline. A handed-off call is the same numpy expression
+on the same operands, with the same shapes and strides, as the inline one,
+so results equal the inline path bit for bit. ``backward`` and
+``Adagrad.step`` return, or raise, with no work pending on the worker.
 """
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent import futures
+
 import numpy as np
 
+from . import BLAS_THREAD_VARS
+
+WORKER_MIN_VALUES = 1 << 17     # the smallest weight operand worth a handoff
 _GRAD_ENABLED = True
 
 
@@ -62,6 +87,38 @@ class no_grad:
 
 def grad_enabled():
     return _GRAD_ENABLED
+
+
+@functools.cache
+def use_worker() -> bool:
+    """Whether numpy work handed to the worker thread can run beside the
+    caller's: more than one usable CPU, and BLAS on one thread, read off the
+    BLAS thread variables (BLAS reads them once, so this is read once)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    values = [os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ]
+    return (cpus or 1) > 1 and bool(values) and all(v == "1" for v in values)
+
+
+_worker = None      # the worker's executor, made by the first handoff
+_worker_lock = threading.Lock()
+
+
+def _forget_worker():
+    """A forked child has no worker thread, only its parent's executor."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def handoff(fn, *args) -> futures.Future:
+    """Run fn(*args) on the worker thread, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="mmsum-worker")
+    return _worker.submit(fn, *args)
 
 
 class Tensor:
@@ -500,6 +557,31 @@ def _gate_grads(A, C, TC, local):
     return local_o, dc_dh
 
 
+def _project(x, fw_W, bw_W):
+    """A group's input GEMMs, x @ W[:D] for both directions, over the (T * B,
+    D) rows of its (B, T, D) batch ``x`` in time order."""
+    B, T, D = x.shape
+    Xt = x.transpose(1, 0, 2).reshape(T * B, D)
+    return Xt @ fw_W[:D], Xt @ bw_W[:D]
+
+
+def _batch(X):
+    """A group's X as a (B, T, D) batch; one (T, D) sequence is B = 1."""
+    return X if X.ndim == 3 else X[None]
+
+
+def start_projection(group):
+    """``group`` with a seventh member, the future of its input GEMMs started
+    on the worker, which ``bilstm_sequences`` reads in place of running them;
+    ``group`` itself when its weights are too small to pay or ``use_worker()``
+    is false. A caller that may raise before ``bilstm_sequences`` runs waits
+    for ``group[6:]``."""
+    X, fw_W, _, bw_W = (as_tensor(t).data for t in group[:4])
+    if fw_W[:X.shape[-1]].size < WORKER_MIN_VALUES or not use_worker():
+        return group
+    return (*group, handoff(_project, _batch(X), fw_W, bw_W))
+
+
 def _weight_grad(x, h_prev, dz, dW=None):
     """The gradient [x, h_prev]^T dz of a (D + h, 4h) LSTM weight, written
     by two GEMMs into ``dW``, or into a new array."""
@@ -525,7 +607,8 @@ def bilstm_sequences(groups):
     """Both directions of a BiLSTM over each of several groups of sequences,
     as one tape node with one recurrence loop. Returns one Tensor per group.
 
-    A group is (X, fw_W, fw_b, bw_W, bw_b, lengths), with its own weights. X
+    A group is (X, fw_W, fw_b, bw_W, bw_b, lengths), with its own weights, and
+    may have a seventh member from ``start_projection``. X
     is a right-padded (B, T, D) batch whose sequence k is X[k, :lengths[k]]
     (whole when ``lengths`` is None), or one (T, D) sequence; each W is (D +
     h, 4h) over [x; h] with gate order i|f|o|g and each b is (4h,), which
@@ -555,16 +638,21 @@ def bilstm_sequences(groups):
     padding. A group with no sequence shorter than T skips the masks.
 
     The input GEMMs and the X, weight and bias gradients run per group over
-    its own T rows, each with the shape a one-group node gives it. The cell
+    its own T rows, each with the shape a one-group node gives it. When a
+    weight's input rows W[:D] hold at least ``WORKER_MIN_VALUES`` values and
+    backward is the first producer of its gradient, the GEMMs that write its
+    ``grad_slot`` go to the worker, on a copy of the rows of dZ they read,
+    and backward returns their futures. The cell
     states and tanh(c) are kept per step only when a gradient is recorded.
     The groups' outputs lie in the given order in one flat output, handed
     out by a slice node per group. Parents are listed last group first, so
     backward walks the last group's input first.
     """
-    recs, parents, size = [], (), 0    # record: (T, D, x, tensors, pad2, offset)
-    for X, fw_W, fw_b, bw_W, bw_b, lengths in groups:
+    # record: (T, D, x, tensors, pad2, offset, started)
+    recs, parents, size = [], (), 0
+    for X, fw_W, fw_b, bw_W, bw_b, lengths, *started in groups:
         ts = tuple(map(as_tensor, (X, fw_W, fw_b, bw_W, bw_b)))
-        x = ts[0].data if ts[0].data.ndim == 3 else ts[0].data[None]
+        x = _batch(ts[0].data)
         B, T, D = x.shape
         h = ts[2].data.shape[0] // 4
         pad2 = None
@@ -573,7 +661,7 @@ def bilstm_sequences(groups):
             if (lengths < T).any():
                 pad = np.arange(T)[:, None] >= lengths      # (T, B), time order
                 pad2 = np.stack([pad, pad[::-1]], axis=1)   # (T, 2, B), step order
-        recs.append((T, D, x, ts, pad2, size))
+        recs.append((T, D, x, ts, pad2, size, started))
         size += B * T * 2 * h
         parents = ts + parents
     keep = _GRAD_ENABLED and any(t.requires_grad for t in parents)
@@ -585,7 +673,7 @@ def bilstm_sequences(groups):
 
     # each group's output, shaped as its X, with its offset
     outs = [(block(flat, T, lo).reshape(*ts[0].data.shape[:-1], 2 * h), lo)
-            for T, _, _, ts, _, lo in recs]
+            for T, _, _, ts, _, lo, _ in recs]
     recs.sort(key=lambda rec: rec[0], reverse=True)     # longest first, stably
     N, S, Ts = len(recs), recs[0][0], [rec[0] for rec in recs] + [0]
     # (s0, s1, n) in step order: steps s0 <= s < s1 run the first n groups
@@ -594,17 +682,16 @@ def bilstm_sequences(groups):
     # the recurrent weights as one C-order array, by copies (``np.stack``
     # costs several times more per call)
     Wh = np.empty((N, 2, h, 4 * h))
-    for j, (T, D, x, (_, fw_W, fw_b, bw_W, bw_b), pad2, _) in enumerate(recs):
+    for j, (T, D, x, (_, fw_W, fw_b, bw_W, bw_b), pad2, _, started) in enumerate(recs):
         Wh[j, 0], Wh[j, 1] = fw_W.data[D:], bw_W.data[D:]
-        Xt = x.transpose(1, 0, 2).reshape(T * B, D)
+        fw_z, bw_z = (started[0].result() if started
+                      else _project(x, fw_W.data, bw_W.data))
         Ag = A[:T, j].transpose(0, 2, 3, 1, 4)  # (T, 2, B, 4, h), the GEMMs' order
-        np.add((Xt @ fw_W.data[:D]).reshape(T, B, 4, h), fw_b.data.reshape(4, h),
-               out=Ag[:, 0])
-        np.add((Xt @ bw_W.data[:D]).reshape(T, B, 4, h)[::-1], bw_b.data.reshape(4, h),
-               out=Ag[:, 1])
+        np.add(fw_z.reshape(T, B, 4, h), fw_b.data.reshape(4, h), out=Ag[:, 0])
+        np.add(bw_z.reshape(T, B, 4, h)[::-1], bw_b.data.reshape(4, h), out=Ag[:, 1])
         if pad2 is not None:    # assignment, so no inf or nan survives
             Ag[pad2] = 0.0
-    del Xt              # backward rebuilds it rather than hold a copy
+    del fw_z, bw_z      # free before the recurrence
 
     H = np.empty((S + 1, N, 2, B, h))   # H[s + 1]: state after step s
     C = _step_buffer(S + 1, (N, 2, B, h), keep)
@@ -613,7 +700,7 @@ def bilstm_sequences(groups):
     for s0, s1, n in phases:
         _lstm_steps(A[s0:s1, :n], Wh[:n], H[s0:s1 + 1, :n], C[s0:s1 + 1, :n],
                     TC[s0:s1, :n])
-    for j, (T, _, _, _, pad2, lo) in enumerate(recs):
+    for j, (T, _, _, _, pad2, lo, _) in enumerate(recs):
         out = block(flat, T, lo)
         out[:, :, :h] = H[1:T + 1, j, 0].transpose(1, 0, 2)
         out[:, ::-1, h:] = H[1:T + 1, j, 1].transpose(1, 0, 2)
@@ -623,7 +710,7 @@ def bilstm_sequences(groups):
     def bw(g):
         g = g.reshape(-1)
         U = np.empty((S, N, 2, B, h))   # upstream, in step order
-        for j, (T, _, _, _, pad2, lo) in enumerate(recs):
+        for j, (T, _, _, _, pad2, lo, _) in enumerate(recs):
             gk = block(g, T, lo)
             U[:T, j, 0] = gk[:, :, :h].transpose(1, 0, 2)
             U[:T, j, 1] = gk[:, ::-1, h:].transpose(1, 0, 2)
@@ -655,12 +742,18 @@ def bilstm_sequences(groups):
                 if s:
                     np.matmul(dz, Whn, out=dhn)
                     dcn *= f
-        for j, (T, D, x, (X, fw_W, fw_b, bw_W, bw_b), pad2, _) in enumerate(recs):
+        pending = []
+        for j, (T, D, x, (X, fw_W, fw_b, bw_W, bw_b), pad2, _, _) in enumerate(recs):
             if pad2 is not None:
                 dZ[j, :, :T][pad2.transpose(1, 0, 2)] = 0.0
+            # the worker's GEMMs get a copy of the rows they read, not a view
+            # that keeps all of dZ alive; a copy of the same layout, so that
+            # the reversed view below has dZ's strides (see ``Whn``)
+            hand = fw_W.data[:D].size >= WORKER_MIN_VALUES and use_worker()
+            dZj = dZ[j, :, :T].copy() if hand else dZ[j, :, :T]
             # in time order; the reverse direction's is its step order reversed
-            dZf = dZ[j, 0, :T].reshape(T * B, 4 * h)
-            dZb = dZ[j, 1, :T][::-1].reshape(T * B, 4 * h)
+            dZf = dZj[0].reshape(T * B, 4 * h)
+            dZb = dZj[1][::-1].reshape(T * B, 4 * h)
             if X.requires_grad:
                 _acc(X, (dZf @ fw_W.data[:D].T + dZb @ bw_W.data[:D].T)
                      .reshape(T, B, D).transpose(1, 0, 2).reshape(X.data.shape))
@@ -673,11 +766,16 @@ def bilstm_sequences(groups):
                     if W.grad is None and W.grad_slot is not None:
                         # the first producer's GEMMs write into the slot; a
                         # -0.0 they leave steps Adagrad as +0.0 would
-                        W.grad = _weight_grad(Xt, hp, dz, W.grad_slot)
+                        W.grad = W.grad_slot
+                        if hand:
+                            pending.append(handoff(_weight_grad, Xt, hp, dz, W.grad))
+                        else:
+                            _weight_grad(Xt, hp, dz, W.grad)
                     else:
                         _acc(W, _weight_grad(Xt, hp, dz))
                 if b.requires_grad:
                     _acc(b, dz.sum(axis=0))
+        return pending
 
     if len(outs) == 1:
         return [_node(outs[0][0], parents, bw)]
@@ -710,10 +808,18 @@ def _walk(t):
 
 
 def backward(t):
-    """Run reverse-mode accumulation from ``t`` (seeded with ones)."""
+    """Run reverse-mode accumulation from ``t`` (seeded with ones). A node's
+    backward may return the futures of work it handed to the worker; all are
+    joined before this returns or raises."""
     order = _walk(t)
     t.grad = np.ones_like(t.data)
-    for node in reversed(order):
-        # only ``t`` itself can lack a backward, when it is a leaf
-        if node._bw is not None and node.grad is not None:
-            node._bw(node.grad)
+    pending = []
+    try:
+        for node in reversed(order):
+            # only ``t`` itself can lack a backward, when it is a leaf
+            if node._bw is not None and node.grad is not None:
+                pending += node._bw(node.grad) or ()
+    finally:
+        futures.wait(pending)
+    for done in pending:
+        done.result()       # raises the worker's error, if any

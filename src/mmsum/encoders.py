@@ -15,6 +15,7 @@ states as one Tensor, (N, 2h) per sentence, frame or transcript token; the
 hidden size h is read off the LSTM bias, which is (4h,)."""
 from __future__ import annotations
 
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,15 +141,23 @@ def encode_sample(sample, enc: EncoderParams) -> tuple[Tensor, Tensor | None,
     ``encode_sentences``, ``encode_frames`` and ``encode_transcript`` give
     them, from one BiLSTM node over the three sequences (after the word
     batch's own). Frame and transcript states are None when the model has no
-    such encoder; an empty transcript has (0, 2h) states and no group."""
-    groups = {"sentence": _group(_pooled_words(sample.document, enc), enc.sentence)}
+    such encoder; an empty transcript has (0, 2h) states and no group. The
+    frame group's input GEMMs start first, on the worker when they pay, and
+    run beside the word BiLSTM; nothing is left running on a raise."""
+    frame = ()
     if enc.frame is not None:
-        groups["frame"] = _group(_frame_input(sample.frames, enc), enc.frame)
-    if enc.transcript is not None:
-        X = _transcript_input(sample.transcript.tokens, enc)
-        if X is not None:
-            groups["transcript"] = _group(X, enc.transcript)
-    states = dict(zip(groups, ad.bilstm_sequences(list(groups.values()))))
+        frame = ad.start_projection(_group(_frame_input(sample.frames, enc), enc.frame))
+    try:
+        groups = {"sentence": _group(_pooled_words(sample.document, enc), enc.sentence)}
+        if enc.frame is not None:
+            groups["frame"] = frame
+        if enc.transcript is not None:
+            X = _transcript_input(sample.transcript.tokens, enc)
+            if X is not None:
+                groups["transcript"] = _group(X, enc.transcript)
+        states = dict(zip(groups, ad.bilstm_sequences(list(groups.values()))))
+    finally:
+        futures.wait(frame[6:])
     transcript = states.get("transcript")
     if transcript is None and enc.transcript is not None:
         transcript = _no_states(enc.transcript)

@@ -19,6 +19,7 @@ caller may still assign ``p.grad`` an array for the next step to read.
 from __future__ import annotations
 
 import functools
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,13 +196,16 @@ class Adagrad:
     the last step's gradient, copies in any other array a caller assigned,
     and sets every ``p.grad`` to None. It then runs each block of columns
     through the arithmetic of ``p -= lr * g / (sqrt(acc) + eps)`` in the same
-    order, so the result is bitwise that formula's. A zero gradient leaves acc
-    and p bitwise unchanged (eps > 0), so it is the same as no gradient. A
-    -0.0 that backward's GEMMs write takes p to p + 0.0, which is p, as no
-    parameter is -0.0: draws and biases start at +0.0 or off zero, and x - x
-    is +0.0."""
+    order, so the result is bitwise that formula's. When the store has more
+    than one block and ``autodiff.use_worker()`` holds, the odd blocks run on
+    the worker thread, each thread with its own scratch, and are joined
+    before ``step`` returns; the arithmetic is elementwise, so the bits are
+    those of one thread. A zero gradient leaves acc and p bitwise unchanged
+    (eps > 0), so it is the same as no gradient. A -0.0 that backward's GEMMs
+    write takes p to p + 0.0, which is p, as no parameter is -0.0: draws and
+    biases start at +0.0 or off zero, and x - x is +0.0."""
 
-    BLOCK = 1 << 15     # store columns per pass (scratch of 2 x 256 KiB)
+    BLOCK = 1 << 15     # store columns per pass (scratch of 2 x 256 KiB a thread)
 
     def __init__(self, params: dict[str, Tensor], lr: float, eps: float = 1e-8):
         self.lr = lr
@@ -209,9 +213,10 @@ class Adagrad:
         # the zero rows stay unwritten, so their pages are only mapped by
         # the first step that uses them
         self._store = np.zeros((3, sum(p.data.size for p in params.values())))
-        # one scratch for the optimizer's life: made per step, it left some
-        # train_paper runs faulting about 2,300 pages back in per step
-        self._scratch = np.empty((2, min(self._store.shape[1], self.BLOCK)))
+        # one scratch a thread for the optimizer's life: made per step, it
+        # left some train_paper runs faulting about 2,300 pages back in per
+        # step; the worker's is only touched when the blocks are split
+        self._scratch = np.empty((2, 2, min(self._store.shape[1], self.BLOCK)))
         self._params = list(params.values())
         spec = {name: p.data.shape for name, p in params.items()}
         weights, grads, self.acc = (parameter_views(row, spec) for row in self._store)
@@ -226,9 +231,21 @@ class Adagrad:
             elif p.grad is not p.grad_slot:
                 p.grad_slot[...] = p.grad
             p.grad = None
-        for lo in range(0, self._store.shape[1], self.BLOCK):
+        if self._store.shape[1] <= self.BLOCK or not ad.use_worker():
+            self._update(0, self.BLOCK, self._scratch[0])
+            return
+        odd = ad.handoff(self._update, self.BLOCK, 2 * self.BLOCK, self._scratch[1])
+        try:
+            self._update(0, 2 * self.BLOCK, self._scratch[0])
+        finally:
+            futures.wait([odd])
+        odd.result()
+
+    def _update(self, start, stride, scratch):
+        """The update of the blocks that begin at start, start + stride, ..."""
+        for lo in range(start, self._store.shape[1], stride):
             w, g, acc = self._store[:, lo:lo + self.BLOCK]
-            b, b2 = self._scratch[:, :g.size]
+            b, b2 = scratch[:, :g.size]
             np.square(g, out=b)
             acc += b
             np.sqrt(acc, out=b)

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from mmsum import autodiff as ad
 from mmsum.config import RunConfig
 from mmsum.data import SynthConfig, load_dataset, synth_generate
 
@@ -26,3 +29,22 @@ def micro_corpus(tmp_path_factory):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def handoffs(monkeypatch):
+    """The future of every handoff to the worker, which is forced on (``use_worker``
+    holds on any machine). Each handed-off call starts after a pause, so that work
+    still running when its caller returns shows as not done, or as wrong bits."""
+    monkeypatch.setattr(ad, "use_worker", lambda: True)
+    made, handoff = [], ad.handoff
+
+    def late(fn, *args):
+        def run():
+            time.sleep(0.02)
+            return fn(*args)
+        made.append(handoff(run))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "handoff", late)
+    return made

@@ -1,5 +1,12 @@
 import contextlib
+import multiprocessing
+import operator
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -616,3 +623,96 @@ def test_bilstm_sequence_keeps_no_step_caches_under_no_grad(rng, batch):
     assert held < 16 * 1024
     assert held_recording >= caches
     assert peak <= peak_recording
+
+
+def _add_on_the_worker(a, b):
+    return ad.handoff(operator.add, a, b).result(timeout=30)
+
+
+def test_worker_restarts_in_a_forked_child():
+    """A forked child, as ``ablate --workers`` makes them, starts its own worker
+    rather than queue work for its parent's thread, which it does not have."""
+    assert _add_on_the_worker(1, 2) == 3        # the parent's worker is running
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(_add_on_the_worker, 3, 4).result(timeout=60) == 7
+
+
+def test_first_handoffs_from_many_threads_start_one_worker(monkeypatch):
+    """Eight threads, more than the cores here, make the first handoffs at once,
+    with the interpreter switching threads often: one worker thread runs them all."""
+    monkeypatch.setattr(ad, "_worker", None)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = [None] * 8
+        gate = threading.Barrier(len(results))
+
+        def call(k):
+            gate.wait(timeout=30)
+            results[k] = ad.handoff(threading.current_thread).result(timeout=30)
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(len(results))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+        if ad._worker is not None:
+            ad._worker.shutdown()
+    assert len(set(results)) == 1 and results[0].name.startswith("mmsum-worker")
+
+
+def test_backward_that_raises_leaves_no_work_pending(rng, handoffs):
+    """A node backward that raises after the BiLSTM backward handed its weight
+    GEMMs to the worker: ``backward`` raises only once they are done."""
+    D, h = 1024, 32
+    leaf = Tensor(rng.normal(size=(3, D)), requires_grad=True)
+
+    def fail(g):
+        raise ArithmeticError("backward failed")
+
+    X = ad._node(leaf.data, (leaf,), fail)
+    weights = [Tensor(rng.uniform(-0.08, 0.08, size=shape), requires_grad=True)
+               for shape in ((D + h, 4 * h), (4 * h,)) * 2]
+    for W in weights:
+        W.grad_slot = np.zeros_like(W.data)
+    out = ad.bilstm_sequences([(X, *weights, None)])[0]
+    with pytest.raises(ArithmeticError, match="backward failed"):
+        ad.backward(out)
+    assert len(handoffs) == 2
+    assert all(done.done() for done in handoffs)
+
+
+@pytest.mark.parametrize("cpus, env, expected", [
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+    ({0, 1}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, False),
+    ({0, 1}, {"OMP_NUM_THREADS": "4"}, False),
+    ({0, 1}, {}, False),
+    ({0}, {"OPENBLAS_NUM_THREADS": "1"}, False),
+])
+def test_use_worker_needs_two_cpus_and_single_threaded_blas(monkeypatch, cpus, env, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert ad.use_worker.__wrapped__() is expected
+
+
+@pytest.mark.parametrize("numpy_first", [False, True])
+def test_package_sets_blas_threads_unless_numpy_loaded_first(numpy_first):
+    """Importing mmsum sets the BLAS thread variables to 1, keeping any the caller
+    set, only while numpy is not loaded: BLAS reads them when numpy loads."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["MKL_NUM_THREADS"] = "3"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+    code = ("import os\n" + "import numpy\n" * numpy_first + "import mmsum\n"
+            "print([os.environ.get(v) for v in mmsum.BLAS_THREAD_VARS])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == ("[None, None, '3']" if numpy_first else "['1', '1', '3']")

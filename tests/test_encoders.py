@@ -393,3 +393,20 @@ def test_encode_sample_gradients_are_bytewise_one_oracle_node_per_encoder(
     assert [None if t is None else t.data.tobytes() for t in fused[0]] == [
         None if t is None else t.data.tobytes() for t in composed[0]]
     assert fused[2] == composed[2]
+
+
+def test_encode_error_after_handoff_leaves_no_work_pending(handoffs):
+    """An empty sentence in a sample whose frames are over the worker's threshold:
+    the frame GEMMs were handed off before the word encoder raised, and
+    ``encode_sample`` raises only once they are done."""
+    cfg = tiny_config(feature_dim=1024, hidden=32)
+    model = SummarizerModel(build_parameters(cfg, 10, np.random.default_rng(0)), cfg, 10)
+    doc = Document(sentences=[np.array([1, 2]), np.array([], dtype=np.intp)],
+                   raw_sentences=["a b", ""], id="x")
+    sample = Sample(document=doc, frames=np.ones((3, 1024)),
+                    transcript=Transcript(tokens=np.array([1]), raw_text="a"),
+                    gold_summary=["a b"])
+    with pytest.raises(EncodeError, match="empty sentence"):
+        encode_sample(sample, model.encoder)
+    assert len(handoffs) == 1
+    assert handoffs[0].done()

@@ -865,3 +865,37 @@ def test_fused_ops_train_bitwise_like_their_compositions(micro_corpus, monkeypat
         composed_ops.use_compositions(m)
         composed = _steps_record(cfg, samples, len(vocab))
     assert fused == composed
+
+
+def test_worker_steps_are_bitwise_the_inline_steps(monkeypatch, handoffs):
+    """Three forward, backward and Adagrad rounds at a shape over the worker's
+    threshold (D = 1024, h = 32), with the worker on (each round hands off the
+    frame GEMMs, the frame weights' gradient GEMMs and half of Adagrad) and
+    forced off through ``ad.use_worker``: the probabilities, every gradient and
+    the optimizer's store have equal bytes."""
+    cfg = tiny_config(feature_dim=1024, hidden=32)
+    y = np.array([1.0, 0.0])
+
+    def rounds():
+        rng = np.random.default_rng(5)
+        sample = training.make_check_sample(cfg, rng)
+        model = SummarizerModel(build_parameters(cfg, training.CHECK_VOCAB_SIZE, rng),
+                                cfg, training.CHECK_VOCAB_SIZE)
+        optimizer = Adagrad(model.params, lr=0.05)
+        seen = []
+        for _ in range(3):
+            out = model.forward(sample)
+            ad.backward(ad.weighted_sum((ce_loss(out.sent_probs, y),
+                                         ce_loss(out.frame_probs, y)), (1.0, 1.0)))
+            seen += [out.sent_probs.data.tobytes(), out.frame_probs.data.tobytes()]
+            seen += [(name, None if p.grad is None else p.grad.tobytes())
+                     for name, p in model.params.items()]
+            optimizer.step()
+        return seen, optimizer._store.tobytes()
+
+    on = rounds()
+    assert len(handoffs) == 3 * 4
+    monkeypatch.setattr(ad, "use_worker", lambda: False)
+    off = rounds()
+    assert len(handoffs) == 3 * 4
+    assert on == off
