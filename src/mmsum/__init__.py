@@ -6,10 +6,8 @@ objective (cross entropy + reinforcement rewards)."""
 import os
 import sys
 
-# BLAS runs on one thread unless the caller says otherwise, so that the
-# autodiff worker thread has the second core (see ``autodiff``). BLAS reads
-# these once, when numpy loads, so a program that loaded numpy first keeps
-# its own setting.
+# BLAS on one thread unless the caller set it, so that the worker thread has
+# the second core; the ``autodiff`` module docstring states the contract.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules:
     os.environ.update({var: "1" for var in BLAS_THREAD_VARS if var not in os.environ})

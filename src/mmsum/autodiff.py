@@ -1,57 +1,64 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A float64 tape of layer nodes. Each op is a function that records one node
-through ``_node`` with a hand-written backward; a Tensor has no operators.
-The ops: ``take_rows``, the row gather (embedding lookup); ``concat``;
-``mean_pool``, the sentence pool of the word states; ``dense`` (act(X @ W
-+ b)); the attention scores ``bilinear`` (gated projection) and
-``additive_score`` (Bahdanau, Cho & Bengio, arXiv:1409.0473); ``attend``,
-the row softmax and the weighted sum of values; ``tensor_fusion``, the [s;
-1] (x) [c; 1] product (Zadeh et al., arXiv:1707.07250); ``late_decision``,
-the late(+) fusion penalties, pair and decision head; the loss nodes
-``log_likelihood_sum``, the clipped Bernoulli log-likelihood summed and then
-scaled (the CE loss and the REINFORCE surrogate), and ``weighted_sum``, the
-mix of the two losses; and ``bilstm_sequences``, both directions of a BiLSTM
-over each of several groups of sequences, each group one (X, fw_W, fw_b,
-bw_W, bw_b, lengths) tuple with its own weights, X a right-padded batch or
-one (T, D) sequence, the hidden size read off the (4h,) bias. The BiLSTM's
-padding contract: the output is zero at padded positions, which send no
-gradient to X and whose values change nothing. A group with no sequence
-shorter than T has no padding, and skips the masks. All directions of all
-groups share one recurrence loop over one time-major buffer per quantity,
-the reverse direction stored in its own step order, and one stacked copy of
-the recurrent weights as given, which forward and backward both read.
-Sorted longest first, the groups run in phases: a phase covers the steps in
-which the same groups are live and runs on the views of those steps and
-groups, from the state the phase before it left.
+A float64 tape of layer nodes, only those the package uses. Each op is a
+function that records one node through ``_node`` with a hand-written
+backward; a Tensor has no operators. The ops: ``take_rows``, the row gather
+(embedding lookup); ``concat``; ``mean_pool``, the sentence pool of the word
+states; ``dense`` (act(X @ W + b)); the attention scores ``bilinear``
+(gated projection) and ``additive_score`` (Bahdanau, Cho & Bengio,
+arXiv:1409.0473); ``attend``, the row softmax and the weighted sum of
+values; ``tensor_fusion``, the [s; 1] (x) [c; 1] product (Zadeh et al.,
+arXiv:1707.07250); ``late_decision``, the late(+) fusion penalties, pair and
+decision head; the loss nodes ``log_likelihood_sum``, the clipped Bernoulli
+log-likelihood summed and then scaled (the CE loss and the REINFORCE
+surrogate), and ``weighted_sum``, the mix of the two losses; and
+``bilstm_sequences``, both directions of a BiLSTM over each of several
+groups of sequences, whose docstring states its padding contract and buffer
+layout. Under ``no_grad`` a node keeps no parents and no backward.
 
 Each node computes the same numpy expressions in the same order as the
-composition of single ops it stands for (kept as test oracles), and lists
-its parents so that backward walks the rest of the graph in the same order,
-so values and gradients are bitwise those of the composition. A loss node
-replays its composition's chain of scalar products in order, forward and
-backward. Gradients are exact and are cross-checked against central finite
+composition of single ops it stands for, and lists its parents so that
+backward walks the rest of the graph in the same order, so values and
+gradients are bitwise those of the composition. The single ops (``add``,
+``mul``, ``tsum``, ``reshape`` and the rest, on one node builder ``_op``)
+are kept as test oracles in ``tests/composed_ops.py``, beside a copy of the
+BiLSTM node from before its per-call costs were cut. A loss node replays
+its composition's chain of scalar products in order, forward and backward.
+Gradients are exact and are cross-checked against central finite
 differences by the gradient-check harness and the test suite.
 
 A gradient is written by its first producer and added to by the rest, into
 ``grad_slot`` when the Tensor has one (a parameter's view of the optimizer's
 store), else into a new array. ``_acc`` writes g + 0.0, bitwise zeros + g;
-the BiLSTM's weight GEMMs write the slot directly and may leave a -0.0.
+``take_rows`` zero-fills the slot and scatter-adds into it; the BiLSTM's
+weight GEMMs write the slot directly and may leave a -0.0.
 
-Threading. One worker thread per process, started by the first
+Threading: this is the one statement of the worker-thread contract.
+Importing ``mmsum`` sets each BLAS thread variable of
+``mmsum.BLAS_THREAD_VARS`` that the caller left unset to 1, but only while
+numpy is not yet loaded, as BLAS reads them once, when numpy loads.
+``use_worker()`` holds when at least one of them is set, every one set
+reads 1, and the process has more than one usable CPU. So a program that
+loads numpy first without setting them to 1, or a process pinned to one CPU
+(``taskset -c 0``), takes the one-thread path, on which all work runs
+inline. Otherwise one worker thread per process, started by the first
 ``handoff`` (and again in a forked child), runs large numpy work beside the
-caller's thread; it touches no tape. It gets three kinds of work: the input
-GEMMs of a BiLSTM group that ``start_projection`` starts (``encode_sample``
-starts the frame group's before the word BiLSTM), the weight-gradient GEMMs
-with which the BiLSTM backward fills a weight's ``grad_slot``, and every
-other block of ``training.Adagrad.step``. Work goes to the worker only when
-``use_worker()`` holds, that is more than one usable CPU and BLAS on one
-thread (every BLAS thread variable in ``mmsum.BLAS_THREAD_VARS`` that is set
-reads 1; the package sets them unless the caller did, before numpy loads),
-and only for a weight operand of at least ``WORKER_MIN_VALUES`` values, or
-an Adagrad store of more than one block. Otherwise, and for every smaller
-shape, the work runs inline. A handed-off call is the same numpy expression
-on the same operands, with the same shapes and strides, as the inline one,
+caller's thread; it touches no tape. It gets three kinds of work, each
+only when its rule holds:
+
+* the input GEMMs of a BiLSTM group that ``start_projection`` starts
+  (``encode_sample`` starts the frame group's before the word BiLSTM), when
+  ``_hands_off`` holds: the weight's input rows W[:D] hold at least
+  ``WORKER_MIN_VALUES`` values and ``use_worker()`` holds;
+* under the same rule, the weight-gradient GEMMs with which the BiLSTM
+  backward first fills a weight's ``grad_slot``, on a copy of the rows of
+  dZ they read;
+* every other block of columns of ``training.Adagrad.step``, each thread
+  with its own scratch, when the store has more than one block and
+  ``use_worker()`` holds.
+
+A handed-off call is the same numpy expression on the same operands, with
+the same shapes and strides, as the inline one (Adagrad's is elementwise),
 so results equal the inline path bit for bit. ``backward`` and
 ``Adagrad.step`` return, or raise, with no work pending on the worker.
 """
@@ -91,9 +98,8 @@ def grad_enabled():
 
 @functools.cache
 def use_worker() -> bool:
-    """Whether numpy work handed to the worker thread can run beside the
-    caller's: more than one usable CPU, and BLAS on one thread, read off the
-    BLAS thread variables (BLAS reads them once, so this is read once)."""
+    """Whether the worker thread may take work (the module docstring's
+    rule); read once, as BLAS reads its thread variables once."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     values = [os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ]
     return (cpus or 1) > 1 and bool(values) and all(v == "1" for v in values)
@@ -570,14 +576,19 @@ def _batch(X):
     return X if X.ndim == 3 else X[None]
 
 
+def _hands_off(W, D) -> bool:
+    """Whether a BiLSTM group's GEMMs over the weight ``W``, whose input rows
+    are W[:D], go to the worker (the module docstring's rule)."""
+    return W[:D].size >= WORKER_MIN_VALUES and use_worker()
+
+
 def start_projection(group):
     """``group`` with a seventh member, the future of its input GEMMs started
     on the worker, which ``bilstm_sequences`` reads in place of running them;
-    ``group`` itself when its weights are too small to pay or ``use_worker()``
-    is false. A caller that may raise before ``bilstm_sequences`` runs waits
-    for ``group[6:]``."""
+    ``group`` itself when ``_hands_off`` does not hold. A caller that may
+    raise before ``bilstm_sequences`` runs waits for ``group[6:]``."""
     X, fw_W, _, bw_W = (as_tensor(t).data for t in group[:4])
-    if fw_W[:X.shape[-1]].size < WORKER_MIN_VALUES or not use_worker():
+    if not _hands_off(fw_W, X.shape[-1]):
         return group
     return (*group, handoff(_project, _batch(X), fw_W, bw_W))
 
@@ -608,45 +619,48 @@ def bilstm_sequences(groups):
     as one tape node with one recurrence loop. Returns one Tensor per group.
 
     A group is (X, fw_W, fw_b, bw_W, bw_b, lengths), with its own weights, and
-    may have a seventh member from ``start_projection``. X
-    is a right-padded (B, T, D) batch whose sequence k is X[k, :lengths[k]]
-    (whole when ``lengths`` is None), or one (T, D) sequence; each W is (D +
-    h, 4h) over [x; h] with gate order i|f|o|g and each b is (4h,), which
-    sets the hidden size h. A group maps to (B, T, 2h), or (T, 2h), the
-    forward states beside the backward states. B and h are shared by all
-    groups; T and D are each group's own. Padding contract: at positions t >=
-    lengths[k] the output is zero, X gets zero gradient, and finite values of
-    X change nothing.
+    may have a seventh member from ``start_projection``. X is a right-padded
+    (B, T, D) batch whose sequence k is X[k, :lengths[k]] (whole when
+    ``lengths`` is None), or one (T, D) sequence; each W is (D + h, 4h) over
+    [x; h] with gate order i|f|o|g and each b is (4h,), which sets the hidden
+    size h. A group maps to (B, T, 2h), or (T, 2h), the forward states beside
+    the backward states. B and h are shared by all groups; T and D are each
+    group's own, and a single BiLSTM is the call with one group. Padding
+    contract: at positions t >= lengths[k] the output is zero, X gets zero
+    gradient, and finite values of X change nothing.
 
     Forward and backward walk one list of group records, sorted longest
     first, stably. Each quantity has one time-major buffer over the longest
-    T steps and all N groups in that order: the gates (S, N, 4, 2, B, h), the
-    states, cells and tanh(c) (S, N, 2, B, h), and in backward the upstream
-    gradient and dZ, group-major (N, 2, S, B, 4h) for the weight GEMMs.
-    Direction 0 is stored in time order and direction 1 in its own step
-    order (step s reads time T-1-s), so both directions of a group are live
-    exactly for s < T. A phase covers the steps in which the first n groups
-    are live and runs on the [:n] views of its steps, from the state the
-    phase before it left; each step's recurrent product is one matmul,
-    batched over the two directions and stacked over the n groups' weights,
-    one copy as given that backward reads transposed. Backward walks the
-    phases last first through the same views, dh and dc starting at zero.
-    Input pre-activations are zeroed at padding; a step with zero input from
-    h = c = 0 stays at 0, so the reverse direction starts from zeros at each
-    sequence's last token. Zeroing the output, the upstream gradient and dZ
-    at padding, outside the loop, cuts off the forward direction's trailing
-    padding. A group with no sequence shorter than T skips the masks.
+    T steps and all N groups in that order: the gates (S, N, 4, 2, B, h),
+    group-major and then gate-major so that the live groups' slice of a step
+    is contiguous, the states, cells and tanh(c) (S, N, 2, B, h), and in
+    backward the upstream gradient and dZ, group-major (N, 2, S, B, 4h), so
+    that a group's slice feeds its weight GEMMs. Direction 0 is stored in
+    time order and direction 1 in its own step order (step s reads time
+    T-1-s), so both directions of a group are live exactly for s < T. A
+    phase covers the steps in which the first n groups are live and runs on
+    the [:n] views of its steps, from the state the phase before it left;
+    each step's recurrent product is one matmul, batched over the two
+    directions and stacked over the n groups' weights, one copy as given
+    that backward reads transposed. Backward walks the phases last first
+    through the same views, dh and dc starting at zero; a group's dZ and
+    prior states are slices of the shared buffers, with no per-phase pieces
+    to join. Input pre-activations are zeroed at padding; a step with zero
+    input from h = c = 0 stays at 0, so the reverse direction starts from
+    zeros at each sequence's last token. Zeroing the output, the upstream
+    gradient and dZ at padding, outside the loop, cuts off the forward
+    direction's trailing padding. A group with no sequence shorter than T
+    skips the masks.
 
     The input GEMMs and the X, weight and bias gradients run per group over
-    its own T rows, each with the shape a one-group node gives it. When a
-    weight's input rows W[:D] hold at least ``WORKER_MIN_VALUES`` values and
-    backward is the first producer of its gradient, the GEMMs that write its
-    ``grad_slot`` go to the worker, on a copy of the rows of dZ they read,
-    and backward returns their futures. The cell
-    states and tanh(c) are kept per step only when a gradient is recorded.
-    The groups' outputs lie in the given order in one flat output, handed
-    out by a slice node per group. Parents are listed last group first, so
-    backward walks the last group's input first.
+    its own T rows, each with the shape a one-group node gives it, so each
+    group's values and gradients are byte-equal to those of the copy in
+    ``tests/composed_ops.py`` run on that group alone. Backward returns the
+    futures of the weight-gradient GEMMs it hands to the worker (see the
+    module docstring). The cell states and tanh(c) are kept per step only
+    when a gradient is recorded. The groups' outputs lie in the given order
+    in one flat output, handed out by a slice node per group. Parents are
+    listed last group first, so backward walks the last group's input first.
     """
     # record: (T, D, x, tensors, pad2, offset, started)
     recs, parents, size = [], (), 0
@@ -749,7 +763,7 @@ def bilstm_sequences(groups):
             # the worker's GEMMs get a copy of the rows they read, not a view
             # that keeps all of dZ alive; a copy of the same layout, so that
             # the reversed view below has dZ's strides (see ``Whn``)
-            hand = fw_W.data[:D].size >= WORKER_MIN_VALUES and use_worker()
+            hand = _hands_off(fw_W.data, D)
             dZj = dZ[j, :, :T].copy() if hand else dZ[j, :, :T]
             # in time order; the reverse direction's is its step order reversed
             dZf = dZj[0].reshape(T * B, 4 * h)

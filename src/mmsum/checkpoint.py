@@ -2,8 +2,13 @@
 ``{"format": 2, "extra": {...}}`` and ``params.bin``, one 1 x n feature file
 of every parameter laid out by ``model.parameter_views``. Every value in
 ``params.bin`` is finite: a NaN or infinite float32 value is refused, naming
-its parameter, when saved and when read. A save refuses a checkpoint path, or
-a ``.tmp`` or ``.old`` sibling of it, that exists and is not a directory."""
+its parameter, when saved and when read. A save checks the parameters with
+``model.check_parameters``, casts them to float32 once and writes the vector
+with ``data.write_feature_file``; a load reads it with
+``data.read_feature_file``, converts it to float64 once and returns its
+views. A save refuses a checkpoint path, or a ``.tmp`` or ``.old`` sibling of
+it, that exists and is not a directory (``check_target``, which ``train``
+also calls before it trains)."""
 from __future__ import annotations
 
 import dataclasses
@@ -52,9 +57,11 @@ def save_checkpoint(directory, params: dict[str, np.ndarray], cfg: RunConfig,
                     vocab: dict[str, int], extra: dict | None = None) -> Path:
     """Write the checkpoint into a sibling ``<directory>.tmp``, then swap that
     in for ``directory``, the old one moved aside to ``<directory>.old`` until
-    the new one is in place: a checkpoint is replaced whole or left as it was,
-    and a process killed between the two renames leaves the old one whole in
-    ``<directory>.old``, where ``load_checkpoint`` finds it."""
+    the new one is in place. A failed write removes ``<directory>.tmp``, so a
+    checkpoint is replaced whole or left as it was, and a process killed
+    between the two renames leaves the old one whole in ``<directory>.old``
+    (the new one, complete, in ``<directory>.tmp``), where
+    ``load_checkpoint`` finds it."""
     spec = check_parameters(params, cfg, len(vocab))
     directory, tmp, old = check_target(directory)
     with np.errstate(over="ignore"):    # a float32 overflow is inf

@@ -8,8 +8,10 @@ over a --config JSON file, which takes precedence over built-in defaults; the
 M2SM_SEED environment variable overrides the seed from any source. eval instead
 starts from the config saved in the checkpoint and takes neither. train, eval
 and ablate read the one split ``_split_manifest`` gives; eval gives it the
-checkpoint's config. All failures, a malformed command line included, exit 1
-with a machine-readable JSON error on stderr.
+checkpoint's config. ablate's training strategies are one ordered table, and
+ablate hands the loaded splits to ``run_ablate_cell``, in this process or in
+one chunk of cells per worker process. All failures, a malformed command line
+included, exit 1 with a machine-readable JSON error on stderr.
 """
 from __future__ import annotations
 

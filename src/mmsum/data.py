@@ -7,6 +7,10 @@ On-disk formats:
   File paths are relative to the manifest's directory.
 * Feature file: magic bytes ``M2SMFEAT``, two little-endian uint32 (rows,
   cols), then rows*cols little-endian float32 values in row-major order.
+  One writer and one reader, ``write_feature_file`` and
+  ``read_feature_file`` (which checks the header against the file size),
+  serve frame features, reference-image features and the checkpoint's
+  ``params.bin``.
 * Document / transcript / summary: UTF-8 text, one sentence per line.
 
 A loaded ``Sample`` holds its frame features as a plain (NM, D_v) array;

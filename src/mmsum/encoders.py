@@ -2,17 +2,16 @@
 level), frame-sequence encoder over precomputed feature vectors, and the
 transcript encoder. All four stacks are parameter-disjoint bidirectional
 LSTMs sharing one embedding table for text. The word BiLSTM is a single
-``autodiff.bilstm_sequences`` tape node that runs both directions in one
-recurrence loop, storing the reverse direction in its own step order. Input is
-right-padded: the word encoder runs all sentences of a document as one
-(NS, T_max, E) batch with their lengths, and its states are zero at padding,
-where X gets no gradient and its values change nothing. One
-``autodiff.mean_pool`` node pools each sentence's word states. The sentence,
-frame and transcript BiLSTMs each run one sequence, and once the word states
-are pooled none needs another's output, so ``encode_sample`` runs the three
-as the groups of one such node, in one step loop. Each encoder returns its
-states as one Tensor, (N, 2h) per sentence, frame or transcript token; the
-hidden size h is read off the LSTM bias, which is (4h,)."""
+``autodiff.bilstm_sequences`` tape node (whose docstring states its padding
+contract) over all sentences of a document as one right-padded (NS, T_max,
+E) batch with their lengths. One ``autodiff.mean_pool`` node pools each
+sentence's word states. The sentence, frame and transcript BiLSTMs each run
+one sequence, and once the word states are pooled none needs another's
+output, so ``encode_sample`` runs the three as the groups of one such node,
+in one step loop; ``encode_sentences``, ``encode_frames`` and
+``encode_transcript`` run one of them alone. Each encoder returns its states
+as one Tensor, (N, 2h) per sentence, frame or transcript token; the hidden
+size h is read off the LSTM bias, which is (4h,)."""
 from __future__ import annotations
 
 from concurrent import futures
@@ -142,8 +141,9 @@ def encode_sample(sample, enc: EncoderParams) -> tuple[Tensor, Tensor | None,
     them, from one BiLSTM node over the three sequences (after the word
     batch's own). Frame and transcript states are None when the model has no
     such encoder; an empty transcript has (0, 2h) states and no group. The
-    frame group's input GEMMs start first, on the worker when they pay, and
-    run beside the word BiLSTM; nothing is left running on a raise."""
+    frame group's input GEMMs start first (``autodiff.start_projection``,
+    which may hand them to the worker thread), so that they can run beside
+    the word BiLSTM; nothing is left running on a raise."""
     frame = ()
     if enc.frame is not None:
         frame = ad.start_projection(_group(_frame_input(sample.frames, enc), enc.frame))

@@ -1,8 +1,9 @@
 """Exception taxonomy. Every error carries a machine-readable code that the
 CLI echoes on stderr, so callers can branch on failures without parsing
 messages. ``read_json`` reads every JSON input file into one of them;
-``write_json``/``write_json_lines`` write every JSON artifact, and the eval
-report's CSV goes through the same atomic ``write_text``."""
+``write_json``/``write_json_lines`` write every JSON artifact through
+``write_text``, the one atomic write step, which the eval report's CSV goes
+through too."""
 
 import json
 import os

@@ -6,7 +6,13 @@ Scores are computed over concatenated token sequences (summary level), with
 no stemming or stopword removal; tokenization matches the data module.
 ROUGE-L's longest common subsequence is the bit-parallel algorithm of
 Allison & Dix and Hyyrö over Python ints; it returns the same integer as the
-dynamic program, so every score is identical to the DP's.
+dynamic program, so every score is identical to the DP's, in one big-int
+step per token of the shorter sequence.
+
+``select`` picks the top-k sentences and frames from given probabilities and
+``score_summaries`` scores the summaries; ``evaluate_dataset`` runs the
+model's forward for each sample and then both, and an ablation cell scores
+the best epoch's cached val probabilities the same way.
 """
 from __future__ import annotations
 

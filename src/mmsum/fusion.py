@@ -17,7 +17,10 @@ legitimate decision-level combiner, not just a test stub.
 On the tape, each scorer is two ``dense`` nodes. The early feature is one
 ``concat`` node, the tensor feature one ``tensor_fusion`` node, and
 everything after f and g (the penalties, the pair and F) is one
-``late_decision`` node. State and context come in as 2-D row blocks.
+``late_decision`` node. State and context come in as 2-D row blocks of
+equal row count, which one check, ``_pair``, enforces for every head (a
+``FusionError`` otherwise). The text-only model scores its sentence states
+with one scorer, ``scorer_prob``.
 """
 from __future__ import annotations
 

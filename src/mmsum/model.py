@@ -1,5 +1,11 @@
 """Parameter layout and the full forward pass: encoders -> alignment ->
-fusion, yielding per-sentence and per-frame extraction probabilities."""
+fusion, yielding per-sentence and per-frame extraction probabilities.
+
+``parameter_spec`` is the one parameter-layout table and ``parameter_views``
+its one flat layout, shared by the init's single draw, Adagrad's store and
+the checkpoint's ``params.bin``. ``check_parameters`` is the one rule by
+which a parameter dict matches a config, for the model and for
+``checkpoint.save_checkpoint``."""
 from __future__ import annotations
 
 import dataclasses

@@ -15,6 +15,10 @@ and accumulator is a view of one flat store (``model.parameter_views``).
 Between steps each ``p.grad`` is None; backward's first producer of a
 gradient writes it into the parameter's ``grad_slot``, its store view, and a
 caller may still assign ``p.grad`` an array for the next step to read.
+
+The validation pass keeps every val sample's probabilities, and
+``TrainResult.best_val_probs`` carries the best epoch's, which an ablation
+cell scores in place of running the val forwards again.
 """
 from __future__ import annotations
 
@@ -196,14 +200,12 @@ class Adagrad:
     the last step's gradient, copies in any other array a caller assigned,
     and sets every ``p.grad`` to None. It then runs each block of columns
     through the arithmetic of ``p -= lr * g / (sqrt(acc) + eps)`` in the same
-    order, so the result is bitwise that formula's. When the store has more
-    than one block and ``autodiff.use_worker()`` holds, the odd blocks run on
-    the worker thread, each thread with its own scratch, and are joined
-    before ``step`` returns; the arithmetic is elementwise, so the bits are
-    those of one thread. A zero gradient leaves acc and p bitwise unchanged
-    (eps > 0), so it is the same as no gradient. A -0.0 that backward's GEMMs
-    write takes p to p + 0.0, which is p, as no parameter is -0.0: draws and
-    biases start at +0.0 or off zero, and x - x is +0.0."""
+    order, so the result is bitwise that formula's. The odd blocks may run
+    on the worker thread, each thread with its own scratch (the ``autodiff``
+    module docstring states when). A zero gradient leaves acc and p bitwise
+    unchanged (eps > 0), so it is the same as no gradient. A -0.0 that
+    backward's GEMMs write takes p to p + 0.0, which is p, as no parameter is
+    -0.0: draws and biases start at +0.0 or off zero, and x - x is +0.0."""
 
     BLOCK = 1 << 15     # store columns per pass (scratch of 2 x 256 KiB a thread)
 

@@ -4,11 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mmsum import autodiff as ad, encoders
 from mmsum.attention import (AttentionParams, AttnSet, bihop_context, bilinear_scores,
                              concat_product_scores, context, frame_context,
                              last_state_context, sentence_context)
 from mmsum.autodiff import Tensor
+from mmsum.config import RunConfig
+from mmsum.data import Document, Sample, Transcript
 from mmsum.errors import AttentionError, BiHopUnavailable
+from mmsum.model import SummarizerModel, build_parameters
 
 
 def make_set(rng, dq=4, dk=4, da=3, mode="bilinear", zero_v=False):
@@ -228,3 +232,35 @@ def test_dim_mismatch_raises(rng):
     aset = make_set(rng, dq=4, dk=4)
     with pytest.raises(AttentionError):
         bilinear_scores(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), aset)
+
+
+def test_bihop_gives_every_query_the_same_context_at_the_default_init():
+    """Bi-hop attention is inert at the default init. On one paper-shape
+    sample (25 sentences of 20 tokens, 40 frames of 2048-d, 150 transcript
+    tokens), every sentence's and every frame's context lies within 1e-9 of
+    the mean context, relative to its norm (1.3e-12 and 5.6e-15 measured),
+    and every hop-2 weight row is uniform to within 1e-9 in normalized
+    entropy H / log N. A change that makes hop 2 learn fails this test; it
+    must update the test and say why."""
+    cfg, vocab_size = RunConfig(fps_group=1), 2000
+    model = SummarizerModel(build_parameters(cfg, vocab_size, np.random.default_rng(3)),
+                            cfg, vocab_size)
+    rng = np.random.default_rng(0)
+    doc = Document(sentences=[rng.integers(0, vocab_size, size=20) for _ in range(25)],
+                   raw_sentences=["x"] * 25, id="paper")
+    sample = Sample(document=doc, frames=rng.normal(size=(40, 2048)),
+                    transcript=Transcript(tokens=rng.integers(0, vocab_size, size=150),
+                                          raw_text="x"),
+                    gold_summary=["x"])
+    with ad.no_grad():
+        sents, frames, transcript = encoders.encode_sample(sample, model.encoder)
+        attended = {"sentence": sentence_context(model.attn, sents, frames, transcript),
+                    "frame": frame_context(model.attn, frames, sents, transcript)}
+    for name, ctx in attended.items():
+        c, w = ctx.contexts.data, ctx.weights.data
+        assert w.shape[1] == 150, name     # hop 2 reads the transcript contexts
+        mean = c.mean(axis=0)
+        spread = np.linalg.norm(c - mean, axis=1).max() / np.linalg.norm(mean)
+        assert spread < 1e-9, (name, spread)
+        entropy = -(w * np.log(w)).sum(axis=1) / math.log(w.shape[1])
+        assert entropy.min() > 1 - 1e-9, (name, entropy.min())

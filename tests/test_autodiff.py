@@ -710,7 +710,7 @@ def test_package_sets_blas_threads_unless_numpy_loaded_first(numpy_first):
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["MKL_NUM_THREADS"] = "3"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + [env["PYTHONPATH"]] * ("PYTHONPATH" in env))
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
     code = ("import os\n" + "import numpy\n" * numpy_first + "import mmsum\n"
             "print([os.environ.get(v) for v in mmsum.BLAS_THREAD_VARS])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

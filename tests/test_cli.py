@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -25,6 +28,28 @@ from mmsum.model import SummarizerModel
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_section(title):
+    """The lines of README.md under its ``## title`` heading."""
+    lines = README.splitlines()
+    start = lines.index(f"## {title}") + 1
+    return list(itertools.takewhile(lambda line: not line.startswith("## "),
+                                    lines[start:]))
+
+
+def _readme_names(lead):
+    """The backquoted names that follow ``lead``, which README.md holds once,
+    up to the end of its clause (a colon or a period)."""
+    text = " ".join(README.split())
+    assert text.count(lead) == 1, lead
+    clause = re.split(r"[.:](?:\s|$)", text[text.index(lead) + len(lead):], maxsplit=1)[0]
+    names = re.findall(r"`([^`]+)`", clause)
+    assert len(names) == len(set(names)), names
+    return set(names)
 
 
 def test_star_import_resolves_every_name_in_all():
@@ -149,7 +174,9 @@ def test_train_writes_checkpoint_and_metrics(cli_corpus, tmp_path):
     lines = (out / "metrics.jsonl").read_text().strip().splitlines()
     records = [json.loads(line) for line in lines]
     assert [r["epoch"] for r in records] == list(range(1, len(records) + 1))
-    assert {"train_loss", "train_ce", "val_loss", "R_div", "R_rep", "lr"} <= set(records[0])
+    # each record has the keys README lists, and no other
+    assert all(r.keys() == _readme_names("one record per epoch with the keys")
+               for r in records)
     assert not list(out.rglob("*.tmp"))
 
 
@@ -416,6 +443,59 @@ def test_every_run_config_field_has_one_flag(command):
     dests = [a.dest for a in _subparsers()[command]._actions]
     for f in dataclasses.fields(RunConfig):
         assert dests.count(f.name) == (f.name in COMMAND_FIELDS[command]), f.name
+
+
+# README's CLI section, against the parser and the config fields
+
+def _readme_option_table():
+    """Command -> the options README's CLI table marks for it, and command ->
+    those it marks required."""
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in _readme_section("CLI") if line.startswith("|")]
+    header, body = rows[0], [row for row in rows[1:] if set(row) != {"---"}]
+    assert header[0] == "options"
+    takes = {command: set() for command in header[1:]}
+    required = {command: set() for command in header[1:]}
+    for options, *cells in body:
+        names = set(re.findall(r"`(--[a-z-]+)`", options))
+        for command, cell in zip(header[1:], cells, strict=True):
+            if cell:
+                takes[command] |= names
+            if cell == "required":
+                required[command] |= names
+    return takes, required
+
+
+def test_readme_option_table_is_the_parser():
+    """README's CLI table marks, for each command, every option its subparser
+    takes (``--help`` aside) and no other, and which of them are required. A
+    flag added or dropped without the README fails here."""
+    takes, required = _readme_option_table()
+    actions = {command: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+               for command, p in _subparsers().items()}
+    assert takes == {command: {o for a in acts for o in a.option_strings}
+                     for command, acts in actions.items()}
+    assert required == {command: {o for a in acts if a.required for o in a.option_strings}
+                        for command, acts in actions.items()}
+
+
+def test_readme_lists_the_run_config_fields_with_no_flag():
+    assert _readme_names("`RunConfig` fields with no flag:") == {
+        f.name for f in dataclasses.fields(RunConfig) if not f.metadata.get("flag", True)}
+
+
+def test_readme_cli_examples_parse():
+    """Every ``mmsum`` line of the CLI section's example block, its
+    continuation lines joined, parses, and the block runs every command."""
+    section = _readme_section("CLI")
+    start = section.index("```bash") + 1
+    block = "\n".join(section[start:section.index("```", start)]).replace("\\\n", " ")
+    commands = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["mmsum"]:
+            commands.append(cli.build_parser().parse_args(argv[1:]).command)
+    assert sorted(commands) == sorted(_subparsers())
 
 
 # a malformed command line -> (its arguments, what the error message must name)
@@ -721,7 +801,8 @@ def test_eval_zero_norm_frames_omit_cos_and_finish(cli_corpus, trained_run, tmp_
 
 def test_eval_report_records_its_settings(cli_corpus, trained_run, tmp_path):
     """The report names the checkpoint and manifest as given, the split, and
-    the value of each setting eval takes a flag for; the CSV is unchanged."""
+    the value of each setting eval takes a flag for, under the keys README
+    lists; the CSV is unchanged."""
     ck, manifest = str(trained_run / "checkpoint"), str(cli_corpus / "manifest.json")
     reports = []
     for name, k in (("ev2", "2"), ("ev3", "3")):
@@ -736,6 +817,8 @@ def test_eval_report_records_its_settings(cli_corpus, trained_run, tmp_path):
         "checkpoint": ck, "manifest": manifest, "split": "test", "seed": saved.seed,
         "fps_group": saved.fps_group, "min_frames": saved.min_frames,
         "k_sentences": 2, "k_frames": saved.k_frames}
+    assert reports[0]["settings"].keys() == _readme_names(
+        "`settings` records what the report was made under, with the keys")
     assert set(reports[0]) == {"per_sample", "corpus_mean", "settings"}
     assert {**reports[0]["settings"], "k_sentences": 3} == reports[1]["settings"]
 
