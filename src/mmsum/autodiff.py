@@ -366,26 +366,23 @@ def _power_grad(g, a, p):
     return g * np.where(nonzero, p * np.power(base, p - 1.0), 0.0)
 
 
-def late_decision(f, g, head=None, beta=None, prose=False):
+def late_decision(f, g, head, beta, prose=False):
     """The late-fusion decision over the (n,) unimodal scores f and g, (n,),
-    as one node. The pair [a, b] goes through the decision head ``head`` =
-    (W1, b1, w2, b2), a tanh dense layer and then a sigmoid one, or is
-    averaged when ``head`` is None. Without ``beta`` the pair is [f, g]. With
-    it, each score is scaled by a confidence penalty, a = (1 - g)^beta f and
-    b = (1 - f)^beta g, or with ``prose`` a = f^beta f and b = g^beta g; a
-    zero base gets slope 0, and beta = 0 sends no gradient through the
-    penalty. Backward gives f and g each term in the order of the
-    composition of single ops for the same expression."""
+    as one node. Each score is scaled by a confidence penalty, a = (1 - g)^beta f
+    and b = (1 - f)^beta g, or with ``prose`` a = f^beta f and b = g^beta g,
+    and the pair [a, b] goes through the decision head ``head`` = (W1, b1,
+    w2, b2), a tanh dense layer and then a sigmoid one, or is averaged when
+    ``head`` is None. A zero base gets slope 0. Plain late fusion is beta = 0:
+    both penalties are exactly 1, so [a, b] is [f, g] bit for bit and no
+    gradient goes through the penalties. Backward gives f and g each term in
+    the order of the composition of single ops for the same expression."""
     f, g = as_tensor(f), as_tensor(g)
     head = () if head is None else tuple(as_tensor(t) for t in head)
     n = f.data.shape[0]
-    if beta is None:
-        a, b = f.data, g.data
-    else:
-        p = float(beta)
-        bases = (f.data, g.data) if prose else (1.0 - g.data, 1.0 - f.data)
-        ws, wc = np.power(bases[0], p), np.power(bases[1], p)
-        a, b = ws * f.data, wc * g.data
+    p = float(beta)
+    bases = (f.data, g.data) if prose else (1.0 - g.data, 1.0 - f.data)
+    ws, wc = np.power(bases[0], p), np.power(bases[1], p)
+    a, b = ws * f.data, wc * g.data
     pair = np.concatenate([a.reshape(n, 1), b.reshape(n, 1)], axis=1)
     if head:
         W1, b1, w2, b2 = head
@@ -407,9 +404,7 @@ def late_decision(f, g, head=None, beta=None, prose=False):
             ga, gb = d_pair[:, 0], d_pair[:, 1]
         else:
             ga = gb = u * (1.0 / 2)
-        if beta is None:
-            f_terms, g_terms = [ga], [gb]
-        elif p == 0.0:      # constant penalties
+        if p == 0.0:      # constant penalties
             f_terms, g_terms = [ga * ws], [gb * wc]
         else:
             d_s = _power_grad(ga * f.data, bases[0], p)

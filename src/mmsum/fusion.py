@@ -5,10 +5,11 @@ Four strategies:
 
 * early     - concatenate the two feature vectors, score jointly
 * tensor    - outer product of [state;1] and [context;1], flattened, scored
-* late      - scalar decisions f(state), g(context) combined by a head F
-* late_plus - late fusion with confidence penalties
-              W_s = (1 - g)^beta on f and W_c = (1 - f)^beta on g,
-              so beta = 0 reduces exactly to late fusion
+* late_plus - scalar decisions f(state), g(context), each scaled by a
+              confidence penalty, W_s = (1 - g)^beta on f and
+              W_c = (1 - f)^beta on g, and combined by a head F
+* late      - late_plus at beta = 0, whatever ``head.beta`` holds: both
+              penalties are exactly 1, so F sees [f, g] bit for bit
 
 f, g and the joint/F heads are one-hidden-layer feedforward networks with a
 sigmoid output. F may also be plain averaging (head set to None), which is a
@@ -17,10 +18,11 @@ legitimate decision-level combiner, not just a test stub.
 On the tape, each scorer is two ``dense`` nodes. The early feature is one
 ``concat`` node, the tensor feature one ``tensor_fusion`` node, and
 everything after f and g (the penalties, the pair and F) is one
-``late_decision`` node. State and context come in as 2-D row blocks of
-equal row count, which one check, ``_pair``, enforces for every head (a
-``FusionError`` otherwise). The text-only model scores its sentence states
-with one scorer, ``scorer_prob``.
+``late_decision`` node, the one decision path of late and late_plus.
+State and context come in as 2-D row blocks of equal row count, which one
+check, ``_pair``, enforces for every head (a ``FusionError`` otherwise).
+The text-only model scores its sentence states with one scorer,
+``scorer_prob``.
 """
 from __future__ import annotations
 
@@ -73,54 +75,24 @@ def _pair(state, ctx) -> tuple[Tensor, Tensor]:
     return S, C
 
 
-def fuse_early(state, ctx, head: FusionHead) -> Tensor:
-    S, C = _pair(state, ctx)
-    return scorer_prob(ad.concat([S, C], axis=1), head.joint)
-
-
-def fuse_tensor(state, ctx, head: FusionHead) -> Tensor:
-    S, C = _pair(state, ctx)
-    return scorer_prob(ad.tensor_fusion(S, C), head.joint)
-
-
 def unimodal_decisions(state, ctx, head: FusionHead):
     S, C = _pair(state, ctx)
     return scorer_prob(S, head.f), scorer_prob(C, head.g)
 
 
-def _decide(f_vals: Tensor, g_vals: Tensor, head: FusionHead, beta=None) -> Tensor:
-    """F over the pair of decisions, each scaled by its late+ penalty when
-    ``beta`` is given."""
+def fuse(state, ctx, head: FusionHead) -> Tensor:
+    if head.mode in ("early", "tensor"):
+        S, C = _pair(state, ctx)
+        joint = ad.concat([S, C], axis=1) if head.mode == "early" else ad.tensor_fusion(S, C)
+        return scorer_prob(joint, head.joint)
+    if head.mode not in ("late", "late_plus"):
+        raise FusionError(f"unknown fusion mode '{head.mode}'")
+    beta = head.beta if head.mode == "late_plus" else 0.0
+    if beta < 0:
+        raise FusionError(f"beta must be >= 0, got {beta}")
+    f_vals, g_vals = unimodal_decisions(state, ctx, head)
     F = head.F
     if F is not None:
         _check_input(2, F)
         F = (F.W1, F.b1, F.w2, F.b2)
     return ad.late_decision(f_vals, g_vals, F, beta, head.prose_weights)
-
-
-def fuse_late(state, ctx, head: FusionHead) -> Tensor:
-    f_vals, g_vals = unimodal_decisions(state, ctx, head)
-    return _decide(f_vals, g_vals, head)
-
-
-def fuse_late_plus(state, ctx, head: FusionHead) -> Tensor:
-    if head.beta < 0:
-        raise FusionError(f"beta must be >= 0, got {head.beta}")
-    f_vals, g_vals = unimodal_decisions(state, ctx, head)
-    return _decide(f_vals, g_vals, head, head.beta)
-
-
-_DISPATCH = {
-    "early": fuse_early,
-    "tensor": fuse_tensor,
-    "late": fuse_late,
-    "late_plus": fuse_late_plus,
-}
-
-
-def fuse(state, ctx, head: FusionHead) -> Tensor:
-    try:
-        fn = _DISPATCH[head.mode]
-    except KeyError:
-        raise FusionError(f"unknown fusion mode '{head.mode}'") from None
-    return fn(state, ctx, head)

@@ -305,6 +305,10 @@ def _validation_ce(model, samples, labels) -> tuple[float, list]:
 
 def train_model(train_samples: list[Sample], val_samples: list[Sample],
                 cfg, vocab_size: int) -> TrainResult:
+    video_on = cfg.use_frames and cfg.use_bistream and cfg.alpha_vs > 0
+    if cfg.alpha_ts == 0 and not video_on:
+        raise ConfigError("alpha_ts is 0 and the video loss is off (it needs use_frames, "
+                          "use_bistream and alpha_vs > 0): nothing would train")
     if not train_samples or not val_samples:
         raise TrainingError("train and val splits must both be nonempty")
 
@@ -328,7 +332,6 @@ def train_model(train_samples: list[Sample], val_samples: list[Sample],
     stopper = EarlyStopping(cfg.patience)
     baseline = 0.0
 
-    video_on = cfg.use_frames and cfg.use_bistream and cfg.alpha_vs > 0
     metrics: list[dict] = []
 
     for epoch in range(1, cfg.epochs + 1):

@@ -20,7 +20,7 @@ from mmsum.config import RunConfig
 from mmsum.data import (Document, SynthConfig, load_dataset, load_masks,
                         synth_generate, tokenize)
 from mmsum.evaluation import cos_image_similarity, rouge_l, rouge_n
-from mmsum.fusion import FusionHead, fuse_late, fuse_late_plus
+from mmsum.fusion import FusionHead, fuse, unimodal_decisions
 from mmsum.model import SummarizerModel
 from mmsum.training import (greedy_labels, labeling_score, reward_div, reward_rep,
                             train_model)
@@ -169,17 +169,35 @@ def test_criterion_3_metric_goldens():
            f"{sum(checks)}/{len(checks)} metric and reward goldens at 1e-9")
 
 
+def _late_plus_at_beta_0_is_late(rng, prose, inputs):
+    """``fuse`` in mode late_plus at beta = 0 against the composition of plain
+    late fusion, ``late_decision_reference`` with no beta, on the same
+    unimodal decisions: the output bytes and the gradient bytes of every
+    parameter of f, g and F."""
+    head = FusionHead(mode="late_plus", beta=0.0, f=make_scorer(rng, 4),
+                      g=make_scorer(rng, 3), F=make_scorer(rng, 2), prose_weights=prose)
+    params = [t for p in (head.f, head.g, head.F) for t in vars(p).values()]
+
+    def late(s, c, head):
+        return ops.late_decision_reference(*unimodal_decisions(s, c, head),
+                                           tuple(vars(head.F).values()), None)
+
+    for _ in range(inputs):
+        s, c = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
+        runs = []
+        for decide in (fuse, late):
+            out = decide(s, c, head)
+            ad.backward(ops.tsum(out))
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in params])
+            for t in params:
+                t.grad = None
+        if runs[0] != runs[1]:
+            return False
+    return True
+
+
 def test_criterion_4_fusion_identities(rng):
-    head = FusionHead(mode="late_plus", beta=0.0,
-                      f=make_scorer(rng, 4), g=make_scorer(rng, 3),
-                      F=make_scorer(rng, 2))
-    bitwise = True
-    for _ in range(1000):
-        s, c = rng.normal(size=(1, 4)), rng.normal(size=(1, 3))
-        if fuse_late(s, c, head).data.tobytes() != \
-                fuse_late_plus(s, c, head).data.tobytes():
-            bitwise = False
-            break
+    bitwise = all(_late_plus_at_beta_0_is_late(rng, prose, 500) for prose in (False, True))
 
     s, c = rng.normal(size=5), rng.normal(size=3)
     vec = ops.reshape(outer_with_bias(Tensor(s), Tensor(c)), (-1,))
@@ -188,7 +206,8 @@ def test_criterion_4_fusion_identities(rng):
     block_ok = np.array_equal(block, [[3.0, 1.0], [6.0, 2.0], [3.0, 1.0]])
 
     report(4, bitwise and length_ok and block_ok,
-           "late_plus(beta=0) == late bit-for-bit on 1000 inputs; tensor vec "
+           "late_plus(beta=0) == late's composition bit-for-bit, output and "
+           "gradients, on 500 inputs with and 500 without prose; tensor vec "
            "length (|s|+1)(|c|+1); outer-product block fixture")
 
 

@@ -102,12 +102,14 @@ HEAD = [(2, 3), (3,), (3,), (1,)]   # the decision head F: W1, b1, w2, b2
 
 def late(beta=None, prose=False, head=True):
     """late_decision and its composition over (f, g, *F), or (f, g) alone when
-    there is no head."""
-    def pick(op):
+    there is no head. Plain late fusion (no ``beta``) is the node at beta = 0
+    against the composition with no penalties."""
+    def pick(op, beta):
         def run(f, g, *F):
             return op(f, g, F if head else None, beta, prose)
         return run
-    return pick(ad.late_decision), pick(ops.late_decision_reference)
+    return (pick(ad.late_decision, 0.0 if beta is None else beta),
+            pick(ops.late_decision_reference, beta))
 
 
 def first(op):

@@ -291,6 +291,23 @@ def test_bad_flag_value_is_config_error(cli_corpus, tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("video_off", ["--no-bistream", "--no-frames"])
+def test_train_with_no_live_loss_term_is_config_error(cli_corpus, tmp_path, capsys,
+                                                      video_off):
+    """``--alpha-ts 0`` with the video loss off would train nothing: one CONFIG
+    line naming the fields, exit 1, and no run dir."""
+    out = tmp_path / "run"
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), *TINY_TRAIN, "--alpha-ts", "0", video_off) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG"
+    assert all(name in err["message"]
+               for name in ("alpha_ts", "use_frames", "use_bistream", "alpha_vs"))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("malform", [
     lambda e: {"samples": [1]},
     lambda e: {"samples": [e["id"]]},
@@ -333,118 +350,6 @@ def test_model_flags_map_to_config_fields():
     assert cli._overrides_from_args(cli.build_parser().parse_args(["train"])) == {}
 
 
-def _flag(option, dest, action="Store", type=None, choices=None, default=None,
-          required=False):
-    return option, dest, action, type, choices, default, required
-
-
-# The parser as it was written out by hand, before its flags were built from the
-# config dataclasses, less the flags a command never read or could not apply:
-# (option, dest, action, type (None is str), choices, default, required) per
-# subcommand.
-RUN_FLAGS = {
-    _flag("--config", "config"), _flag("--manifest", "manifest"), _flag("--out", "out"),
-    _flag("--seed", "seed", type="int"),
-    _flag("--attention", "attention", choices=ATTENTION_MODES),
-    _flag("--fusion", "fusion", choices=FUSION_MODES),
-    _flag("--beta", "beta", type="float"), _flag("--alpha-ts", "alpha_ts", type="float"),
-    _flag("--alpha-vs", "alpha_vs", type="float"), _flag("--lr", "lr", type="float"),
-    _flag("--epochs", "epochs", type="int"), _flag("--patience", "patience", type="int"),
-    _flag("--hidden", "hidden", type="int"), _flag("--embed-dim", "embed_dim", type="int"),
-    _flag("--attn-dim", "attn_dim", type="int"),
-    _flag("--fusion-dim", "fusion_dim", type="int"),
-    _flag("--feature-dim", "feature_dim", type="int"),
-    _flag("--fps-group", "fps_group", type="int"),
-    _flag("--k-sentences", "k_sentences", type="int"),
-    _flag("--k-frames", "k_frames", type="int"),
-    _flag("--label-cap", "label_cap", type="int"),
-    _flag("--min-frames", "min_frames", type="int"),
-    _flag("--no-frames", "use_frames", "StoreFalse"),
-    _flag("--no-transcript", "use_transcript", "StoreFalse"),
-    _flag("--no-bistream", "use_bistream", "StoreFalse"),
-    _flag("--sum-pool", "sum_pool", "StoreTrue"),
-    _flag("--late-plus-prose", "late_plus_prose", "StoreTrue"),
-}
-# eval runs the checkpoint's network as trained: no --config, no flag that
-# only training reads, and no flag that changes the network
-EVAL_FLAGS = {
-    _flag("--checkpoint", "checkpoint", required=True), _flag("--out", "out"),
-    _flag("--split", "split", choices=("train", "val", "test"), default="test"),
-    _flag("--format", "format", choices=("json", "csv"), default="json"),
-    _flag("--manifest", "manifest"), _flag("--seed", "seed", type="int"),
-    _flag("--fps-group", "fps_group", type="int"),
-    _flag("--k-sentences", "k_sentences", type="int"),
-    _flag("--k-frames", "k_frames", type="int"),
-    _flag("--min-frames", "min_frames", type="int"),
-}
-PARSER_TABLE = {
-    "synth": {
-        _flag("--out", "out", required=True),
-        _flag("--force", "force", "StoreTrue", default=False),
-        _flag("--config", "config"), _flag("--seed", "seed", type="int"),
-        _flag("--samples", "n_samples", type="int"),
-        _flag("--sentences", "n_sentences", type="int"),
-        _flag("--sentence-len", "sentence_len", type="int"),
-        _flag("--frames", "n_frames", type="int"),
-        _flag("--feature-dim", "feature_dim", type="int"),
-        _flag("--vocab-size", "vocab_size", type="int"),
-        _flag("--salience", "salience", type="float"),
-        _flag("--noise", "noise", type="float"),
-        _flag("--transcript-len", "transcript_len", type="int"),
-        _flag("--no-refs", "with_refs", "StoreFalse"),
-    },
-    "train": RUN_FLAGS,
-    "eval": EVAL_FLAGS,
-    # every cell sets its own patience and use_bistream
-    "ablate": RUN_FLAGS - {_flag("--patience", "patience", type="int"),
-                           _flag("--no-bistream", "use_bistream", "StoreFalse")} | {
-        _flag("--workers", "workers", type="int", default=1),
-        _flag("--sweep-ratio", "sweep_ratio", "StoreTrue", default=False),
-        _flag("--sweep-beta", "sweep_beta", "StoreTrue", default=False),
-    },
-    "overlap": {
-        _flag("--manifest", "manifest"), _flag("--out", "out"), _flag("--config", "config"),
-        _flag("--min-frames", "min_frames", type="int"),
-    },
-}
-FIELDS_WITHOUT_FLAG = {"out_dir", "train_frac", "val_frac", "test_frac", "ablate_epochs"}
-
-
-def _subparsers():
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
-
-
-def test_parser_matches_the_recorded_flag_table():
-    table = {}
-    for command, p in _subparsers().items():
-        table[command] = {
-            (*a.option_strings, a.dest, type(a).__name__.strip("_").removesuffix("Action"),
-             None if a.type in (None, str) else a.type.__name__, a.choices, a.default,
-             a.required)
-            for a in p._actions if not isinstance(a, argparse._HelpAction)}
-    assert table == PARSER_TABLE
-
-
-# the RunConfig fields each command has a flag for
-COMMAND_FIELDS = {
-    "train": {f.name for f in dataclasses.fields(RunConfig)} - FIELDS_WITHOUT_FLAG,
-    "eval": {"manifest", "seed", "fps_group", "min_frames", "k_sentences", "k_frames"},
-    "ablate": ({f.name for f in dataclasses.fields(RunConfig)} - FIELDS_WITHOUT_FLAG
-               - {"patience", "use_bistream"}),
-    "overlap": {"manifest", "min_frames"},
-}
-
-
-@pytest.mark.parametrize("command", ["train", "eval", "ablate", "overlap"])
-def test_every_run_config_field_has_one_flag(command):
-    """Each field of the command's own set has one flag; no other field has one."""
-    dests = [a.dest for a in _subparsers()[command]._actions]
-    for f in dataclasses.fields(RunConfig):
-        assert dests.count(f.name) == (f.name in COMMAND_FIELDS[command]), f.name
-
-
 # README's CLI section, against the parser and the config fields
 
 def _readme_option_table():
@@ -464,6 +369,95 @@ def _readme_option_table():
             if cell == "required":
                 required[command] |= names
     return takes, required
+
+
+# What README's CLI table does not say about each option, which means the same
+# in every command that takes it: (dest, action, type (None is str), choices,
+# default), as the parser was written out by hand before its flags were built
+# from the config dataclasses. README's table says which commands take an
+# option and where it is required.
+OPTION_DETAILS = {
+    "--out": ("out", "Store", None, None, None),
+    "--config": ("config", "Store", None, None, None),
+    "--manifest": ("manifest", "Store", None, None, None),
+    "--checkpoint": ("checkpoint", "Store", None, None, None),
+    "--split": ("split", "Store", None, ("train", "val", "test"), "test"),
+    "--format": ("format", "Store", None, ("json", "csv"), "json"),
+    "--force": ("force", "StoreTrue", None, None, False),
+    "--workers": ("workers", "Store", "int", None, 1),
+    "--sweep-ratio": ("sweep_ratio", "StoreTrue", None, None, False),
+    "--sweep-beta": ("sweep_beta", "StoreTrue", None, None, False),
+    "--seed": ("seed", "Store", "int", None, None),
+    "--attention": ("attention", "Store", None, ATTENTION_MODES, None),
+    "--fusion": ("fusion", "Store", None, FUSION_MODES, None),
+    "--beta": ("beta", "Store", "float", None, None),
+    "--alpha-ts": ("alpha_ts", "Store", "float", None, None),
+    "--alpha-vs": ("alpha_vs", "Store", "float", None, None),
+    "--lr": ("lr", "Store", "float", None, None),
+    "--epochs": ("epochs", "Store", "int", None, None),
+    "--patience": ("patience", "Store", "int", None, None),
+    "--hidden": ("hidden", "Store", "int", None, None),
+    "--embed-dim": ("embed_dim", "Store", "int", None, None),
+    "--attn-dim": ("attn_dim", "Store", "int", None, None),
+    "--fusion-dim": ("fusion_dim", "Store", "int", None, None),
+    "--feature-dim": ("feature_dim", "Store", "int", None, None),
+    "--fps-group": ("fps_group", "Store", "int", None, None),
+    "--k-sentences": ("k_sentences", "Store", "int", None, None),
+    "--k-frames": ("k_frames", "Store", "int", None, None),
+    "--label-cap": ("label_cap", "Store", "int", None, None),
+    "--min-frames": ("min_frames", "Store", "int", None, None),
+    "--no-frames": ("use_frames", "StoreFalse", None, None, None),
+    "--no-transcript": ("use_transcript", "StoreFalse", None, None, None),
+    "--no-bistream": ("use_bistream", "StoreFalse", None, None, None),
+    "--sum-pool": ("sum_pool", "StoreTrue", None, None, None),
+    "--late-plus-prose": ("late_plus_prose", "StoreTrue", None, None, None),
+    "--samples": ("n_samples", "Store", "int", None, None),
+    "--sentences": ("n_sentences", "Store", "int", None, None),
+    "--sentence-len": ("sentence_len", "Store", "int", None, None),
+    "--frames": ("n_frames", "Store", "int", None, None),
+    "--vocab-size": ("vocab_size", "Store", "int", None, None),
+    "--salience": ("salience", "Store", "float", None, None),
+    "--noise": ("noise", "Store", "float", None, None),
+    "--transcript-len": ("transcript_len", "Store", "int", None, None),
+    "--no-refs": ("with_refs", "StoreFalse", None, None, None),
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_parser_matches_the_recorded_flag_table():
+    """Each command's options, as README's table lists them, with the details
+    ``OPTION_DETAILS`` records, are the subparser's, ``--help`` aside."""
+    takes, required = _readme_option_table()
+    recorded = {command: {(o, OPTION_DETAILS.get(o), o in required[command])
+                          for o in options}
+                for command, options in takes.items()}
+    parsed = {command: {(*a.option_strings,
+                         (a.dest, type(a).__name__.strip("_").removesuffix("Action"),
+                          None if a.type in (None, str) else a.type.__name__, a.choices,
+                          a.default),
+                         a.required)
+                        for a in p._actions if not isinstance(a, argparse._HelpAction)}
+              for command, p in _subparsers().items()}
+    assert parsed == recorded
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "overlap"])
+def test_every_run_config_field_has_one_flag(command):
+    """Each RunConfig field behind an option README lists for the command has
+    one flag; no other field has one. ``train`` has a flag for every field
+    but those README lists as having none."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    own = {OPTION_DETAILS[o][0] for o in _readme_option_table()[0][command]} & fields
+    if command == "train":
+        assert own == fields - _readme_names("`RunConfig` fields with no flag:")
+    dests = [a.dest for a in _subparsers()[command]._actions]
+    for name in fields:
+        assert dests.count(name) == (name in own), name
 
 
 def test_readme_option_table_is_the_parser():
@@ -1150,3 +1144,13 @@ def test_ablate_cell_still_warns_on_clamping_and_missing_references(micro_corpus
     messages = [str(w.message) for w in caught]
     assert "requested 5 frames but only 4 available; clamping" in messages
     assert "no reference images present; Cos omitted from the report" in messages
+
+
+def test_ablate_cell_with_no_live_loss_term_is_an_error_row(micro_corpus):
+    """A cell whose loss has no live term is an error row, not an ``ok`` row
+    of an untrained model."""
+    _, samples, vocab = micro_corpus
+    base = dataclasses.asdict(tiny_config(feature_dim=8, use_frames=False))
+    row = cli.run_ablate_cell({"train": samples[:3], "val": samples[3:]}, len(vocab), base,
+                              {"strategy": "+weighted", "config": {"alpha_ts": 0.0}})
+    assert row["status"] == "error" and row["error"].startswith("ConfigError: alpha_ts")

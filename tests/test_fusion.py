@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,8 +10,7 @@ from mmsum import autodiff as ad
 from mmsum import fusion
 from mmsum.autodiff import Tensor
 from mmsum.errors import FusionError
-from mmsum.fusion import (FusionHead, ScorerParams, fuse, fuse_early, fuse_late,
-                          fuse_late_plus, fuse_tensor, unimodal_decisions)
+from mmsum.fusion import FusionHead, ScorerParams, fuse, unimodal_decisions
 
 
 def outer_with_bias(state, ctx) -> Tensor:
@@ -30,23 +31,32 @@ def make_scorer(rng, d_in, d_f=3, zero=False):
     return ScorerParams(W1=t((d_in, d_f)), b1=t((d_f,)), w2=t((d_f,)), b2=t((1,)))
 
 
-def late_head(rng, ds, dc, beta=0.3, mean_decision=False, prose=False):
-    return FusionHead(mode="late_plus", beta=beta,
+def late_head(rng, ds, dc, beta=0.3, mean_decision=False, prose=False, mode="late_plus"):
+    return FusionHead(mode=mode, beta=beta,
                       f=make_scorer(rng, ds), g=make_scorer(rng, dc),
                       F=None if mean_decision else make_scorer(rng, 2),
                       prose_weights=prose)
 
 
+def pin_decisions(head, f, g):
+    """Make the head's scorers f and g give the constant decisions f and g
+    (to rounding) whatever their input: zero weights, bias logit(p)."""
+    for scorer, p in ((head.f, f), (head.g, g)):
+        for t in (scorer.W1, scorer.b1, scorer.w2):
+            t.data[:] = 0.0
+        scorer.b2.data[:] = np.log(p / (1 - p))
+
+
 def test_early_zero_head_gives_exactly_half(rng):
     head = FusionHead(mode="early", joint=make_scorer(rng, 8, zero=True))
-    p = fuse_early(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), head)
+    p = fuse(rng.normal(size=(1, 4)), rng.normal(size=(1, 4)), head)
     npt.assert_array_equal(p.data, [0.5])
 
 
 def test_early_output_in_unit_interval(rng):
     head = FusionHead(mode="early", joint=make_scorer(rng, 8))
     for _ in range(50):
-        p = fuse_early(rng.normal(size=(5, 4)) * 10, rng.normal(size=(5, 4)) * 10, head)
+        p = fuse(rng.normal(size=(5, 4)) * 10, rng.normal(size=(5, 4)) * 10, head)
         assert np.all(p.data > 0) and np.all(p.data < 1)
 
 
@@ -56,7 +66,7 @@ def test_early_hand_pass(rng):
     z = np.concatenate([s, c], axis=1)
     h = np.tanh(z @ head.joint.W1.data + head.joint.b1.data)
     expected = 1.0 / (1.0 + np.exp(-(h @ head.joint.w2.data + head.joint.b2.data)))
-    npt.assert_allclose(fuse_early(s, c, head).data, expected, atol=1e-12)
+    npt.assert_allclose(fuse(s, c, head).data, expected, atol=1e-12)
 
 
 def test_outer_with_bias_block_structure(rng):
@@ -84,11 +94,11 @@ def test_outer_with_bias_hand_fixture():
 def test_tensor_feature_length_is_product_of_padded_dims(rng):
     ds, dc = 5, 3
     head = FusionHead(mode="tensor", joint=make_scorer(rng, (ds + 1) * (dc + 1)))
-    p = fuse_tensor(rng.normal(size=(2, ds)), rng.normal(size=(2, dc)), head)
+    p = fuse(rng.normal(size=(2, ds)), rng.normal(size=(2, dc)), head)
     assert p.shape == (2,)
     bad_head = FusionHead(mode="tensor", joint=make_scorer(rng, ds * dc))
     with pytest.raises(FusionError):
-        fuse_tensor(rng.normal(size=(2, ds)), rng.normal(size=(2, dc)), bad_head)
+        fuse(rng.normal(size=(2, ds)), rng.normal(size=(2, dc)), bad_head)
 
 
 def test_tensor_rows_are_outer_with_bias_per_row(rng):
@@ -96,7 +106,7 @@ def test_tensor_rows_are_outer_with_bias_per_row(rng):
     head = FusionHead(mode="tensor", joint=make_scorer(rng, (ds + 1) * (dc + 1)))
     s_data, c_data = rng.normal(size=(n, ds)), rng.normal(size=(n, dc))
     S, C = Tensor(s_data, True), Tensor(c_data, True)
-    p = fuse_tensor(S, C, head)
+    p = fuse(S, C, head)
     ad.backward(ops.tsum(p))
 
     S_ref, C_ref = Tensor(s_data, True), Tensor(c_data, True)
@@ -122,18 +132,16 @@ def test_late_tied_scorers_receive_symmetric_pair(rng):
 
 
 def test_late_mean_decision_head_averages(rng):
-    # construct saturating scorers so f ~= 0.2 and g ~= 0.8 exactly by
-    # substituting the decision inputs directly
-    head = late_head(rng, 2, 2, mean_decision=True)
-    f_vals, g_vals = Tensor(np.array([0.2])), Tensor(np.array([0.8]))
-    out = fusion._decide(f_vals, g_vals, head)
+    head = late_head(rng, 2, 2, mean_decision=True, mode="late")
+    pin_decisions(head, 0.2, 0.8)
+    out = fuse(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head)
     npt.assert_allclose(out.data, [0.5], atol=1e-12)
 
 
 def test_late_hand_pass_through_decision_head(rng):
-    head = late_head(rng, 2, 2)
-    f_vals, g_vals = np.array([0.3]), np.array([0.6])
-    out = fusion._decide(Tensor(f_vals), Tensor(g_vals), head).data
+    head = late_head(rng, 2, 2, mode="late")
+    pin_decisions(head, 0.3, 0.6)
+    out = fuse(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head).data
     z = np.array([0.3, 0.6])
     h = np.tanh(z @ head.F.W1.data + head.F.b1.data)
     expected = 1.0 / (1.0 + np.exp(-(h @ head.F.w2.data + head.F.b2.data)))
@@ -141,12 +149,27 @@ def test_late_hand_pass_through_decision_head(rng):
 
 
 def test_late_plus_beta_zero_is_bitwise_late(rng):
-    head = late_head(rng, 4, 3, beta=0.0)
+    plus = late_head(rng, 4, 3, beta=0.0)
+    late = dataclasses.replace(plus, mode="late")
     for _ in range(1000):
         s, c = rng.normal(size=(1, 4)), rng.normal(size=(1, 3))
-        a = fuse_late(s, c, head).data
-        b = fuse_late_plus(s, c, head).data
-        assert a.tobytes() == b.tobytes()
+        assert fuse(s, c, late).data.tobytes() == fuse(s, c, plus).data.tobytes()
+
+
+@pytest.mark.parametrize("prose", [False, True])
+def test_late_ignores_head_beta(rng, prose):
+    """Mode late is the beta = 0 decision whatever ``head.beta`` holds, a
+    negative one included, which only late_plus rejects."""
+    head = late_head(rng, 4, 3, mode="late", prose=prose)
+    s, c = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+    outs = set()
+    for beta in (0.0, 0.3, 1.0, 2.0, -0.5, -1e30):
+        head.beta = beta
+        outs.add(fuse(s, c, head).data.tobytes())
+    assert len(outs) == 1
+    head.mode = "late_plus"
+    with pytest.raises(FusionError, match="beta must be >= 0"):
+        fuse(s, c, head)
 
 
 def test_late_plus_full_confidence_suppresses_other_modality(rng):
@@ -171,15 +194,8 @@ def test_late_plus_penalty_weights_fixture(rng):
     assert round(w_s, 4) == 0.9352 and round(w_c, 4) == 0.8123
     # the head must feed exactly (w_s*f, w_c*g) to the decision stage
     head = late_head(rng, 2, 2, beta=beta, mean_decision=True)
-    head.f.W1.data[:] = 0.0
-    head.f.b1.data[:] = 0.0
-    head.f.w2.data[:] = 0.0
-    head.f.b2.data[:] = np.log(f / (1 - f))
-    head.g.W1.data[:] = 0.0
-    head.g.b1.data[:] = 0.0
-    head.g.w2.data[:] = 0.0
-    head.g.b2.data[:] = np.log(g / (1 - g))
-    out = fuse_late_plus(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head)
+    pin_decisions(head, f, g)
+    out = fuse(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head)
     npt.assert_allclose(out.data, [(w_s * f + w_c * g) / 2], atol=1e-12)
 
 
@@ -197,7 +213,7 @@ def test_prose_variant_self_confidence_weights(rng):
     f_vals, g_vals = unimodal_decisions(s, c, head)
     f, g = f_vals.data[0], g_vals.data[0]
     expected = 0.5 * (f ** 0.5 * f + g ** 0.5 * g)
-    npt.assert_allclose(fuse_late_plus(s, c, head).data, [expected], atol=1e-12)
+    npt.assert_allclose(fuse(s, c, head).data, [expected], atol=1e-12)
 
 
 def test_all_strategies_stay_in_unit_interval(rng):
@@ -225,7 +241,7 @@ def test_fuse_rejects_unknown_mode(rng):
 def test_scorer_dim_mismatch(rng):
     head = FusionHead(mode="early", joint=make_scorer(rng, 6))
     with pytest.raises(FusionError):
-        fuse_early(np.zeros((1, 2)), np.zeros((1, 2)), head)
+        fuse(np.zeros((1, 2)), np.zeros((1, 2)), head)
 
 
 @pytest.mark.parametrize("mode", ["early", "tensor", "late", "late_plus"])

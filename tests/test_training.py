@@ -731,6 +731,22 @@ def test_nan_loss_aborts_naming_the_sample(monkeypatch):
         training.train_model([sample], [sample], cfg, vocab_size=7)
 
 
+@pytest.mark.parametrize("video_off", [dict(use_bistream=False), dict(use_frames=False),
+                                       dict(alpha_vs=0.0)],
+                         ids=["no-bistream", "no-frames", "alpha-vs-0"])
+def test_train_model_with_no_live_loss_term_is_config_error(video_off):
+    """alpha_ts = 0 with the video loss off leaves the objective no term that
+    moves a parameter: a ConfigError naming the fields, not a run whose every
+    epoch reads train_loss 0.0. With the video loss on, alpha_ts = 0 trains."""
+    sample = _one_sample_corpus()
+    with pytest.raises(ConfigError, match="alpha_ts.*use_frames, use_bistream and alpha_vs"):
+        training.train_model([sample], [sample], tiny_config(alpha_ts=0.0, **video_off),
+                             vocab_size=7)
+    result = training.train_model([sample], [sample], tiny_config(alpha_ts=0.0, epochs=1),
+                                  vocab_size=7)
+    assert result.metrics[0]["train_loss"] != 0.0
+
+
 def test_train_result_reports_epochs_and_best_val():
     sample = _one_sample_corpus()
     cfg = tiny_config(lr=0.01, epochs=4, patience=4)
