@@ -14,11 +14,11 @@ Three score functions over query states Q and key states K:
 every query. "bihop" without a transcript (None or no rows) is one bilinear
 pass with the hop-2 set. Weight rows always softmax-normalize to 1.
 
-On the tape, each score function is one node after its projections
-(``additive_score``, or ``bilinear`` over two ``dense`` projections), and
-each read-out, the softmax and the weighted sum of values, is one ``attend``
-node. The weights an AttentionContext carries are a constant Tensor, off
-the tape; gradients flow through the contexts.
+On the tape, each score function is one node with its projections inside
+(``additive_score``, or ``gated_score``), and each read-out, the softmax and
+the weighted sum of values, is one ``attend`` node. The weights an
+AttentionContext carries are a constant Tensor, off the tape; gradients
+flow through the contexts.
 """
 from __future__ import annotations
 
@@ -71,9 +71,8 @@ def concat_product_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> 
 def bilinear_scores(q_states: Tensor, k_states: Tensor, aset: AttnSet) -> Tensor:
     _check_dims(q_states, aset.W_q, "query")
     _check_dims(k_states, aset.W_k, "key")
-    r = ad.dense(q_states, aset.W_q, aset.b_q, "tanh")    # (NQ, d_a)
-    q = ad.dense(k_states, aset.W_k, aset.b_k, "tanh")    # (NK, d_a)
-    return ad.bilinear(r, q, aset.V)
+    return ad.gated_score(q_states, k_states, aset.W_q, aset.b_q, aset.W_k, aset.b_k,
+                          aset.V)
 
 
 def context(scores: Tensor, values: Tensor) -> AttentionContext:

@@ -4,14 +4,15 @@ A float64 tape of layer nodes, only those the package uses. Each op is a
 function that records one node through ``_node`` with a hand-written
 backward; a Tensor has no operators. The ops: ``take_rows``, the row gather
 (embedding lookup); ``concat``; ``mean_pool``, the sentence pool of the word
-states; ``dense`` (act(X @ W + b)); the attention scores ``bilinear``
-(gated projection) and ``additive_score`` (Bahdanau, Cho & Bengio,
-arXiv:1409.0473); ``attend``, the row softmax and the weighted sum of
-values; ``tensor_fusion``, the [s; 1] (x) [c; 1] product (Zadeh et al.,
-arXiv:1707.07250); ``late_decision``, the late(+) fusion penalties, pair and
-decision head; the loss nodes ``log_likelihood_sum``, the clipped Bernoulli
-log-likelihood summed and then scaled (the CE loss and the REINFORCE
-surrogate), and ``weighted_sum``, the mix of the two losses; and
+states; ``scorer``, the two-layer extraction scorer sigmoid(tanh(X W1 + b1)
+w2 + b2) of every fusion head; the attention scores ``gated_score`` (gated
+projection, its two tanh projections inside) and ``additive_score``
+(Bahdanau, Cho & Bengio, arXiv:1409.0473); ``attend``, the row softmax and
+the weighted sum of values; ``tensor_fusion``, the [s; 1] (x) [c; 1] product
+(Zadeh et al., arXiv:1707.07250); ``late_pair``, the late(+) fusion
+penalties and pair; the loss nodes ``log_likelihood_sum``, the clipped
+Bernoulli log-likelihood summed and then scaled (the CE loss and the
+REINFORCE surrogate), and ``weighted_sum``, the mix of the two losses; and
 ``bilstm_sequences``, both directions of a BiLSTM over each of several
 groups of sequences, whose docstring states its padding contract and buffer
 layout. Under ``no_grad`` a node keeps no parents and no backward.
@@ -202,12 +203,21 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-# activation name -> (forward, rule mapping the upstream gradient g and the
-# output y to the input's gradient)
-_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda g, y: g * (1.0 - y * y)),
-    "sigmoid": (_sigmoid, lambda g, y: g * y * (1.0 - y)),
-}
+def _tanh_grad(g, y):
+    """The gradient through y = tanh(z), given the upstream g."""
+    return g * (1.0 - y * y)
+
+
+def _layer_grads(dz, x, W, b=None):
+    """The backward of x @ W + b for the upstream dz, as a node would run it:
+    x, W and b, each when it requires a gradient and in that order, get
+    their terms; b is (F,), or (1,) for a (D,) W with one output unit."""
+    if x.requires_grad:
+        _acc(x, _grad_left(dz, x.data, W.data))
+    if W.requires_grad:
+        _acc(W, _grad_right(dz, x.data, W.data))
+    if b is not None and b.requires_grad:
+        _acc(b, dz.sum(axis=0).reshape(b.data.shape))
 
 
 def take_rows(a, indices):
@@ -265,35 +275,41 @@ def mean_pool(states, lengths, mean=True):
     return _node(out, (states,), bw)
 
 
-def dense(X, W, b, act):
-    """act(X @ W + b) as one node, with act "tanh" or "sigmoid", for (N, D)
-    rows X. W is (D, F) with a (F,) bias b, or (D,) with a (1,) bias for one
-    output unit. Backward keeps only the output, which both activations'
-    derivatives read."""
-    X, W, b = parents = as_tensor(X), as_tensor(W), as_tensor(b)
-    f, rule = _ACTIVATIONS[act]
-    out = f(X.data @ W.data + b.data)
+def scorer(X, W1, b1, w2, b2):
+    """The two-layer extraction scorer sigmoid(tanh(X @ W1 + b1) @ w2 + b2) of
+    (N, D) rows X, (N,), as one node, for a (D, F) W1 with a (F,) bias b1 and
+    a (F,) w2 with a (1,) bias b2. The hidden layer is a Tensor off the tape,
+    whose gradient ``_acc`` writes as for a node of its own and which
+    backward drops once the first layer has read it."""
+    X, W1, b1, w2, b2 = parents = tuple(map(as_tensor, (X, W1, b1, w2, b2)))
+    hid = Tensor(np.tanh(X.data @ W1.data + b1.data),
+                 requires_grad=X.requires_grad or W1.requires_grad or b1.requires_grad)
+    out = _sigmoid(hid.data @ w2.data + b2.data)
 
     def bw(g):
-        dz = rule(g, out)
-        if X.requires_grad:
-            _acc(X, _grad_left(dz, X.data, W.data))
-        if W.requires_grad:
-            _acc(W, _grad_right(dz, X.data, W.data))
-        if b.requires_grad:
-            _acc(b, dz.sum(axis=0).reshape(b.data.shape))
+        _layer_grads(g * out * (1.0 - out), hid, w2, b2)
+        if hid.requires_grad:
+            _layer_grads(_tanh_grad(hid.grad, hid.data), X, W1, b1)
+            hid.grad = None
 
     return _node(out, parents, bw)
 
 
-def bilinear(r, q, V):
+def gated_score(queries, keys, W_q, b_q, W_k, b_k, V):
     """The gated-projection score (r*V) @ q.T + q @ V + (r @ V)[:, None] of
-    (NQ, d) rows r against (NK, d) rows q with a (d,) weight V, (NQ, NK), as
-    one node. Backward adds each parent's terms in the order that the
-    composition of single ops for that expression does, and the tape lists q
-    before r so that backward runs q's subgraph first, as it does there;
-    both keep the gradients bitwise equal to the composition's."""
-    r, q, V = as_tensor(r), as_tensor(q), as_tensor(V)
+    (NQ, Dq) queries against (NK, Dk) keys, (NQ, NK), as one node, over the
+    projections r = tanh(queries @ W_q + b_q) and q = tanh(keys @ W_k + b_k)
+    with a (d,) weight V. r and q are Tensors off the tape: ``_acc`` writes
+    each one's two terms, the first plus 0.0 and then the second added, and
+    backward drops them once read. Each parent gets its terms in the order of
+    the composition of single ops for the expression, and the tape lists the
+    keys and their weights first, so that backward runs the keys' subgraph
+    first, as it does there."""
+    keys, W_k, b_k, queries, W_q, b_q, V = parents = tuple(
+        map(as_tensor, (keys, W_k, b_k, queries, W_q, b_q, V)))
+    r, q = (Tensor(np.tanh(x.data @ W.data + b.data),
+                   requires_grad=x.requires_grad or W.requires_grad or b.requires_grad)
+            for x, W, b in ((queries, W_q, b_q), (keys, W_k, b_k)))
     rV = r.data * V.data
     out = rV @ q.data.T + q.data @ V.data + (r.data @ V.data)[:, None]
 
@@ -310,8 +326,12 @@ def bilinear(r, q, V):
             _acc(V, (g_rV * r.data).sum(axis=0))
             _acc(V, _grad_right(g_q, q.data, V.data))
             _acc(V, _grad_right(g_r, r.data, V.data))
+        for y, x, W, b in ((q, keys, W_k, b_k), (r, queries, W_q, b_q)):
+            if y.requires_grad:
+                _layer_grads(_tanh_grad(y.grad, y.data), x, W, b)
+                y.grad = None
 
-    return _node(out, (q, r, V), bw)
+    return _node(out, parents, bw)
 
 
 def log_likelihood_sum(p, y, eps, scales=()):
@@ -366,44 +386,22 @@ def _power_grad(g, a, p):
     return g * np.where(nonzero, p * np.power(base, p - 1.0), 0.0)
 
 
-def late_decision(f, g, head, beta, prose=False):
-    """The late-fusion decision over the (n,) unimodal scores f and g, (n,),
-    as one node. Each score is scaled by a confidence penalty, a = (1 - g)^beta f
-    and b = (1 - f)^beta g, or with ``prose`` a = f^beta f and b = g^beta g,
-    and the pair [a, b] goes through the decision head ``head`` = (W1, b1,
-    w2, b2), a tanh dense layer and then a sigmoid one, or is averaged when
-    ``head`` is None. A zero base gets slope 0. Plain late fusion is beta = 0:
-    both penalties are exactly 1, so [a, b] is [f, g] bit for bit and no
-    gradient goes through the penalties. Backward gives f and g each term in
-    the order of the composition of single ops for the same expression."""
+def late_pair(f, g, beta, prose=False):
+    """The late-fusion pair [a, b] of the (n,) unimodal scores f and g, (n, 2),
+    as one node: each score is scaled by a confidence penalty, a = (1 - g)^beta
+    f and b = (1 - f)^beta g, or with ``prose`` a = f^beta f and b = g^beta g.
+    A zero base gets slope 0. Plain late fusion is beta = 0: both penalties
+    are exactly 1, so the pair is [f, g] bit for bit and no gradient goes
+    through the penalties. Backward gives f and g each term in the order of
+    the composition of single ops for the same expression."""
     f, g = as_tensor(f), as_tensor(g)
-    head = () if head is None else tuple(as_tensor(t) for t in head)
-    n = f.data.shape[0]
     p = float(beta)
     bases = (f.data, g.data) if prose else (1.0 - g.data, 1.0 - f.data)
     ws, wc = np.power(bases[0], p), np.power(bases[1], p)
-    a, b = ws * f.data, wc * g.data
-    pair = np.concatenate([a.reshape(n, 1), b.reshape(n, 1)], axis=1)
-    if head:
-        W1, b1, w2, b2 = head
-        hid = np.tanh(pair @ W1.data + b1.data)
-        out = _sigmoid(hid @ w2.data + b2.data)
-    else:
-        out = pair.sum(axis=1) * (1.0 / 2)
+    pair = np.concatenate([(ws * f.data)[:, None], (wc * g.data)[:, None]], axis=1)
 
     def bw(u):
-        if head:
-            dz2 = _ACTIVATIONS["sigmoid"][1](u, out)
-            dz1 = _ACTIVATIONS["tanh"][1](_grad_left(dz2, hid, w2.data), hid)
-            for X, W, bias, dz in ((hid, w2, b2, dz2), (pair, W1, b1, dz1)):
-                if W.requires_grad:
-                    _acc(W, _grad_right(dz, X, W.data))
-                if bias.requires_grad:
-                    _acc(bias, dz.sum(axis=0).reshape(bias.data.shape))
-            d_pair = _grad_left(dz1, pair, W1.data)
-            ga, gb = d_pair[:, 0], d_pair[:, 1]
-        else:
-            ga = gb = u * (1.0 / 2)
+        ga, gb = u[:, 0], u[:, 1]
         if p == 0.0:      # constant penalties
             f_terms, g_terms = [ga * ws], [gb * wc]
         else:
@@ -418,7 +416,7 @@ def late_decision(f, g, head, beta, prose=False):
                 for term in terms:
                     _acc(t, term)
 
-    return _node(out, (f, g) + head, bw)
+    return _node(pair, (f, g), bw)
 
 
 def attend(scores, values):
@@ -452,15 +450,12 @@ def additive_score(q, k, W_q, W_k, b, V):
     def bw(g):
         if V.requires_grad:
             _acc(V, _grad_right(g, t, V.data))
-        dz = _ACTIVATIONS["tanh"][1](_grad_left(g, t, V.data), t)
+        dz = _tanh_grad(_grad_left(g, t, V.data), t)
         if b.requires_grad:
             _acc(b, dz.sum(axis=(0, 1)))
         # q's rows broadcast over the keys, axis 1, and k's over the queries
-        for x, W, dxw in ((q, W_q, dz.sum(axis=1)), (k, W_k, dz.sum(axis=0))):
-            if x.requires_grad:
-                _acc(x, _grad_left(dxw, x.data, W.data))
-            if W.requires_grad:
-                _acc(W, _grad_right(dxw, x.data, W.data))
+        _layer_grads(dz.sum(axis=1), q, W_q)
+        _layer_grads(dz.sum(axis=0), k, W_k)
 
     return _node(t @ V.data, (q, W_q, k, W_k, b, V), bw)
 

@@ -161,6 +161,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config, _overrides_from_args(args))
+    if cfg.late_plus_prose and cfg.fusion != "late_plus":
+        raise ConfigError(f"late_plus_prose needs fusion late_plus, not {cfg.fusion}")
     out = _out_dir(cfg.out_dir)
     if out is None:
         raise CliError("an output directory is required (--out)")

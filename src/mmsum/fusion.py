@@ -11,18 +11,15 @@ Four strategies:
 * late      - late_plus at beta = 0, whatever ``head.beta`` holds: both
               penalties are exactly 1, so F sees [f, g] bit for bit
 
-f, g and the joint/F heads are one-hidden-layer feedforward networks with a
-sigmoid output. F may also be plain averaging (head set to None), which is a
-legitimate decision-level combiner, not just a test stub.
-
-On the tape, each scorer is two ``dense`` nodes. The early feature is one
-``concat`` node, the tensor feature one ``tensor_fusion`` node, and
-everything after f and g (the penalties, the pair and F) is one
-``late_decision`` node, the one decision path of late and late_plus.
-State and context come in as 2-D row blocks of equal row count, which one
-check, ``_pair``, enforces for every head (a ``FusionError`` otherwise).
-The text-only model scores its sentence states with one scorer,
-``scorer_prob``.
+A head's scorers, joint for early and tensor and f, g and F for late and
+late_plus, are all required: one-hidden-layer feedforward networks with a
+sigmoid output, each one ``scorer`` node on the tape (``scorer_prob``). The
+early feature is one ``concat`` node, the tensor feature one
+``tensor_fusion`` node, and the penalized pair [W_s f, W_c g] that F scores
+one ``late_pair`` node, the one decision path of late and late_plus. State
+and context come in as 2-D row blocks of equal row count, which one check,
+``_pair``, enforces for every head (a ``FusionError`` otherwise). The
+text-only model scores its sentence states with ``scorer_prob`` alone.
 """
 from __future__ import annotations
 
@@ -30,6 +27,7 @@ from dataclasses import dataclass
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import RunConfig
 from .errors import FusionError
 
 
@@ -44,24 +42,20 @@ class ScorerParams:
 @dataclass
 class FusionHead:
     mode: str
-    beta: float = 0.3
+    beta: float = RunConfig.beta
     joint: ScorerParams | None = None   # early / tensor
     f: ScorerParams | None = None       # state scorer (late variants)
     g: ScorerParams | None = None       # context scorer
-    F: ScorerParams | None = None       # decision head; None means averaging
+    F: ScorerParams | None = None       # decision head (late variants)
     prose_weights: bool = False         # self-confidence variant of late_plus
-
-
-def _check_input(d_in: int, p: ScorerParams):
-    if d_in != p.W1.shape[0]:
-        raise FusionError(f"scorer input dim {d_in} does not match "
-                          f"weight rows {p.W1.shape[0]}")
 
 
 def scorer_prob(X: Tensor, p: ScorerParams) -> Tensor:
     """(N, d_in) -> (N,) probabilities via tanh hidden layer + sigmoid."""
-    _check_input(X.shape[1], p)
-    return ad.dense(ad.dense(X, p.W1, p.b1, "tanh"), p.w2, p.b2, "sigmoid")
+    if X.shape[1] != p.W1.shape[0]:
+        raise FusionError(f"scorer input dim {X.shape[1]} does not match "
+                          f"weight rows {p.W1.shape[0]}")
+    return ad.scorer(X, p.W1, p.b1, p.w2, p.b2)
 
 
 def _pair(state, ctx) -> tuple[Tensor, Tensor]:
@@ -90,9 +84,5 @@ def fuse(state, ctx, head: FusionHead) -> Tensor:
     beta = head.beta if head.mode == "late_plus" else 0.0
     if beta < 0:
         raise FusionError(f"beta must be >= 0, got {beta}")
-    f_vals, g_vals = unimodal_decisions(state, ctx, head)
-    F = head.F
-    if F is not None:
-        _check_input(2, F)
-        F = (F.W1, F.b1, F.w2, F.b2)
-    return ad.late_decision(f_vals, g_vals, F, beta, head.prose_weights)
+    pair = ad.late_pair(*unimodal_decisions(state, ctx, head), beta, head.prose_weights)
+    return scorer_prob(pair, head.F)

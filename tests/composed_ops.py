@@ -5,8 +5,11 @@ backward. The single ops here (add, sub, mul, matmul, transpose, tanh,
 sigmoid, log, power, clip, softmax_rows, tsum, tmean, reshape and concat)
 are a generic op layer that no package path calls. Each records its node
 through ``_op``, which takes one gradient rule per parent and does the rest
-of the backward bookkeeping. A Tensor has no operators, so tests call these
-ops by name. From them come the compositions
+of the backward bookkeeping. ``tanh`` and ``sigmoid`` write out their own
+forward expressions and gradient rules, the nodes' expressions so that the
+bitwise comparisons hold, rather than read them from ``mmsum.autodiff``, so
+that a wrong rule there fails against them. A Tensor has no operators, so
+tests call these ops by name. From them come the compositions
 of single ops that each layer node of ``mmsum.autodiff`` stands for, so a
 node can be checked against its composition bit for bit, and
 ``use_compositions`` runs the model on the compositions instead of the
@@ -83,19 +86,18 @@ def transpose(a):
     return _op(a.data.T, (a,), operator.attrgetter("T"))
 
 
-def _activation(name, a):
-    f, rule = ad._ACTIVATIONS[name]
-    a = as_tensor(a)
-    out = f(a.data)
-    return _op(out, (a,), lambda g: rule(g, out))
-
-
 def tanh(a):
-    return _activation("tanh", a)
+    a = as_tensor(a)
+    out = np.tanh(a.data)
+    return _op(out, (a,), lambda g: g * (1.0 - out * out))
 
 
 def sigmoid(a):
-    return _activation("sigmoid", a)
+    """The logistic function, without overflow in exp."""
+    a = as_tensor(a)
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return _op(out, (a,), lambda g: g * out * (1.0 - out))
 
 
 def log(a):
@@ -186,13 +188,25 @@ def mean_pool_reference(states, lengths, mean=True):
     return mul(pooled, 1.0 / np.asarray(lengths)[:, None]) if mean else pooled
 
 
-def dense_reference(X, W, b, act):
-    return _activation(act, add(matmul(X, W), b))
+def layer_reference(X, W, b, act):
+    """act(X @ W + b), for the activation op ``act``."""
+    return act(add(matmul(X, W), b))
+
+
+def scorer_reference(X, W1, b1, w2, b2):
+    """The extraction scorer as two dense layers, tanh and then sigmoid."""
+    return layer_reference(layer_reference(X, W1, b1, tanh), w2, b2, sigmoid)
 
 
 def bilinear_reference(r, q, V):
     return add(add(matmul(mul(r, V), transpose(q)), matmul(q, V)),
                reshape(matmul(r, V), (r.shape[0], 1)))
+
+
+def gated_score_reference(queries, keys, W_q, b_q, W_k, b_k, V):
+    """The gated-projection score over its two tanh dense projections."""
+    return bilinear_reference(layer_reference(queries, W_q, b_q, tanh),
+                              layer_reference(keys, W_k, b_k, tanh), V)
 
 
 def log_likelihood_reference(probs, y, eps):
@@ -222,7 +236,9 @@ def weighted_sum_reference(tensors, weights):
     return total
 
 
-def late_decision_reference(f, g, head=None, beta=None, prose=False):
+def late_pair_reference(f, g, beta=None, prose=False):
+    """The late-fusion pair [a, b] from the penalty ops; with no ``beta``,
+    plain late fusion's [f, g], with no penalty ops at all."""
     f, g = as_tensor(f), as_tensor(g)
     n = f.shape[0]
     if beta is not None:
@@ -231,11 +247,7 @@ def late_decision_reference(f, g, head=None, beta=None, prose=False):
         else:
             w_s, w_c = power(sub(1.0, g), beta), power(sub(1.0, f), beta)
         f, g = mul(w_s, f), mul(w_c, g)
-    pair = concat([reshape(f, (n, 1)), reshape(g, (n, 1))], axis=1)
-    if head is None:
-        return tmean(pair, axis=1)
-    W1, b1, w2, b2 = head
-    return ad.dense(ad.dense(pair, W1, b1, "tanh"), w2, b2, "sigmoid")
+    return concat([reshape(f, (n, 1)), reshape(g, (n, 1))], axis=1)
 
 
 def attend_reference(scores, values):
@@ -459,8 +471,10 @@ COMPOSITIONS = {
     "mean_pool": mean_pool_reference,
     "log_likelihood_sum": log_likelihood_sum_reference,
     "weighted_sum": weighted_sum_reference,
-    "late_decision": late_decision_reference,
+    "scorer": scorer_reference,
+    "late_pair": late_pair_reference,
     "attend": attend_reference,
+    "gated_score": gated_score_reference,
     "additive_score": additive_score_reference,
     "tensor_fusion": tensor_fusion_reference,
     "bilstm_sequences": bilstm_sequences_reference,

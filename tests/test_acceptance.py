@@ -171,16 +171,16 @@ def test_criterion_3_metric_goldens():
 
 def _late_plus_at_beta_0_is_late(rng, prose, inputs):
     """``fuse`` in mode late_plus at beta = 0 against the composition of plain
-    late fusion, ``late_decision_reference`` with no beta, on the same
-    unimodal decisions: the output bytes and the gradient bytes of every
-    parameter of f, g and F."""
+    late fusion, ``late_pair_reference`` with no beta and then the decision
+    head F as two dense layers, on the same unimodal decisions: the output
+    bytes and the gradient bytes of every parameter of f, g and F."""
     head = FusionHead(mode="late_plus", beta=0.0, f=make_scorer(rng, 4),
                       g=make_scorer(rng, 3), F=make_scorer(rng, 2), prose_weights=prose)
     params = [t for p in (head.f, head.g, head.F) for t in vars(p).values()]
 
     def late(s, c, head):
-        return ops.late_decision_reference(*unimodal_decisions(s, c, head),
-                                           tuple(vars(head.F).values()), None)
+        return ops.scorer_reference(ops.late_pair_reference(*unimodal_decisions(s, c, head)),
+                                    *vars(head.F).values())
 
     for _ in range(inputs):
         s, c = rng.normal(size=(2, 4)), rng.normal(size=(2, 3))

@@ -97,41 +97,36 @@ LABELS = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 POOL_LENGTHS = np.array([7, 1, 4, 7, 2])    # ragged, with a one-token sentence
 EPS = 1e-7
 SCALES = (1.0 / 6, -1.0)     # ce_loss's mean and sign
-HEAD = [(2, 3), (3,), (3,), (1,)]   # the decision head F: W1, b1, w2, b2
+SCORER = [(3, 5), (5,), (5,), (1,)]    # W1, b1, w2, b2 over 3-d rows
+GATED = [(4, 3), (3,), (2, 3), (3,), (3,)]  # W_q, b_q, W_k, b_k, V over 4-d and 2-d rows
 
 
-def late(beta=None, prose=False, head=True):
-    """late_decision and its composition over (f, g, *F), or (f, g) alone when
-    there is no head. Plain late fusion (no ``beta``) is the node at beta = 0
-    against the composition with no penalties."""
-    def pick(op, beta):
-        def run(f, g, *F):
-            return op(f, g, F if head else None, beta, prose)
-        return run
-    return (pick(ad.late_decision, 0.0 if beta is None else beta),
-            pick(ops.late_decision_reference, beta))
+def late(beta=None, prose=False):
+    """late_pair and its composition over (f, g). Plain late fusion (no
+    ``beta``) is the node at beta = 0 against the composition with no
+    penalties."""
+    return (lambda f, g: ad.late_pair(f, g, 0.0 if beta is None else beta, prose),
+            lambda f, g: ops.late_pair_reference(f, g, beta, prose))
 
 
 def first(op):
     return lambda *inputs: op(*inputs)[0]
 
 
-# name -> (fused op, reference composition, input shapes)
+# name -> (fused op, reference composition, input shapes). The scorer is a
+# tanh dense layer and then a sigmoid one with a 1-D weight, and the gated
+# score is the score of attention mode "bilinear"; their cases bear the names
+# of those layers and that mode.
 FUSED_OPS = {
-    "dense-tanh": (lambda X, W, b: ad.dense(X, W, b, "tanh"),
-                   lambda X, W, b: ops.dense_reference(X, W, b, "tanh"),
-                   [(4, 3), (3, 5), (5,)]),
-    "dense-sigmoid": (lambda X, W, b: ad.dense(X, W, b, "sigmoid"),
-                      lambda X, W, b: ops.dense_reference(X, W, b, "sigmoid"),
-                      [(4, 3), (3, 5), (5,)]),
-    "dense-1d-weight": (lambda X, W, b: ad.dense(X, W, b, "sigmoid"),
-                        lambda X, W, b: ops.dense_reference(X, W, b, "sigmoid"),
-                        [(4, 3), (3,), (1,)]),
-    "dense-1d-weight-one-row": (lambda X, W, b: ad.dense(X, W, b, "tanh"),
-                                lambda X, W, b: ops.dense_reference(X, W, b, "tanh"),
-                                [(1, 3), (3,), (1,)]),
-    "bilinear": (ad.bilinear, ops.bilinear_reference, [(3, 4), (5, 4), (4,)]),
-    "bilinear-one-key": (ad.bilinear, ops.bilinear_reference, [(3, 4), (1, 4), (4,)]),
+    "dense-tanh": (ad.scorer, ops.scorer_reference, [(4, 3)] + SCORER),
+    "dense-sigmoid": (ad.scorer, ops.scorer_reference,   # one hidden unit
+                      [(4, 3), (3, 1), (1,), (1,), (1,)]),
+    "dense-1d-weight": (ad.scorer, ops.scorer_reference,  # the decision head F
+                        [(5, 2), (2, 3), (3,), (3,), (1,)]),
+    "dense-1d-weight-one-row": (ad.scorer, ops.scorer_reference, [(1, 3)] + SCORER),
+    "bilinear": (ad.gated_score, ops.gated_score_reference, [(3, 4), (5, 2)] + GATED),
+    "bilinear-one-key": (ad.gated_score, ops.gated_score_reference,
+                         [(3, 4), (1, 2)] + GATED),
     "log-likelihood": (lambda p: ad.log_likelihood_sum(p, LABELS, EPS),
                        lambda p: ops.log_likelihood_sum_reference(p, LABELS, EPS), [(6,)]),
     "log-likelihood-scaled": (lambda p: ad.log_likelihood_sum(p, LABELS, EPS, SCALES),
@@ -145,15 +140,16 @@ FUSED_OPS = {
                      lambda a, b: ops.weighted_sum_reference((a, b), (0.7, 1.3)), [(), ()]),
     "weighted-sum-one-term": (lambda a: ad.weighted_sum((a,), (0.7,)),
                               lambda a: ops.weighted_sum_reference((a,), (0.7,)), [()]),
-    "late": (*late(), [(5,), (5,)] + HEAD),
-    "late-mean": (*late(head=False), [(5,), (5,)]),
-    "late-plus": (*late(0.3), [(5,), (5,)] + HEAD),
-    "late-plus-mean": (*late(0.3, head=False), [(5,), (5,)]),
-    "late-plus-prose": (*late(0.5, prose=True), [(5,), (5,)] + HEAD),
-    "late-plus-beta-0": (*late(0.0), [(5,), (5,)] + HEAD),
-    "late-plus-beta-1": (*late(1.0), [(5,), (5,)] + HEAD),
-    "late-plus-prose-beta-2": (*late(2.0, prose=True), [(5,), (5,)] + HEAD),
-    "late-plus-one-row": (*late(0.3), [(1,), (1,)] + HEAD),
+    "late": (*late(), [(5,), (5,)]),
+    "late-plus": (*late(0.3), [(5,), (5,)]),
+    "late-plus-prose": (*late(0.5, prose=True), [(5,), (5,)]),
+    "late-plus-beta-0": (*late(0.0), [(5,), (5,)]),
+    "late-plus-beta-1": (*late(1.0), [(5,), (5,)]),
+    "late-plus-prose-beta-0": (*late(0.0, prose=True), [(5,), (5,)]),
+    "late-plus-prose-beta-0.3": (*late(0.3, prose=True), [(5,), (5,)]),
+    "late-plus-prose-beta-1": (*late(1.0, prose=True), [(5,), (5,)]),
+    "late-plus-prose-beta-2": (*late(2.0, prose=True), [(5,), (5,)]),
+    "late-plus-one-row": (*late(0.3), [(1,), (1,)]),
     "attend": (first(ad.attend), first(ops.attend_reference), [(3, 5), (5, 4)]),
     "attend-one-key": (first(ad.attend), first(ops.attend_reference), [(3, 1), (1, 4)]),
     "attend-one-query": (first(ad.attend), first(ops.attend_reference), [(1, 5), (5, 4)]),
@@ -284,7 +280,9 @@ def test_fused_op_records_nothing_under_no_grad(rng, name):
 # name -> larger input shapes, at which the arrays a recorded node keeps for
 # backward dwarf the interpreter's own allocations
 LARGE_INPUTS = {
-    "late-plus": [(4000,), (4000,)] + HEAD,
+    "late-plus": [(4000,), (4000,)],
+    "dense-tanh": [(500, 3)] + SCORER,
+    "bilinear": [(60, 4), (80, 2), (4, 32), (32,), (2, 32), (32,), (32,)],
     "attend": [(60, 80), (80, 30)],
     "additive-score": [(30, 8), (40, 6), (8, 16), (6, 16), (16,), (16,)],
     "tensor-fusion": [(500, 8), (500, 6)],
@@ -319,27 +317,25 @@ def test_fused_op_keeps_no_arrays_under_no_grad(rng, name):
 
 
 @pytest.mark.parametrize("prose", [False, True])
-def test_late_decision_at_saturated_scores(prose):
+def test_late_pair_at_saturated_scores(prose):
     """f or g exactly 1 (or 0 with ``prose``) makes a penalty base 0: the
     slope of base**beta there counts as 0, the gradients stay finite and
     equal the composition's bit for bit, and a zero penalty shuts the score
-    it scales out of the decision."""
+    it scales out of the pair."""
     one = 0.0 if prose else 1.0
     data = [np.array([one, 0.3, 0.6, one]), np.array([0.2, one, one, 0.7])]
-    F = [np.random.default_rng(2).normal(size=shape) for shape in HEAD]
+    upstream = np.random.default_rng(2).normal(size=(4, 2))
     runs = []
-    for op in (ad.late_decision, ops.late_decision_reference):
-        f, g, *head = [Tensor(a, requires_grad=True) for a in data + F]
-        out = op(f, g, head, 0.3, prose)
-        ad.backward(ops.tsum(out))
+    for op in (ad.late_pair, ops.late_pair_reference):
+        f, g = [Tensor(a, requires_grad=True) for a in data]
+        out = op(f, g, 0.3, prose)
+        ad.backward(ops.tsum(ops.mul(out, upstream)))
         assert np.all(np.isfinite(f.grad)) and np.all(np.isfinite(g.grad))
-        runs.append([t.tobytes() for t in [out.data, f.grad, g.grad]
-                     + [p.grad for p in head]])
+        runs.append([t.tobytes() for t in (out.data, f.grad, g.grad)])
     assert runs[0] == runs[1]
     if not prose:   # rows 1 and 2 have g == 1, so f gets weight 0
-        mean = ad.late_decision(Tensor(data[0]), Tensor(data[1]), None, 0.3).data
-        npt.assert_allclose(mean[[1, 2]], 0.5 * (1.0 - data[0][[1, 2]]) ** 0.3,
-                            rtol=0, atol=1e-15)
+        npt.assert_allclose(out.data[[1, 2]],
+                            [[0.0, 0.7 ** 0.3], [0.0, 0.4 ** 0.3]], rtol=0, atol=1e-15)
 
 
 def bilstm_params(rng, D, h, scale=0.6):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import tiny_config
 import mmsum
-from mmsum import checkpoint, cli, data, evaluation, training
+from mmsum import checkpoint, cli, config, data, evaluation, training
 from mmsum.config import (ATTENTION_MODES, FUSION_MODES, SEED_ENV_VAR, RunConfig,
                           config_from_dict, resolve_config)
 from mmsum.data import SynthConfig
@@ -308,6 +308,27 @@ def test_train_with_no_live_loss_term_is_config_error(cli_corpus, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_late_plus_prose_outside_late_plus_is_config_error(cli_corpus, tmp_path, capsys,
+                                                           source):
+    """``late_plus_prose`` acts only under late_plus fusion: with fusion late,
+    from the flags or from a config file, train stops with one CONFIG line
+    before any work and writes no run dir."""
+    out = tmp_path / "run"
+    settings = ["--fusion", "late", "--late-plus-prose"]
+    if source == "config":
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"fusion": "late", "late_plus_prose": True}))
+        settings = ["--config", str(cfg_file)]
+    assert run_cli("train", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), *TINY_TRAIN, *settings) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "CONFIG" and "late_plus_prose" in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("malform", [
     lambda e: {"samples": [1]},
     lambda e: {"samples": [e["id"]]},
@@ -476,6 +497,42 @@ def test_readme_option_table_is_the_parser():
 def test_readme_lists_the_run_config_fields_with_no_flag():
     assert _readme_names("`RunConfig` fields with no flag:") == {
         f.name for f in dataclasses.fields(RunConfig) if not f.metadata.get("flag", True)}
+
+
+def _readme_bounds() -> dict:
+    """Class name -> {field: its bound} from README's "Bounds" bullet. After
+    `RunConfig`: or `SynthConfig`:, up to the end of the sentence, each
+    group between semicolons is backquoted field names and then their bound;
+    a parenthesized remark that starts with a word is left out."""
+    text = " ".join(README.split())
+    bullet = text[text.index("- Bounds,"):]
+    bullet = bullet[:bullet.index(" - ")]
+    bounds = {}
+    for cls, body in re.findall(r"`(RunConfig|SynthConfig)`: (.*?)\.(?: |$)", bullet):
+        for group in re.sub(r" \([a-z][^)]*\)", "", body).split("; "):
+            names, bound = re.fullmatch(r"((?:`\w+`(?:, | and ))*`\w+`) (.+)", group).groups()
+            for name in re.findall(r"`(\w+)`", names):
+                assert name not in bounds.setdefault(cls, {}), name
+                bounds[cls][name] = bound
+    return bounds
+
+
+def test_readme_bounds_are_the_fields_settings():
+    """README's "Bounds" bullet names every RunConfig and SynthConfig field
+    whose ``setting`` has a minimum, a maximum or choices, and no other, each
+    with the bound as a ``ConfigError`` words it (strict bounds open), or
+    "from their lists" for choices."""
+    readme = _readme_bounds()
+    for cls in (RunConfig, SynthConfig):
+        settings = {}
+        for f in dataclasses.fields(cls):
+            lo, hi, strict, choices = (f.metadata.get(k)
+                                       for k in ("minimum", "maximum", "strict", "choices"))
+            if choices is not None:
+                settings[f.name] = "from their lists"
+            elif lo is not None or hi is not None:
+                settings[f.name] = config._bounds_text(lo, hi, strict)
+        assert readme[cls.__name__] == settings
 
 
 def test_readme_cli_examples_parse():
@@ -876,6 +933,26 @@ def test_ablate_sweeps_emit_extra_rows(cli_corpus, tmp_path):
     betas = [row["beta"] for row in report["cells"] if row.get("sweep") == "beta"]
     assert betas == [0.0, 0.1, 0.3, 0.5, 1.0]
     assert report["n_failed"] == 0
+
+
+def test_ablate_late_plus_prose_runs_its_late_plus_cells_with_prose(cli_corpus, tmp_path,
+                                                                      monkeypatch):
+    """Each ablate cell sets its own fusion, so ``--late-plus-prose`` is no
+    error there: every cell runs, and the late_plus cells train with prose."""
+    trained, train_model = [], training.train_model
+
+    def record(train, val, cfg, vocab_size):
+        trained.append((cfg.fusion, cfg.late_plus_prose))
+        return train_model(train, val, cfg, vocab_size)
+
+    monkeypatch.setattr(training, "train_model", record)
+    out = tmp_path / "ab"
+    assert run_cli("ablate", "--manifest", str(cli_corpus / "manifest.json"),
+                   "--out", str(out), "--late-plus-prose", *TINY_ABLATE) == 0
+    report = json.loads((out / "ablation.json").read_text())
+    assert report["n_failed"] == 0
+    assert all(row["status"] == "ok" for row in report["cells"])
+    assert len(trained) == 48 and trained.count(("late_plus", True)) == 12
 
 
 def _fake_cell(*args):

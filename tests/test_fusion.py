@@ -31,11 +31,9 @@ def make_scorer(rng, d_in, d_f=3, zero=False):
     return ScorerParams(W1=t((d_in, d_f)), b1=t((d_f,)), w2=t((d_f,)), b2=t((1,)))
 
 
-def late_head(rng, ds, dc, beta=0.3, mean_decision=False, prose=False, mode="late_plus"):
-    return FusionHead(mode=mode, beta=beta,
-                      f=make_scorer(rng, ds), g=make_scorer(rng, dc),
-                      F=None if mean_decision else make_scorer(rng, 2),
-                      prose_weights=prose)
+def late_head(rng, ds, dc, beta=0.3, prose=False, mode="late_plus"):
+    return FusionHead(mode=mode, beta=beta, f=make_scorer(rng, ds), g=make_scorer(rng, dc),
+                      F=make_scorer(rng, 2), prose_weights=prose)
 
 
 def pin_decisions(head, f, g):
@@ -131,13 +129,6 @@ def test_late_tied_scorers_receive_symmetric_pair(rng):
     npt.assert_array_equal(f_vals.data, g_vals.data)
 
 
-def test_late_mean_decision_head_averages(rng):
-    head = late_head(rng, 2, 2, mean_decision=True, mode="late")
-    pin_decisions(head, 0.2, 0.8)
-    out = fuse(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head)
-    npt.assert_allclose(out.data, [0.5], atol=1e-12)
-
-
 def test_late_hand_pass_through_decision_head(rng):
     head = late_head(rng, 2, 2, mode="late")
     pin_decisions(head, 0.3, 0.6)
@@ -193,10 +184,11 @@ def test_late_plus_penalty_weights_fixture(rng):
     npt.assert_allclose(w_c, 0.5 ** 0.3, atol=1e-12)
     assert round(w_s, 4) == 0.9352 and round(w_c, 4) == 0.8123
     # the head must feed exactly (w_s*f, w_c*g) to the decision stage
-    head = late_head(rng, 2, 2, beta=beta, mean_decision=True)
+    head = late_head(rng, 2, 2, beta=beta)
     pin_decisions(head, f, g)
-    out = fuse(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head)
-    npt.assert_allclose(out.data, [(w_s * f + w_c * g) / 2], atol=1e-12)
+    f_vals, g_vals = unimodal_decisions(rng.normal(size=(1, 2)), rng.normal(size=(1, 2)), head)
+    pair = ad.late_pair(f_vals, g_vals, beta)
+    npt.assert_allclose(pair.data, [[w_s * f, w_c * g]], atol=1e-12)
 
 
 def test_late_plus_weights_monotone_nonincreasing_in_other_confidence():
@@ -208,12 +200,12 @@ def test_late_plus_weights_monotone_nonincreasing_in_other_confidence():
 
 
 def test_prose_variant_self_confidence_weights(rng):
-    head = late_head(rng, 2, 2, beta=0.5, mean_decision=True, prose=True)
+    head = late_head(rng, 2, 2, beta=0.5, prose=True)
     s, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
     f_vals, g_vals = unimodal_decisions(s, c, head)
     f, g = f_vals.data[0], g_vals.data[0]
-    expected = 0.5 * (f ** 0.5 * f + g ** 0.5 * g)
-    npt.assert_allclose(fuse(s, c, head).data, [expected], atol=1e-12)
+    pair = ad.late_pair(f_vals, g_vals, head.beta, head.prose_weights)
+    npt.assert_allclose(pair.data, [[f ** 0.5 * f, g ** 0.5 * g]], atol=1e-12)
 
 
 def test_all_strategies_stay_in_unit_interval(rng):

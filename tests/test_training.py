@@ -521,7 +521,8 @@ def test_adagrad_never_reapplies_a_stale_slot(rng):
             if k not in ("W", "b")}
     assert all(opt.acc[k].any() for k in kept)
     w_before = params["W"].data.tobytes()
-    ad.backward(ad.dense(Tensor(rng.normal(size=(3, D))), params["W"], params["b"], "tanh"))
+    ad.backward(ad.scorer(Tensor(rng.normal(size=(3, D))), params["W"], params["b"],
+                          Tensor(np.ones(2)), Tensor(np.zeros(1))))
     opt.step()
     assert {k: (params[k].data.tobytes(), opt.acc[k].tobytes()) for k in kept} == kept
     assert params["W"].data.tobytes() != w_before
@@ -795,8 +796,9 @@ def _joint_loss_at_check_sample(cfg):
                          cfg.alpha_ts, cfg.alpha_vs)
 
 
-def _tape_size(cfg) -> int:
-    """Nodes, parameters included, that the joint loss reaches."""
+def _tape_counts(cfg) -> tuple[int, int]:
+    """Nodes, parameters included, that the joint loss reaches, and the nodes
+    backward runs from it, those ``ad._walk`` gives."""
     loss = _joint_loss_at_check_sample(cfg)
     seen, stack = {id(loss)}, [loss]
     while stack:
@@ -804,38 +806,36 @@ def _tape_size(cfg) -> int:
             if p.requires_grad and id(p) not in seen:
                 seen.add(id(p))
                 stack.append(p)
-    return len(seen)
+    return len(seen), len(ad._walk(loss))
 
 
 def test_tape_size_at_the_gradient_check_config():
     """Nodes the joint loss reaches after one forward at the gradient-check
-    config (bi-hop attention, late+ fusion, the video loss on). Each dense
-    layer, attention score and read-out, late-fusion decision, the word
-    BiLSTM, the sentence mean-pool, the CE loss, the REINFORCE surrogate and
-    their weighted sum is one node, and the sentence, frame and transcript
-    BiLSTMs are one node and a slice node per output; a change that splits
-    one into single ops again moves this count. It was 99 while the mean-pool
-    was a sum node and a product node."""
-    assert _tape_size(tiny_config()) == 98
+    config (bi-hop attention, late+ fusion, the video loss on), and the nodes
+    backward runs. Each scorer, attention score and read-out, late-fusion
+    pair, the word BiLSTM, the sentence mean-pool, the CE loss, the REINFORCE
+    surrogate and their weighted sum is one node, and the sentence, frame and
+    transcript BiLSTMs are one node and a slice node per output; a change
+    that splits one into smaller nodes again moves these counts."""
+    assert _tape_counts(tiny_config()) == (88, 27)
 
 
-@pytest.mark.parametrize("attention,fusion_mode,sum_pool,nodes", [
-    ("concat_product", "late_plus", False, 68),
-    ("bilinear", "tensor", False, 54),
-    ("bihop", "late_plus", True, 98),
+@pytest.mark.parametrize("attention,fusion_mode,sum_pool,nodes,walked", [
+    ("concat_product", "late_plus", False, 66, 21),
+    ("bilinear", "tensor", False, 48, 17),
+    ("bihop", "late_plus", True, 88, 27),
 ], ids=["concat_product-late_plus", "bilinear-tensor", "sum-pool"])
 def test_tape_size_in_the_other_score_and_fusion_modes(attention, fusion_mode, sum_pool,
-                                                        nodes):
-    """The same count where the additive score and the tensor-fusion product
+                                                        nodes, walked):
+    """The same counts where the additive score and the tensor-fusion product
     are one node each, and where the sentence pool is the sum alone, which is
-    one node as the mean is. The first two were 69 and 55 while the mean-pool
-    was two nodes."""
-    assert _tape_size(tiny_config(attention=attention, fusion=fusion_mode,
-                                  sum_pool=sum_pool)) == nodes
+    one node as the mean is."""
+    assert _tape_counts(tiny_config(attention=attention, fusion=fusion_mode,
+                                    sum_pool=sum_pool)) == (nodes, walked)
 
 
 # the heap peak, in bytes, of one training step at the shape of the test below
-STEP_HEAP_PEAK = 350_000
+STEP_HEAP_PEAK = 338_000
 
 
 def test_heap_peak_of_one_training_step(micro_corpus):
@@ -843,9 +843,10 @@ def test_heap_peak_of_one_training_step(micro_corpus):
     ``Adagrad.step``) on a micro-corpus sample at h = 16 peaks, under
     ``tracemalloc`` after two warm-up steps, within 3% of ``STEP_HEAP_PEAK``,
     so that a change in a step's memory shows in the test diff, as the tape
-    sizes above do. It read 349,388 to 351,516 bytes over 8 steps in each of
-    two processes with numpy 2.4.6; another numpy may allocate otherwise. The
-    test turns ``tracemalloc`` on for itself only, as it slows allocation."""
+    sizes above do. It read 337,460 to 337,804 bytes over 8 steps in each of
+    three processes with numpy 2.4.6; another numpy may allocate otherwise.
+    The test turns ``tracemalloc`` on for itself only, as it slows
+    allocation."""
     _, samples, vocab = micro_corpus
     cfg = tiny_config(feature_dim=8, hidden=16, embed_dim=16, attn_dim=16, fusion_dim=16)
     model = SummarizerModel(build_parameters(cfg, len(vocab), np.random.default_rng(0)),
